@@ -6,18 +6,14 @@ entanglement generation between a sender and a receiver site.
 """
 
 from .dynamics import (
-    AmplitudeSample,
     NumericsError,
     SpectralDecomposition,
-    amplitude_series,
     eigendecompose,
     full_space_amplitude,
-    propagator_amplitude,
-    sector_amplitudes,
+    propagate,
 )
 from .experiments import (
     Peak,
-    ScanSample,
     SizeScanResult,
     SizeScanRow,
     TimeScanResult,
@@ -32,6 +28,7 @@ from .metrics import (
     averaged_fidelity,
     concurrence_closed_form,
     dispersion,
+    leaked_weight,
     leakage_bound,
     spectral_overlaps,
     structure_residuals,

@@ -300,23 +300,19 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
         grid_points=config.grid_points,
     )
     lines = ["t,re_f_ss,im_f_ss,re_f_sr,im_f_sr,fidelity,avg_fidelity,concurrence,dispersion"]
-    for sample in result.samples:
-        lines.append(
-            ",".join(
-                _format_number(x)
-                for x in (
-                    sample.t,
-                    sample.f_ss.real,
-                    sample.f_ss.imag,
-                    sample.f_sr.real,
-                    sample.f_sr.imag,
-                    sample.fidelity,
-                    sample.averaged_fidelity,
-                    sample.concurrence,
-                    sample.dispersion,
-                )
-            )
-        )
+    columns = (
+        result.times,
+        result.f_ss.real,
+        result.f_ss.imag,
+        result.f_sr.real,
+        result.f_sr.imag,
+        result.fidelity,
+        result.averaged_fidelity,
+        result.concurrence,
+        result.dispersion,
+    )
+    for row in zip(*(column.tolist() for column in columns)):
+        lines.append(",".join(_format_number(x) for x in row))
     csv_text = "\n".join(lines) + "\n"
 
     summary_lines = [

@@ -4,9 +4,13 @@ With H = V diag(E) V^T the transition amplitude from site s to site n is
 
     f_sn(t) = <n| exp(-i H t) |s> = sum_j V[n, j] V[s, j] exp(-i E_j t)
 
-(units with hbar = 1).  Everything downstream (fidelities, concurrence,
-dispersion) is a function of the two amplitudes f_ss and f_sr, with the
-weight lost to the rest of the chain given by 1 - |f_ss|^2 - |f_sr|^2.
+(units with hbar = 1).  ``propagate`` is the one routine that evaluates it,
+for a single instant or a whole time grid and for one, several or all
+target sites; ``full_space_amplitude`` maps sites to basis states of the
+full 2^n space on top of it.  Everything downstream (fidelities,
+concurrence, dispersion) is a function of the two amplitudes f_ss and f_sr,
+with the weight lost to the rest of the chain given by
+1 - |f_ss|^2 - |f_sr|^2.
 """
 
 from __future__ import annotations
@@ -67,77 +71,25 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
-def propagator_amplitude(decomp: SpectralDecomposition, from_index: int, to_index: int, t: float) -> complex:
-    """f(t) = sum_j V[to, j] V[from, j] exp(-i E_j t)."""
-    V = decomp.eigenvectors
-    weights = V[to_index] * V[from_index]
-    return complex(np.dot(weights, np.exp(-1j * decomp.eigenvalues * t)))
+def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
+    """Amplitudes f(t) = sum_j V[to, j] V[from, j] exp(-i E_j t).
 
-
-def sector_amplitudes(decomp: SpectralDecomposition, from_index: int, t: float) -> np.ndarray:
-    """All amplitudes f_n(t) = <n| exp(-i H t) |from> as one complex vector."""
-    V = decomp.eigenvectors
-    phases = np.exp(-1j * decomp.eigenvalues * t)
-    return V @ (phases * V[from_index])
-
-
-@dataclass(frozen=True)
-class AmplitudeSample:
-    """Sender-sector amplitudes at one instant.
-
-    f_ss is the amplitude to stay on the sender, f_sr the amplitude to arrive
-    at the receiver; leak_sq = 1 - |f_ss|^2 - |f_sr|^2 is the probability
-    weight spread over the remaining sites.
+    ``t`` is a scalar or a 1-D grid; ``to`` is one site index, a sequence of
+    indices, or None for every site.  The result has shape
+    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None), so a scalar
+    ``t`` and a single ``to`` give one complex number.  Apart from the
+    result, the only large array it builds is the grid-by-spectrum phase
+    block.
     """
-
-    t: float
-    f_ss: complex
-    f_sr: complex
-    leak_sq: float
-
-    def __post_init__(self) -> None:
-        total = abs(self.f_ss) ** 2 + abs(self.f_sr) ** 2 + self.leak_sq
-        if abs(total - 1.0) > 1e-10:
-            raise NumericsError(
-                f"amplitude sample at t={self.t} violates probability conservation "
-                f"(total {total!r})"
-            )
-
-
-def amplitude_series(
-    decomp: SpectralDecomposition,
-    sender_index: int,
-    receiver_index: int,
-    times: np.ndarray,
-) -> list[AmplitudeSample]:
-    """Evaluate f_ss and f_sr on a time grid.
-
-    The leaked weight is computed as 1 - |f_ss|^2 - |f_sr|^2 and must land in
-    [-1e-10, 1 + 1e-10] before being clipped to [0, 1]; anything further out
-    signals a broken decomposition.
-    """
-    times = np.asarray(times, dtype=np.float64)
     V = decomp.eigenvectors
-    w_ss = V[sender_index] * V[sender_index]
-    w_sr = V[receiver_index] * V[sender_index]
-    phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
-    f_ss = phases @ w_ss
-    f_sr = phases @ w_sr
-    leak_sq = 1.0 - np.abs(f_ss) ** 2 - np.abs(f_sr) ** 2
-    if np.any(leak_sq < -1e-10) or np.any(leak_sq > 1.0 + 1e-10):
-        violation = np.maximum(-leak_sq, leak_sq - 1.0)
-        worst = float(leak_sq[np.argmax(violation)])
-        raise NumericsError(f"leaked weight out of range (worst value {worst!r})")
-    leak_sq = np.clip(leak_sq, 0.0, 1.0)
-    return [
-        AmplitudeSample(float(t), complex(a), complex(b), float(c))
-        for t, a, b, c in zip(times, f_ss, f_sr, leak_sq)
-    ]
+    phases = np.multiply.outer(np.asarray(t, dtype=np.float64), -1j * decomp.eigenvalues)
+    np.exp(phases, out=phases)
+    phases *= V[from_index]
+    targets = V if to is None else V[np.asarray(to)]
+    return phases @ targets.T
 
 
-def full_space_amplitude(
-    decomp: SpectralDecomposition, from_site: int, to_site: int, t: float
-) -> complex:
+def full_space_amplitude(decomp: SpectralDecomposition, from_site: int, to_site: int, t):
     """Transition amplitude between one-excitation basis states of the full space.
 
     ``decomp`` must come from a full 2^n Hamiltonian; sites map to basis
@@ -151,4 +103,4 @@ def full_space_amplitude(
     for label, site in (("from_site", from_site), ("to_site", to_site)):
         if not (0 <= site < n_sites):
             raise ValueError(f"{label}={site} out of range for {n_sites} sites")
-    return propagator_amplitude(decomp, 1 << from_site, 1 << to_site, t)
+    return propagate(decomp, 1 << from_site, t, to=1 << to_site)

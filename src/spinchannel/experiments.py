@@ -1,11 +1,11 @@
 """Scan drivers: fidelity/concurrence versus time, and peak size scans.
 
 A time scan evolves the single-excitation amplitudes on a uniform grid,
-scores every instant with the metrics module, and refines the best grid
-peaks by golden-section search.  A size scan repeats this over a range of
-chain sizes for complete and double-hole layouts and keeps only the peak
-data, which is the quantity that separates the two layouts as the chain
-grows.
+scores the whole grid at once with the metrics module (one array per
+quantity), and refines the best grid peaks by golden-section search.  A
+size scan repeats this over a range of chain sizes for complete and
+double-hole layouts and keeps only the peak data, which is the quantity
+that separates the two layouts as the chain grows.
 """
 
 from __future__ import annotations
@@ -16,19 +16,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    NumericsError,
-    SpectralDecomposition,
-    amplitude_series,
-    eigendecompose,
-    propagator_amplitude,
-    sector_amplitudes,
-)
+from .dynamics import NumericsError, SpectralDecomposition, eigendecompose, propagate
 from .metrics import (
     InitialStateParams,
     averaged_fidelity,
     concurrence_closed_form,
-    dispersion,
+    leaked_weight,
     leakage_bound,
     spectral_overlaps,
     transfer_fidelity,
@@ -57,28 +50,25 @@ class Peak(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ScanSample:
-    """One scored instant of a time scan."""
-
-    t: float
-    fidelity: float
-    averaged_fidelity: float
-    concurrence: float
-    dispersion: float
-    f_ss: complex
-    f_sr: complex
-
-
-@dataclass(frozen=True)
 class TimeScanResult:
     """Scored time grid plus refined peaks and channel diagnostics.
+
+    The grid is held as read-only columns, one entry per instant: times, the
+    amplitudes f_ss and f_sr, the fidelity, averaged fidelity, concurrence
+    and dispersion (the leaked weight 1 - |f_ss|^2 - |f_sr|^2).
 
     delta_eff, dominant_pair and dominant_pair_mass are None when the
     dominant spectral pair is degenerate (possible only when the scan window
     was fixed by other means).
     """
 
-    samples: tuple[ScanSample, ...]
+    times: np.ndarray
+    f_ss: np.ndarray
+    f_sr: np.ndarray
+    fidelity: np.ndarray
+    averaged_fidelity: np.ndarray
+    concurrence: np.ndarray
+    dispersion: np.ndarray
     peak_fidelity: Peak
     peak_concurrence: Peak
     t_max: float
@@ -212,23 +202,24 @@ def _score_grid(
     receiver_index: int,
     params: InitialStateParams,
     times: np.ndarray,
-) -> tuple[ScanSample, ...]:
-    samples = amplitude_series(decomp, sender_index, receiver_index, times)
-    scored = []
-    for sample in samples:
-        amps = sector_amplitudes(decomp, sender_index, sample.t)
-        scored.append(
-            ScanSample(
-                t=sample.t,
-                fidelity=transfer_fidelity(sample.f_sr),
-                averaged_fidelity=averaged_fidelity(sample.f_sr),
-                concurrence=concurrence_closed_form(params, sample.f_ss, sample.f_sr),
-                dispersion=dispersion(amps, sender_index, receiver_index),
-                f_ss=sample.f_ss,
-                f_sr=sample.f_sr,
-            )
-        )
-    return tuple(scored)
+) -> dict[str, np.ndarray]:
+    """The TimeScanResult columns for one grid, as read-only arrays."""
+    f_ss, f_sr = propagate(decomp, sender_index, times, to=(sender_index, receiver_index)).T
+    # conservation first: a broken decomposition is a NumericsError, not a
+    # metric's out-of-range ValueError
+    leak = leaked_weight(f_ss, f_sr)
+    columns = {
+        "times": times,
+        "f_ss": f_ss,
+        "f_sr": f_sr,
+        "fidelity": transfer_fidelity(f_sr),
+        "averaged_fidelity": averaged_fidelity(f_sr),
+        "concurrence": concurrence_closed_form(params, f_ss, f_sr),
+        "dispersion": leak,
+    }
+    for column in columns.values():
+        column.setflags(write=False)
+    return columns
 
 
 def time_scan(
@@ -283,19 +274,18 @@ def time_scan(
             t_max = _WINDOW_PERIODS * prediction.transfer_time
 
     def fidelity_at(t: float) -> float:
-        return transfer_fidelity(propagator_amplitude(decomp, s, r, t))
+        return transfer_fidelity(propagate(decomp, s, t, to=r))
 
     def concurrence_at(t: float) -> float:
-        f_ss = propagator_amplitude(decomp, s, s, t)
-        f_sr = propagator_amplitude(decomp, s, r, t)
+        f_ss, f_sr = propagate(decomp, s, t, to=(s, r))
         return concurrence_closed_form(params, f_ss, f_sr)
 
     extended = False
     while True:
         times = np.linspace(0.0, t_max, grid_points)
-        samples = _score_grid(decomp, s, r, params, times)
-        f_values = np.array([sample.fidelity for sample in samples])
-        c_values = np.array([sample.concurrence for sample in samples])
+        columns = _score_grid(decomp, s, r, params, times)
+        f_values = columns["fidelity"]
+        c_values = columns["concurrence"]
         tol_width = 1e-9 * t_max
         peak_f = _interior_peak(times, f_values, fidelity_at, tol_width)
         peak_c = _interior_peak(times, c_values, concurrence_at, tol_width)
@@ -314,7 +304,7 @@ def time_scan(
         break
 
     return TimeScanResult(
-        samples=samples,
+        **columns,
         peak_fidelity=peak_f,
         peak_concurrence=peak_c,
         t_max=float(t_max),

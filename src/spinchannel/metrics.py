@@ -47,35 +47,36 @@ class InitialStateParams:
             raise ValueError(f"phi must lie in [0, 2*pi) (got {self.phi})")
 
 
-def transfer_fidelity(f_sr: complex) -> float:
-    """F(t) = |f_sr|^2, clamped to [0, 1]."""
-    modulus = abs(f_sr)
-    if modulus > 1.0 + 1e-10:
-        raise ValueError(f"|f_sr| = {modulus!r} exceeds 1 beyond tolerance")
-    return min(modulus * modulus, 1.0)
+def transfer_fidelity(f_sr):
+    """F(t) = |f_sr|^2, clamped to [0, 1]; elementwise on arrays."""
+    modulus = np.abs(f_sr)
+    if np.any(modulus > 1.0 + 1e-10):
+        raise ValueError(f"|f_sr| = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
+    return np.minimum(modulus * modulus, 1.0)
 
 
-def averaged_fidelity(f_sr: complex) -> float:
+def averaged_fidelity(f_sr):
     """Fidelity averaged over all input states: |f|^2/6 + |f|/3 + 1/2."""
-    modulus = abs(f_sr)
-    if modulus > 1.0 + 1e-10:
-        raise ValueError(f"|f_sr| = {modulus!r} exceeds 1 beyond tolerance")
-    modulus = min(modulus, 1.0)
+    modulus = np.abs(f_sr)
+    if np.any(modulus > 1.0 + 1e-10):
+        raise ValueError(f"|f_sr| = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
+    modulus = np.minimum(modulus, 1.0)
     return modulus * modulus / 6.0 + modulus / 3.0 + 0.5
 
 
-def concurrence_closed_form(params: InitialStateParams, f_ss: complex, f_sr: complex) -> float:
-    """C = 2 sin^2(theta/2) |f_ss| |f_sr|, clamped to [0, 1]."""
-    mod_ss = abs(f_ss)
-    mod_sr = abs(f_sr)
-    if mod_ss > 1.0 + 1e-10 or mod_sr > 1.0 + 1e-10:
+def concurrence_closed_form(params: InitialStateParams, f_ss, f_sr):
+    """C = 2 sin^2(theta/2) |f_ss| |f_sr|, clamped to [0, 1]; elementwise on arrays."""
+    mod_ss = np.abs(f_ss)
+    mod_sr = np.abs(f_sr)
+    if np.any(mod_ss > 1.0 + 1e-10) or np.any(mod_sr > 1.0 + 1e-10):
         raise ValueError(
-            f"amplitude moduli ({mod_ss!r}, {mod_sr!r}) exceed 1 beyond tolerance"
+            f"amplitude moduli ({float(np.max(mod_ss))!r}, {float(np.max(mod_sr))!r}) "
+            "exceed 1 beyond tolerance"
         )
     raw = 2.0 * math.sin(params.theta / 2.0) ** 2 * mod_ss * mod_sr
-    if raw > 1.0 + 1e-9:
-        raise ValueError(f"concurrence value {raw!r} exceeds 1 beyond tolerance")
-    return min(max(raw, 0.0), 1.0)
+    if np.any(raw > 1.0 + 1e-9):
+        raise ValueError(f"concurrence value {float(np.max(raw))!r} exceeds 1 beyond tolerance")
+    return np.clip(raw, 0.0, 1.0)
 
 
 def wootters_concurrence_oracle(
@@ -146,6 +147,19 @@ def dispersion(amplitudes: np.ndarray, sender_index: int, receiver_index: int) -
     mask[sender_index] = False
     mask[receiver_index] = False
     return float(np.sum(np.abs(amps[mask]) ** 2))
+
+
+def leaked_weight(f_ss, f_sr):
+    """Gamma^2(t) from its complement, 1 - |f_ss|^2 - |f_sr|^2; elementwise on arrays.
+
+    The raw value must land in [-1e-10, 1 + 1e-10] before it is clipped to
+    [0, 1]; anything further out signals a broken decomposition.
+    """
+    leak = 1.0 - np.abs(f_ss) ** 2 - np.abs(f_sr) ** 2
+    if np.any(leak < -1e-10) or np.any(leak > 1.0 + 1e-10):
+        worst = np.ravel(leak)[np.argmax(np.maximum(-leak, leak - 1.0))]
+        raise NumericsError(f"leaked weight out of range (worst value {float(worst)!r})")
+    return np.clip(leak, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -226,21 +240,18 @@ class TwoQubitPrediction:
     """Transfer timing predicted from the dominant eigenvector pair's gap."""
 
     delta: float
-    transfer_time: float
-    entangling_time: float
 
     def __post_init__(self) -> None:
         if self.delta <= 0.0:
             raise ValueError(f"delta must be > 0 (got {self.delta})")
-        if not math.isclose(self.transfer_time, math.pi / self.delta, rel_tol=1e-12):
-            raise ValueError("transfer_time must equal pi/delta")
-        if not math.isclose(self.entangling_time, self.transfer_time / 2.0, rel_tol=1e-12):
-            raise ValueError("entangling_time must equal transfer_time/2")
 
-    @classmethod
-    def from_delta(cls, delta: float) -> "TwoQubitPrediction":
-        transfer_time = math.pi / delta
-        return cls(delta=delta, transfer_time=transfer_time, entangling_time=transfer_time / 2.0)
+    @property
+    def transfer_time(self) -> float:
+        return math.pi / self.delta
+
+    @property
+    def entangling_time(self) -> float:
+        return self.transfer_time / 2.0
 
 
 def structure_residuals(overlaps: SpectralOverlaps) -> np.ndarray:
@@ -275,4 +286,4 @@ def two_qubit_effective(
             f"dominant eigenvector pair ({j_lo}, {j_hi}) is degenerate "
             f"(gap {delta!r}); no finite transfer time exists"
         )
-    return TwoQubitPrediction.from_delta(delta), structure_residuals(overlaps), (j_lo, j_hi)
+    return TwoQubitPrediction(delta), structure_residuals(overlaps), (j_lo, j_hi)

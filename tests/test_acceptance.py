@@ -48,7 +48,7 @@ def test_criterion_1_two_qubit_exactness():
         transfer_time = math.pi / (2.0 * J)
         ts = np.linspace(0.0, 2.0 * transfer_time, 1000)
         for t in ts:
-            f_sr = sc.propagator_amplitude(decomp, 0, 1, float(t))
+            f_sr = sc.propagate(decomp, 0, float(t), to=1)
             worst_curve = max(worst_curve, abs(abs(f_sr) ** 2 - math.sin(J * t) ** 2))
         scan = sc.time_scan(geometry, model)
         worst_peak_t = max(
@@ -83,7 +83,7 @@ def test_criterion_2_sector_reduction_oracle():
             sector = sc.eigendecompose(sc.sector_hamiltonian(couplings, zz))
             full = sc.eigendecompose(sc.full_hamiltonian(couplings, zz))
             for t in ts:
-                amps = sc.sector_amplitudes(sector, s, float(t))
+                amps = sc.propagate(sector, s, float(t))
                 for target in (s, r):
                     full_amp = sc.full_space_amplitude(full, s, target, float(t))
                     worst = max(worst, abs(amps[target] - full_amp))
@@ -112,7 +112,7 @@ def test_criterion_3_concurrence_dual_path():
             phi=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
         t = float(rng.uniform(0.0, 30.0))
-        amps = sc.sector_amplitudes(decomp, sender, t)
+        amps = sc.propagate(decomp, sender, t)
         closed = sc.concurrence_closed_form(params, amps[sender], amps[receiver])
         oracle = sc.wootters_concurrence_oracle(params, amps, sender, receiver)
         worst = max(worst, abs(closed - oracle))
@@ -167,11 +167,11 @@ def test_criterion_6_mirror_contrast():
     t_transfer = math.pi / lam
 
     bare = sc.eigendecompose(sc.sector_hamiltonian(couplings, include_zz_diagonal=False))
-    fidelity_bare = abs(sc.propagator_amplitude(bare, 0, 9, t_transfer)) ** 2
+    fidelity_bare = abs(sc.propagate(bare, 0, t_transfer, to=9)) ** 2
     scan = sc.time_scan(geometry, model, include_zz_diagonal=False)
 
     with_zz = sc.eigendecompose(sc.sector_hamiltonian(couplings, include_zz_diagonal=True))
-    fidelity_zz = abs(sc.propagator_amplitude(with_zz, 0, 9, t_transfer)) ** 2
+    fidelity_zz = abs(sc.propagate(with_zz, 0, t_transfer, to=9)) ** 2
 
     ok = fidelity_bare >= 0.999 and scan.peak_concurrence.value <= 0.1
     _report(
@@ -218,7 +218,7 @@ def test_criterion_7_property_suite():
                     worst_unitarity,
                     float(np.max(np.abs(U @ U.conj().T - np.eye(n)))),
                 )
-                amps = sc.sector_amplitudes(decomp, s, t)
+                amps = sc.propagate(decomp, s, t)
                 disp = sc.dispersion(amps, s, r)
                 worst_conservation = max(
                     worst_conservation,
@@ -227,17 +227,17 @@ def test_criterion_7_property_suite():
                 worst_bound_excess = max(worst_bound_excess, disp - bound)
                 worst_sign_flip = max(
                     worst_sign_flip,
-                    float(np.max(np.abs(np.abs(sc.sector_amplitudes(flipped, s, t)) - np.abs(amps)))),
+                    float(np.max(np.abs(np.abs(sc.propagate(flipped, s, t)) - np.abs(amps)))),
                 )
                 worst_shift = max(
                     worst_shift,
-                    float(np.max(np.abs(np.abs(sc.sector_amplitudes(shifted, s, t)) - np.abs(amps)))),
+                    float(np.max(np.abs(np.abs(sc.propagate(shifted, s, t)) - np.abs(amps)))),
                 )
                 worst_reciprocity = max(
                     worst_reciprocity,
                     abs(
-                        sc.propagator_amplitude(decomp, s, r, t)
-                        - sc.propagator_amplitude(decomp, r, s, t)
+                        sc.propagate(decomp, s, t, to=r)
+                        - sc.propagate(decomp, r, t, to=s)
                     ),
                 )
     ok = (

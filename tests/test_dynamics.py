@@ -74,57 +74,58 @@ def test_eigendecompose_rejects_bad_input():
 
 def test_propagator_at_time_zero():
     decomp = _dipolar_decomp()
-    assert sc.propagator_amplitude(decomp, 0, 0, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert abs(sc.propagator_amplitude(decomp, 0, 5, 0.0)) <= 1e-14
+    assert sc.propagate(decomp, 0, 0.0, to=0) == pytest.approx(1.0, abs=1e-14)
+    assert abs(sc.propagate(decomp, 0, 0.0, to=5)) <= 1e-14
 
 
 def test_unitarity_at_random_times():
     decomp = _dipolar_decomp(n=8)
     rng = np.random.default_rng(31)
     for t in rng.uniform(0.0, 500.0, size=10):
-        amps = sc.sector_amplitudes(decomp, 0, float(t))
+        amps = sc.propagate(decomp, 0, float(t))
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagator_reciprocity():
     decomp = _dipolar_decomp(n=7)
     for t in (0.3, 2.9, 47.0):
-        f_sr = sc.propagator_amplitude(decomp, 0, 6, t)
-        f_rs = sc.propagator_amplitude(decomp, 6, 0, t)
+        f_sr = sc.propagate(decomp, 0, t, to=6)
+        f_rs = sc.propagate(decomp, 6, t, to=0)
         assert abs(f_sr - f_rs) <= 1e-13
 
 
 def test_sector_amplitudes_match_propagator():
     decomp = _dipolar_decomp(n=5)
     t = 7.7
-    amps = sc.sector_amplitudes(decomp, 0, t)
+    amps = sc.propagate(decomp, 0, t)
+    assert amps.shape == (5,)
     for n in range(5):
-        assert amps[n] == pytest.approx(sc.propagator_amplitude(decomp, 0, n, t), abs=1e-13)
+        assert amps[n] == pytest.approx(sc.propagate(decomp, 0, t, to=n), abs=1e-13)
 
 
 def test_amplitude_series_matches_pointwise():
     decomp = _dipolar_decomp(n=6)
     times = np.linspace(0.0, 40.0, 50)
-    series = sc.amplitude_series(decomp, 0, 5, times)
-    assert len(series) == 50
-    for sample in series[::7]:
-        f_ss = sc.propagator_amplitude(decomp, 0, 0, sample.t)
-        f_sr = sc.propagator_amplitude(decomp, 0, 5, sample.t)
-        assert sample.f_ss == pytest.approx(f_ss, abs=1e-12)
-        assert sample.f_sr == pytest.approx(f_sr, abs=1e-12)
+    series = sc.propagate(decomp, 0, times, to=(0, 5))
+    assert series.shape == (50, 2)
+    assert sc.propagate(decomp, 0, times).shape == (50, 6)
+    assert sc.propagate(decomp, 0, times, to=5).shape == (50,)
+    leak = sc.leaked_weight(series[:, 0], series[:, 1])
+    for k in range(0, 50, 7):
+        t = float(times[k])
+        f_ss = sc.propagate(decomp, 0, t, to=0)
+        f_sr = sc.propagate(decomp, 0, t, to=5)
+        assert series[k, 0] == pytest.approx(f_ss, abs=1e-12)
+        assert series[k, 1] == pytest.approx(f_sr, abs=1e-12)
         expected_leak = 1.0 - abs(f_ss) ** 2 - abs(f_sr) ** 2
-        assert sample.leak_sq == pytest.approx(expected_leak, abs=1e-10)
-
-
-def test_amplitude_sample_guards_probability():
-    with pytest.raises(sc.NumericsError):
-        sc.AmplitudeSample(t=0.0, f_ss=1.0 + 0.0j, f_sr=0.3 + 0.0j, leak_sq=0.0)
+        assert leak[k] == pytest.approx(expected_leak, abs=1e-10)
 
 
 def test_amplitude_series_rejects_broken_decomposition():
     bad = sc.SpectralDecomposition(np.zeros(3), np.ones((3, 3)))
+    f_ss, f_sr = sc.propagate(bad, 0, np.array([0.0, 1.0]), to=(0, 2)).T
     with pytest.raises(sc.NumericsError):
-        sc.amplitude_series(bad, 0, 2, np.array([0.0, 1.0]))
+        sc.leaked_weight(f_ss, f_sr)
 
 
 # ---------------------------------------------------------------- full space
@@ -137,7 +138,7 @@ def test_full_space_amplitude_matches_sector():
     full = sc.eigendecompose(sc.full_hamiltonian(J, True))
     s, r = geo.sender_index, geo.receiver_index
     for t in (0.0, 1.3, 89.0):
-        a = sc.propagator_amplitude(sector, s, r, t)
+        a = sc.propagate(sector, s, t, to=r)
         b = sc.full_space_amplitude(full, s, r, t)
         assert a == pytest.approx(b, abs=1e-11)
 

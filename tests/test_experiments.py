@@ -32,8 +32,7 @@ def test_refine_peak_two_site_concurrence():
     params = sc.InitialStateParams()
 
     def concurrence_at(t):
-        f_ss = sc.propagator_amplitude(decomp, 0, 0, t)
-        f_sr = sc.propagator_amplitude(decomp, 0, 1, t)
+        f_ss, f_sr = sc.propagate(decomp, 0, t, to=(0, 1))
         return sc.concurrence_closed_form(params, f_ss, f_sr)
 
     half_period = math.pi / (2.0 * 2.0 * J)  # T/2 with T = pi/(2J)
@@ -103,25 +102,52 @@ def test_time_scan_peaks_dominate_samples():
         (sc.build_chain_geometry(2), two_site_model(2.0)),
     ):
         result = sc.time_scan(geo, model)
-        f_best = max(sample.fidelity for sample in result.samples)
-        c_best = max(sample.concurrence for sample in result.samples)
+        f_best = result.fidelity.max()
+        c_best = result.concurrence.max()
         assert result.peak_fidelity.value >= f_best
         assert result.peak_concurrence.value >= c_best
 
 
 def test_time_scan_sample_fields_are_consistent():
     result = sc.time_scan(dh_geometry(4), sc.CouplingModel.power_law(), grid_points=200)
-    assert len(result.samples) == 200
-    assert result.samples[0].t == 0.0
-    assert result.samples[-1].t == pytest.approx(result.t_max, rel=1e-15)
+    columns = (
+        result.times,
+        result.f_ss,
+        result.f_sr,
+        result.fidelity,
+        result.averaged_fidelity,
+        result.concurrence,
+        result.dispersion,
+    )
+    assert all(column.shape == (200,) and not column.flags.writeable for column in columns)
+    assert result.times[0] == 0.0
+    assert result.times[-1] == pytest.approx(result.t_max, rel=1e-15)
     params = sc.InitialStateParams()
-    for sample in result.samples[::37]:
-        assert sample.fidelity == pytest.approx(abs(sample.f_sr) ** 2, abs=1e-12)
-        assert sample.concurrence == pytest.approx(
-            sc.concurrence_closed_form(params, sample.f_ss, sample.f_sr), abs=1e-12
+    for k in range(0, 200, 37):
+        f_ss, f_sr = complex(result.f_ss[k]), complex(result.f_sr[k])
+        assert result.fidelity[k] == pytest.approx(abs(f_sr) ** 2, abs=1e-12)
+        assert result.concurrence[k] == pytest.approx(
+            sc.concurrence_closed_form(params, f_ss, f_sr), abs=1e-12
         )
-        total = abs(sample.f_ss) ** 2 + abs(sample.f_sr) ** 2 + sample.dispersion
+        total = abs(f_ss) ** 2 + abs(f_sr) ** 2 + result.dispersion[k]
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_time_scan_dispersion_column_on_long_double_hole_chain():
+    # 200 positions, 198 occupied: the dispersion column (the clipped leak)
+    # must agree with the direct sum over the full amplitude vector, and the
+    # amplitude columns with scalar propagation
+    geo = dh_geometry(198)
+    model = sc.CouplingModel.power_law()
+    result = sc.time_scan(geo, model, grid_points=10)
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model)))
+    s, r = geo.sender_index, geo.receiver_index
+    assert result.times.shape == (10,)
+    for k, t in enumerate(result.times.tolist()):
+        amps = sc.propagate(decomp, s, t)
+        assert result.dispersion[k] == pytest.approx(sc.dispersion(amps, s, r), abs=1e-12)
+        assert result.f_ss[k] == pytest.approx(sc.propagate(decomp, s, t, to=s), abs=1e-12)
+        assert result.f_sr[k] == pytest.approx(sc.propagate(decomp, s, t, to=r), abs=1e-12)
 
 
 def test_time_scan_theta_scales_concurrence():
@@ -150,7 +176,8 @@ def test_time_scan_determinism():
     b = sc.time_scan(dh_geometry(6), sc.CouplingModel.power_law())
     assert a.peak_fidelity == b.peak_fidelity
     assert a.peak_concurrence == b.peak_concurrence
-    assert all(x == y for x, y in zip(a.samples, b.samples))
+    for name in ("times", "f_ss", "f_sr", "fidelity", "averaged_fidelity", "concurrence", "dispersion"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_time_scan_validates_arguments():
