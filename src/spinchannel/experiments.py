@@ -39,6 +39,13 @@ _WINDOW_PERIODS = 1.5
 # lobe the grid happened to sample closer to its top
 _PEAK_TIE_BAND = 1e-3
 
+# refined crests within this many eps * max(1, |value|) of each other tie, and
+# the tie goes to the earliest lobe, so crests equal by symmetry do not trade
+# places on last-bit rounding
+_REFINED_TIE_ULPS = 4.0
+
+_EPS = float(np.finfo(np.float64).eps)
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _CONFIGURATIONS = ("complete", "double_hole")
@@ -173,9 +180,11 @@ def _interior_peak(
     """Refine the near-maximal interior grid lobes and pick the winner.
 
     Every interior local maximum within _PEAK_TIE_BAND of the global grid
-    maximum is refined; the largest refined value wins and exact ties go to
-    the earliest lobe.  Returns None when the grid has no interior local
-    maximum in the band (a series still rising at the window edge).
+    maximum is refined; the largest refined value wins.  A later lobe must
+    beat the best so far by more than _REFINED_TIE_ULPS * eps * max(1, |v|),
+    so crests equal up to rounding go to the earliest lobe.  Returns None
+    when the grid has no interior local maximum in the band (a series still
+    rising at the window edge).
     """
     vmax = float(values.max())
     tie_cut = vmax - _PEAK_TIE_BAND * max(1.0, abs(vmax))
@@ -187,7 +196,9 @@ def _interior_peak(
             refined = refine_peak(evaluator, (times[k - 1], times[k + 1]), tol_width)
             if refined.value < values[k]:
                 refined = Peak(float(times[k]), float(values[k]))
-            if best is None or refined.value > best.value:
+            if best is None or (
+                refined.value - best.value > _REFINED_TIE_ULPS * _EPS * max(1.0, abs(best.value))
+            ):
                 best = refined
             # a flat run is one lobe; jump to its right edge
             while k + 1 < last and values[k + 1] == values[k]:

@@ -177,15 +177,18 @@ class CouplingMatrix:
 
 
 def power_law_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
-    """J_ij = C / (a d_ij)**nu with d_ij the lattice distance between sites."""
+    """J_ij = C / (a d_ij)**nu with d_ij the lattice distance between sites.
+
+    The power is taken once per distance d = 1..span-1 and gathered by the
+    integer distance matrix; distance 0 (the diagonal) maps to 0.
+    """
     if model.kind != "power_law":
         raise ValueError(f"expected a power_law model (got {model.kind!r})")
-    pos = np.asarray(geometry.positions, dtype=np.float64)
+    pos = np.asarray(geometry.positions)
     dist = np.abs(pos[:, None] - pos[None, :])
-    with np.errstate(divide="ignore"):
-        entries = model.strength_c / (model.spacing_a * dist) ** model.nu
-    np.fill_diagonal(entries, 0.0)
-    return CouplingMatrix(entries)
+    d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
+    table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
+    return CouplingMatrix(table[dist])
 
 
 def mirror_periodic_couplings(n_sites: int, lam: float = 2.0) -> CouplingMatrix:

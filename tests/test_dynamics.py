@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
+from spinchannel import dynamics
 from support import dh_geometry, random_symmetric
+
+# the dense reference, bound before any test replaces np.linalg.eigh
+_DENSE_EIGH = np.linalg.eigh
 
 
 def _dipolar_decomp(n=6, include_zz=True):
@@ -67,6 +71,99 @@ def test_eigendecompose_rejects_bad_input():
         sc.eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         sc.eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# ------------------------------------------------- mirror-symmetric split
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.eigh as dynamics sees it."""
+    shapes = []
+
+    def recording_eigh(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return _DENSE_EIGH(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.np.linalg, "eigh", recording_eigh)
+    return shapes
+
+
+def _dh_sector(span):
+    geo = sc.build_chain_geometry(span, 1, span, double_hole=True)
+    J = sc.build_couplings(geo, sc.CouplingModel.power_law())
+    return geo, sc.sector_hamiltonian(J).matrix
+
+
+def _assert_same_decomposition_as_dense(H, decomp):
+    dense_values, _ = _DENSE_EIGH(H)
+    E, V = decomp.eigenvalues, decomp.eigenvectors
+    n = len(dense_values)
+    assert np.max(np.abs(E - dense_values)) <= 1e-12 * np.max(np.abs(dense_values))
+    assert np.max(np.abs(H @ V - V * E)) <= 1e-10
+    assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-12
+    anchors = np.argmax(np.abs(V), axis=0)
+    assert np.all(V[anchors, np.arange(n)] > 0.0)
+
+
+@pytest.mark.parametrize("span, blocks", [(66, [(32, 32), (32, 32)]), (67, [(33, 33), (32, 32)])])
+def test_mirror_split_matches_dense_eigh(eigh_shapes, span, blocks):
+    _geo, H = _dh_sector(span)
+    decomp = sc.eigendecompose(H)
+    assert eigh_shapes == blocks
+    _assert_same_decomposition_as_dense(H, decomp)
+
+
+def test_mirror_split_full_space_matches_sector(eigh_shapes):
+    # global spin flip maps basis index b to 2^7 - 1 - b, the index reversal
+    J = sc.build_couplings(sc.build_chain_geometry(7), sc.CouplingModel.power_law())
+    H = sc.full_hamiltonian(J, True).matrix
+    full = sc.eigendecompose(H)
+    assert eigh_shapes == [(64, 64), (64, 64)]
+    _assert_same_decomposition_as_dense(H, full)
+    sector = sc.eigendecompose(sc.sector_hamiltonian(J, True))
+    for t in (0.0, 1.3, 89.0):
+        expected = sc.propagate(sector, 0, t, to=6)
+        assert sc.full_space_amplitude(full, 0, 6, t) == pytest.approx(expected, abs=1e-11)
+
+
+def test_nearly_mirror_symmetric_matrix_is_diagonalized_as_given(eigh_shapes):
+    _geo, H = _dh_sector(102)
+    H = H.copy()
+    H[3, 10] += 1e-6
+    H[10, 3] += 1e-6
+    decomp = sc.eigendecompose(H)
+    assert eigh_shapes == [(100, 100)]
+    assert np.max(np.abs(decomp.eigenvalues - np.linalg.eigvalsh(H))) <= 1e-12
+
+
+def test_mirror_split_keeps_dominant_pair_mirror_symmetric():
+    # the pair's gap is ~1e-9 against |E| ~ 740; a dense eigh mixes it by ~2e-4
+    geo, H = _dh_sector(1000)
+    decomp = sc.eigendecompose(H)
+    overlaps = sc.spectral_overlaps(decomp, geo.sender_index, geo.receiver_index)
+    _prediction, _residuals, pair = sc.two_qubit_effective(decomp, overlaps)
+    for j in pair:
+        assert abs(overlaps.sigma[j] ** 2 - overlaps.rho[j] ** 2) <= 1e-12
+
+
+def test_eigh_calls_per_chain(eigh_shapes):
+    # long mirror chains take the split path; disordered and short ones do not
+    sc.eigendecompose(_dh_sector(200)[1])
+    assert eigh_shapes == [(99, 99), (99, 99)]
+
+    eigh_shapes.clear()
+    geo = sc.build_chain_geometry(100)
+    dipolar = sc.build_couplings(geo, sc.CouplingModel.power_law()).entries
+    noise = np.random.default_rng(41).uniform(-0.2, 0.2, size=dipolar.shape)
+    disordered = dipolar * (1.0 + 0.5 * (noise + noise.T))
+    J = sc.build_couplings(geo, sc.CouplingModel.custom(disordered))
+    sc.eigendecompose(sc.sector_hamiltonian(J))
+    assert eigh_shapes == [(100, 100)]
+
+    eigh_shapes.clear()
+    sc.eigendecompose(_dh_sector(12)[1])
+    assert eigh_shapes == [(10, 10)]
 
 
 # ---------------------------------------------------------------- propagation

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
+from spinchannel.experiments import _interior_peak
 from support import dh_geometry, two_site_model
 
 
@@ -84,6 +85,31 @@ def test_time_scan_mirror_periodic_contrast():
     assert abs(result.peak_fidelity.t - math.pi / 2.0) <= 1e-6
     assert result.peak_fidelity.value == pytest.approx(1.0, abs=1e-9)
     assert result.peak_concurrence.value <= 0.1
+
+
+def test_interior_peak_ulp_tie_goes_to_earliest_crest():
+    # crests at t = 1 (height 1) and t = 3 (one ulp higher)
+    higher = float(np.nextafter(1.0, 2.0))
+
+    def evaluator(t):
+        return 1.0 - (t - 1.0) ** 2 if t < 2.0 else higher - (t - 3.0) ** 2
+
+    times = np.linspace(0.0, 4.0, 41)
+    values = np.array([evaluator(t) for t in times])
+    peak = _interior_peak(times, values, evaluator, 1e-9)
+    assert peak.t == pytest.approx(1.0, abs=1e-6)
+
+
+def test_time_scan_mirror_symmetric_crests_report_earliest():
+    # concurrence crests at pi/4 and 3pi/4 are equal by symmetry
+    result = sc.time_scan(
+        sc.build_chain_geometry(10),
+        sc.CouplingModel.mirror_periodic(lam=2.0),
+        include_zz_diagonal=False,
+        theta=1.1,
+        phi=0.4,
+    )
+    assert result.peak_concurrence.t == pytest.approx(math.pi / 4.0, abs=1e-6)
 
 
 def test_time_scan_window_extension():

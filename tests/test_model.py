@@ -90,6 +90,17 @@ def test_power_law_uses_lattice_distance_across_holes():
     assert J.entries[1, 2] == pytest.approx(1.0, rel=1e-15)  # distance 1
 
 
+def test_power_law_table_matches_direct_formula():
+    geo = sc.build_chain_geometry(300, 1, 300, double_hole=True)
+    model = sc.CouplingModel.power_law(nu=2.7, strength_c=1.3, spacing_a=0.9)
+    pos = np.asarray(geo.positions, dtype=np.float64)
+    dist = np.abs(pos[:, None] - pos[None, :])
+    with np.errstate(divide="ignore"):
+        direct = model.strength_c / (model.spacing_a * dist) ** model.nu
+    np.fill_diagonal(direct, 0.0)
+    assert np.array_equal(sc.power_law_couplings(geo, model).entries, direct)
+
+
 def test_mirror_periodic_profile():
     n, lam = 6, 2.0
     J = sc.mirror_periodic_couplings(n, lam)
