@@ -5,7 +5,7 @@ Usage: spinchannel <config-path> [--out <dir>] [--quiet]
 The configuration is a flat key=value text file ('#' starts a comment).
 Depending on ``mode`` the run writes a time-scan CSV plus a summary block,
 a size-scan CSV, or a per-eigenvector diagnostics table.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from pathlib import Path
 
 from .dynamics import NumericsError, eigendecompose
 from .experiments import size_scan, time_scan
-from .metrics import leakage_bound, spectral_overlaps, structure_residuals
+from .metrics import InitialStateParams, leakage_bound, spectral_overlaps, structure_residuals
 from .model import (
+    COUPLING_KINDS,
     CouplingModel,
     build_chain_geometry,
     build_couplings,
@@ -30,13 +31,9 @@ from .model import (
 
 MODES = ("time_scan", "size_scan", "diagnostics")
 
-_COMMON_KEYS = ("mode", "coupling", "nu", "c", "a", "lambda", "coupling_file", "zz", "out")
-_MODE_KEYS = {
-    "time_scan": ("positions", "sender", "receiver", "dh", "theta", "phi", "t_max", "grid_points"),
-    "size_scan": ("n_min", "n_max", "configurations", "theta", "phi", "grid_points"),
-    "diagnostics": ("positions", "sender", "receiver", "dh"),
-}
-_ALL_KEYS = frozenset(_COMMON_KEYS) | {key for keys in _MODE_KEYS.values() for key in keys}
+_CHAIN_MODES = ("time_scan", "diagnostics")
+_SCAN_MODES = ("time_scan", "size_scan")
+_LAYOUTS = ("complete", "double_hole")
 
 
 class ConfigError(ValueError):
@@ -66,211 +63,163 @@ class RunConfig:
     grid_points: int = 2000
     n_min: int | None = None
     n_max: int | None = None
-    configurations: tuple[str, ...] = ("complete", "double_hole")
+    configurations: tuple[str, ...] = _LAYOUTS
 
 
-def _format_number(value: float) -> str:
-    return f"{value:.17g}"
+# Value parsers: each turns the text after '=' into a field value or raises
+# ValueError saying what the value must be.
 
 
-def _format_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("must be an integer") from None
 
 
-class _Assignments:
-    """Key=value pairs with line numbers, consumed one key at a time."""
+def _real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("must be a real number") from None
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
-    def __init__(self, text: str) -> None:
-        self.pairs: dict[str, tuple[int, str]] = {}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError(f"line {line_no}: missing key before '='")
-            if not value:
-                raise ConfigError(f"line {line_no}: missing value for key {key!r}")
-            if key in self.pairs:
-                first = self.pairs[key][0]
-                raise ConfigError(
-                    f"line {line_no}: duplicate key {key!r} (first assigned on line {first})"
-                )
-            self.pairs[key] = (line_no, value)
 
-    def take(self, key: str) -> tuple[int, str] | None:
-        return self.pairs.pop(key, None)
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return text.lower() == "true"
 
-    def take_str(self, key: str, default: str | None = None) -> str | None:
-        entry = self.take(key)
-        return default if entry is None else entry[1]
 
-    def take_choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str | None:
-        entry = self.take(key)
-        if entry is None:
-            return default
-        line_no, value = entry
-        if value not in choices:
-            raise ConfigError(
-                f"line {line_no}: {key} must be one of {', '.join(choices)} (got {value!r})"
-            )
-        return value
+def _one_of(choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return text
 
-    def take_int(self, key: str, default: int | None = None) -> int | None:
-        entry = self.take(key)
-        if entry is None:
-            return default
-        line_no, value = entry
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {key} must be an integer (got {value!r})") from None
+    return parse
 
-    def take_float(self, key: str, default: float | None = None) -> float | None:
-        entry = self.take(key)
-        if entry is None:
-            return default
-        line_no, value = entry
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {key} must be a real number (got {value!r})") from None
-        if not math.isfinite(parsed):
-            raise ConfigError(f"line {line_no}: {key} must be finite (got {value!r})")
-        return parsed
 
-    def take_bool(self, key: str, default: bool | None = None) -> bool | None:
-        entry = self.take(key)
-        if entry is None:
-            return default
-        line_no, value = entry
-        lowered = value.lower()
-        if lowered not in ("true", "false"):
-            raise ConfigError(f"line {line_no}: {key} must be true or false (got {value!r})")
-        return lowered == "true"
+def _layouts(text: str) -> tuple[str, ...]:
+    names = {name.strip() for name in text.split(",")} - {""}
+    if not names or not names <= set(_LAYOUTS):
+        raise ValueError(f"must be a comma-separated subset of {','.join(_LAYOUTS)}")
+    return tuple(name for name in _LAYOUTS if name in names)
 
-    def reject_leftovers(self, mode: str) -> None:
-        if not self.pairs:
-            return
-        problems = []
-        for key, (line_no, _value) in sorted(self.pairs.items(), key=lambda item: item[1][0]):
-            if key in _ALL_KEYS:
-                problems.append(f"line {line_no}: key {key!r} does not apply to mode {mode!r}")
-            else:
-                problems.append(f"line {line_no}: unknown key {key!r}")
-        raise ConfigError("; ".join(problems))
+
+# config key -> (RunConfig field, value parser, modes the key applies to);
+# a key left out of the file keeps the field's default
+_KEYS = {
+    "mode": ("mode", _one_of(MODES), MODES),
+    "coupling": ("coupling", _one_of(COUPLING_KINDS), MODES),
+    "nu": ("nu", _real, MODES),
+    "c": ("c", _real, MODES),
+    "a": ("a", _real, MODES),
+    "lambda": ("lam", _real, MODES),
+    "coupling_file": ("coupling_file", str, MODES),
+    "zz": ("zz", _flag, MODES),
+    "out": ("out", str, MODES),
+    "positions": ("positions", _integer, _CHAIN_MODES),
+    "sender": ("sender", _integer, _CHAIN_MODES),
+    "receiver": ("receiver", _integer, _CHAIN_MODES),
+    "dh": ("dh", _flag, _CHAIN_MODES),
+    "theta": ("theta", _real, _SCAN_MODES),
+    "phi": ("phi", _real, _SCAN_MODES),
+    "t_max": ("t_max", _real, ("time_scan",)),
+    "grid_points": ("grid_points", _integer, _SCAN_MODES),
+    "n_min": ("n_min", _integer, ("size_scan",)),
+    "n_max": ("n_max", _integer, ("size_scan",)),
+    "configurations": ("configurations", _layouts, ("size_scan",)),
+}
+
+
+def _read_pairs(text: str) -> dict[str, tuple[int, str]]:
+    """Config key -> (line number, value text), in line order."""
+    pairs: dict[str, tuple[int, str]] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not key:
+            raise ConfigError(f"line {line_no}: missing key before '='")
+        if not value:
+            raise ConfigError(f"line {line_no}: missing value for key {key!r}")
+        if key in pairs:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r} (first assigned on line {pairs[key][0]})")
+        pairs[key] = (line_no, value)
+    return pairs
+
+
+def _parse_value(key: str, line_no: int, value: str):
+    try:
+        return _KEYS[key][1](value)
+    except ValueError as exc:
+        raise ConfigError(f"line {line_no}: {key} {exc} (got {value!r})") from None
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a key=value configuration document."""
-    assignments = _Assignments(text)
+    """Parse and validate a key=value configuration document.
 
-    mode = assignments.take_choice("mode", MODES)
-    if mode is None:
+    Domain constraints (couplings, Bloch angles, chain layout) are checked by
+    the library constructors; their ValueError is re-raised as ConfigError.
+    """
+    pairs = _read_pairs(text)
+    if "mode" not in pairs:
         raise ConfigError(f"missing required key 'mode' (one of {', '.join(MODES)})")
+    mode = _parse_value("mode", *pairs["mode"])
+    values = {}
+    problems = []
+    for key, (line_no, value) in pairs.items():
+        if key not in _KEYS:
+            problems.append(f"line {line_no}: unknown key {key!r}")
+        elif mode not in _KEYS[key][2]:
+            problems.append(f"line {line_no}: key {key!r} does not apply to mode {mode!r}")
+        else:
+            values[_KEYS[key][0]] = _parse_value(key, line_no, value)
+    if problems:
+        raise ConfigError("; ".join(problems))
 
-    coupling = assignments.take_choice("coupling", ("power_law", "mirror_periodic", "custom"), "power_law")
-    nu = assignments.take_float("nu", 3.0)
-    c = assignments.take_float("c", 1.0)
-    a = assignments.take_float("a", 1.0)
-    lam = assignments.take_float("lambda", 2.0)
-    coupling_file = assignments.take_str("coupling_file")
-    zz = assignments.take_bool("zz", True)
-    out = assignments.take_str("out", mode)
-
-    if nu <= 0.0:
-        raise ConfigError(f"nu must be > 0 (got {_format_number(nu)})")
-    if c <= 0.0:
-        raise ConfigError(f"c must be > 0 (got {_format_number(c)})")
-    if a <= 0.0:
-        raise ConfigError(f"a must be > 0 (got {_format_number(a)})")
-    if lam <= 0.0:
-        raise ConfigError(f"lambda must be > 0 (got {_format_number(lam)})")
-    if coupling == "custom":
-        if coupling_file is None:
-            raise ConfigError("coupling_file is required when coupling = custom")
-        if mode == "size_scan":
-            raise ConfigError("size_scan cannot use a custom coupling matrix")
-    elif coupling_file is not None:
-        raise ConfigError("coupling_file only applies when coupling = custom")
-    if not out or any(sep in out for sep in ("/", "\\")):
-        raise ConfigError(f"out must be a bare file stem without path separators (got {out!r})")
-
-    config = RunConfig(
-        mode=mode,
-        coupling=coupling,
-        nu=nu,
-        c=c,
-        a=a,
-        lam=lam,
-        coupling_file=coupling_file,
-        zz=zz,
-        out=out,
-    )
-
-    if mode in ("time_scan", "diagnostics"):
-        positions = assignments.take_int("positions")
-        if positions is None:
+    values.setdefault("out", mode)
+    if mode in _CHAIN_MODES:
+        if "positions" not in values:
             raise ConfigError(f"mode {mode} requires the key 'positions'")
-        if positions < 2:
-            raise ConfigError(f"positions must be >= 2 (got {positions})")
-        sender = assignments.take_int("sender", 1)
-        receiver = assignments.take_int("receiver", positions)
-        dh = assignments.take_bool("dh", False)
-        if not (1 <= sender < receiver <= positions):
-            raise ConfigError(
-                f"need 1 <= sender < receiver <= positions "
-                f"(got sender={sender}, receiver={receiver}, positions={positions})"
-            )
-        if dh and receiver - sender < 2:
-            raise ConfigError(
-                f"dh = true requires receiver - sender >= 2 (got {receiver - sender})"
-            )
-        config = dataclasses.replace(config, positions=positions, sender=sender, receiver=receiver, dh=dh)
+        values.setdefault("receiver", values["positions"])
+    if mode == "size_scan" and not ("n_min" in values and "n_max" in values):
+        raise ConfigError("mode size_scan requires the keys 'n_min' and 'n_max'")
+    config = RunConfig(**values)
 
-    if mode in ("time_scan", "size_scan"):
-        theta = assignments.take_float("theta", math.pi)
-        phi = assignments.take_float("phi", 0.0)
-        grid_points = assignments.take_int("grid_points", 2000)
-        if not (0.0 <= theta <= math.pi):
-            raise ConfigError(f"theta must lie in [0, pi] (got {_format_number(theta)})")
-        if not (0.0 <= phi < 2.0 * math.pi):
-            raise ConfigError(f"phi must lie in [0, 2*pi) (got {_format_number(phi)})")
-        if grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2 (got {grid_points})")
-        config = dataclasses.replace(config, theta=theta, phi=phi, grid_points=grid_points)
+    # constraints that only the CLI has, or that a scan checks only when it runs
+    if config.coupling == "custom" and config.coupling_file is None:
+        raise ConfigError("coupling_file is required when coupling = custom")
+    if config.coupling != "custom" and config.coupling_file is not None:
+        raise ConfigError("coupling_file only applies when coupling = custom")
+    if config.coupling == "custom" and mode == "size_scan":
+        raise ConfigError("size_scan cannot use a custom coupling matrix")
+    if "/" in config.out or "\\" in config.out:
+        raise ConfigError(f"out must be a bare file stem without path separators (got {config.out!r})")
+    if config.grid_points < 2:
+        raise ConfigError(f"grid_points must be >= 2 (got {config.grid_points})")
+    if config.t_max is not None and config.t_max <= 0.0:
+        raise ConfigError(f"t_max must be > 0 (got {_text(config.t_max)})")
+    if mode == "size_scan" and config.n_min < 2:
+        raise ConfigError(f"n_min must be >= 2 (got {config.n_min})")
+    if mode == "size_scan" and config.n_max < config.n_min:
+        raise ConfigError(f"n_max must be >= n_min (got n_min={config.n_min}, n_max={config.n_max})")
 
-    if mode == "time_scan":
-        t_max = assignments.take_float("t_max")
-        if t_max is not None and t_max <= 0.0:
-            raise ConfigError(f"t_max must be > 0 (got {_format_number(t_max)})")
-        config = dataclasses.replace(config, t_max=t_max)
-
-    if mode == "size_scan":
-        n_min = assignments.take_int("n_min")
-        n_max = assignments.take_int("n_max")
-        if n_min is None or n_max is None:
-            raise ConfigError("mode size_scan requires the keys 'n_min' and 'n_max'")
-        if n_min < 2:
-            raise ConfigError(f"n_min must be >= 2 (got {n_min})")
-        if n_max < n_min:
-            raise ConfigError(f"n_max must be >= n_min (got n_min={n_min}, n_max={n_max})")
-        raw_configurations = assignments.take_str("configurations", "complete,double_hole")
-        names = tuple(name.strip() for name in raw_configurations.split(",") if name.strip())
-        unknown = [name for name in names if name not in ("complete", "double_hole")]
-        if unknown or not names:
-            raise ConfigError(
-                "configurations must be a comma-separated subset of "
-                f"complete,double_hole (got {raw_configurations!r})"
-            )
-        ordered = tuple(name for name in ("complete", "double_hole") if name in names)
-        config = dataclasses.replace(config, n_min=n_min, n_max=n_max, configurations=ordered)
-
-    assignments.reject_leftovers(mode)
+    # both generative models are built whatever `coupling` is, so every value is checked
+    try:
+        CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a)
+        CouplingModel.mirror_periodic(lam=config.lam)
+        InitialStateParams(theta=config.theta, phi=config.phi)
+        if mode in _CHAIN_MODES:
+            _geometry(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 
@@ -289,6 +238,23 @@ def _geometry(config: RunConfig):
     )
 
 
+def _text(value) -> str:
+    """One output field: strings as they are, booleans as true/false, numbers to 17 digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.17g}"
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(map(_text, row)) + "\n" for row in rows)
+
+
+def _summary(fields) -> str:
+    return "".join(f"{key} = {_text(value)}\n" for key, value in fields)
+
+
 def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
     result = time_scan(
         geometry,
@@ -299,7 +265,6 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
         t_max=config.t_max,
         grid_points=config.grid_points,
     )
-    lines = ["t,re_f_ss,im_f_ss,re_f_sr,im_f_sr,fidelity,avg_fidelity,concurrence,dispersion"]
     columns = (
         result.times,
         result.f_ss.real,
@@ -311,31 +276,32 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
         result.concurrence,
         result.dispersion,
     )
-    for row in zip(*(column.tolist() for column in columns)):
-        lines.append(",".join(_format_number(x) for x in row))
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv(
+        "t,re_f_ss,im_f_ss,re_f_sr,im_f_sr,fidelity,avg_fidelity,concurrence,dispersion",
+        zip(*(column.tolist() for column in columns)),
+    )
 
-    summary_lines = [
-        "mode = time_scan",
-        f"n_sites = {result.n_sites}",
-        f"zz_diagonal = {_format_bool(config.zz)}",
-        f"peak_fidelity = {_format_number(result.peak_fidelity.value)}",
-        f"peak_fidelity_t = {_format_number(result.peak_fidelity.t)}",
-        f"peak_concurrence = {_format_number(result.peak_concurrence.value)}",
-        f"peak_concurrence_t = {_format_number(result.peak_concurrence.t)}",
+    fields = [
+        ("mode", "time_scan"),
+        ("n_sites", result.n_sites),
+        ("zz_diagonal", config.zz),
+        ("peak_fidelity", result.peak_fidelity.value),
+        ("peak_fidelity_t", result.peak_fidelity.t),
+        ("peak_concurrence", result.peak_concurrence.value),
+        ("peak_concurrence_t", result.peak_concurrence.t),
     ]
     if result.delta_eff is None:
-        summary_lines.append("delta_eff = degenerate")
+        fields.append(("delta_eff", "degenerate"))
     else:
-        summary_lines.append(f"delta_eff = {_format_number(result.delta_eff)}")
         pair = result.dominant_pair
-        summary_lines.append(f"dominant_pair = {pair[0] + 1},{pair[1] + 1}")
-        summary_lines.append(f"dominant_pair_mass = {_format_number(result.dominant_pair_mass)}")
-    summary_lines.append(f"gamma_m = {_format_number(result.gamma_m)}")
-    summary_lines.append(f"dispersion_bound = {_format_number(result.n_sites * result.gamma_m)}")
-    summary_lines.append(f"t_max = {_format_number(result.t_max)}")
-    summary_lines.append(f"window_extended = {_format_bool(result.extended)}")
-    summary_text = "\n".join(summary_lines) + "\n"
+        fields.append(("delta_eff", result.delta_eff))
+        fields.append(("dominant_pair", f"{pair[0] + 1},{pair[1] + 1}"))
+        fields.append(("dominant_pair_mass", result.dominant_pair_mass))
+    fields.append(("gamma_m", result.gamma_m))
+    fields.append(("dispersion_bound", result.n_sites * result.gamma_m))
+    fields.append(("t_max", result.t_max))
+    fields.append(("window_extended", result.extended))
+    summary_text = _summary(fields)
 
     files = [(f"{config.out}.csv", csv_text), (f"{config.out}_summary.txt", summary_text)]
     return files, summary_text
@@ -351,26 +317,15 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
         phi=config.phi,
         grid_points=config.grid_points,
     )
-    lines = ["n_spins,configuration,max_concurrence,t_at_max,max_fidelity,t_at_max_f"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.n_spins),
-                    row.configuration,
-                    _format_number(row.max_concurrence),
-                    _format_number(row.t_at_max),
-                    _format_number(row.max_fidelity),
-                    _format_number(row.t_at_max_f),
-                )
-            )
-        )
-    csv_text = "\n".join(lines) + "\n"
-    report = (
-        f"mode = size_scan\nrows = {len(result.rows)}\n"
-        f"n_range = {config.n_min}..{config.n_max}\n"
+    csv_text = _csv(
+        "n_spins,configuration,max_concurrence,t_at_max,max_fidelity,t_at_max_f",
+        (
+            (row.n_spins, row.configuration, row.max_concurrence, row.t_at_max, row.max_fidelity, row.t_at_max_f)
+            for row in result.rows
+        ),
     )
-    return [(f"{config.out}.csv", csv_text)], report
+    fields = [("mode", "size_scan"), ("rows", len(result.rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
+    return [(f"{config.out}.csv", csv_text)], _summary(fields)
 
 
 def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
@@ -379,27 +334,21 @@ def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> t
     overlaps = spectral_overlaps(decomp, geometry.sender_index, geometry.receiver_index)
     residuals = structure_residuals(overlaps)
     gamma_m, bound = leakage_bound(overlaps)
-    lines = ["j,E_j,sigma_sq,rho_sq,gamma_sq,residual"]
-    for j in range(overlaps.n):
-        lines.append(
-            ",".join(
-                (
-                    str(j + 1),
-                    _format_number(float(decomp.eigenvalues[j])),
-                    _format_number(float(overlaps.sigma[j] ** 2)),
-                    _format_number(float(overlaps.rho[j] ** 2)),
-                    _format_number(float(overlaps.gamma_sq[j])),
-                    _format_number(float(residuals[j])),
-                )
-            )
-        )
-    csv_text = "\n".join(lines) + "\n"
-    report = (
-        f"mode = diagnostics\nn_sites = {geometry.n_sites}\n"
-        f"gamma_m = {_format_number(gamma_m)}\n"
-        f"dispersion_bound = {_format_number(bound)}\n"
+    # square entry by entry: squaring the arrays can round the last bit differently
+    csv_text = _csv(
+        "j,E_j,sigma_sq,rho_sq,gamma_sq,residual",
+        zip(
+            range(1, overlaps.n + 1),
+            decomp.eigenvalues.tolist(),
+            [x**2 for x in overlaps.sigma.tolist()],
+            [x**2 for x in overlaps.rho.tolist()],
+            overlaps.gamma_sq.tolist(),
+            residuals.tolist(),
+        ),
     )
-    return [(f"{config.out}.csv", csv_text)], report
+    fields = [("mode", "diagnostics"), ("n_sites", geometry.n_sites), ("gamma_m", gamma_m)]
+    fields.append(("dispersion_bound", bound))
+    return [(f"{config.out}.csv", csv_text)], _summary(fields)
 
 
 def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> list[Path]:
@@ -413,9 +362,7 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     # count as configuration errors
     try:
         model = _coupling_model(config)
-        geometry = _geometry(config) if config.mode in ("time_scan", "diagnostics") else None
-    except ConfigError:
-        raise
+        geometry = _geometry(config) if config.mode in _CHAIN_MODES else None
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -429,16 +376,15 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    target = None
     try:
         for name, payload in files:
             target = out_path / name
-            target.write_text(payload)
             written.append(target)
+            target.write_text(payload)
     except OSError:
-        # drop whatever made it to disk so a failed run leaves nothing behind
-        leftovers = written if target in written or target is None else written + [target]
-        for path in leftovers:
+        # drop whatever made it to disk, a partly written file included, so a
+        # failed run leaves nothing behind
+        for path in written:
             try:
                 if path.is_file():
                     path.unlink()
@@ -467,28 +413,17 @@ def main(argv: list[str] | None = None) -> int:
 
     config_path = Path(args.config)
     try:
-        text = config_path.read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if config.coupling_file is not None:
-        file_path = Path(config.coupling_file)
-        if not file_path.is_absolute():
-            file_path = config_path.parent / file_path
-        config = dataclasses.replace(config, coupling_file=str(file_path))
-    try:
+        config = parse_config(config_path.read_text())
+        if config.coupling_file is not None:
+            # relative to the config file; joining keeps an absolute path as it is
+            config = dataclasses.replace(config, coupling_file=str(config_path.parent / config.coupling_file))
         run(config, out_dir=args.out, quiet=args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory {exc}".rstrip(), file=sys.stderr)
+        return 3
     except (NumericsError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

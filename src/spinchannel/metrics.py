@@ -47,32 +47,30 @@ class InitialStateParams:
             raise ValueError(f"phi must lie in [0, 2*pi) (got {self.phi})")
 
 
+def _modulus(f, label: str = "|f_sr|"):
+    """|f| elementwise, unclamped; ValueError when it exceeds 1 by more than 1e-10."""
+    modulus = np.abs(f)
+    if np.any(modulus > 1.0 + 1e-10):
+        raise ValueError(f"{label} = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
+    return modulus
+
+
 def transfer_fidelity(f_sr):
     """F(t) = |f_sr|^2, clamped to [0, 1]; elementwise on arrays."""
-    modulus = np.abs(f_sr)
-    if np.any(modulus > 1.0 + 1e-10):
-        raise ValueError(f"|f_sr| = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
+    modulus = _modulus(f_sr)
     return np.minimum(modulus * modulus, 1.0)
 
 
 def averaged_fidelity(f_sr):
     """Fidelity averaged over all input states: |f|^2/6 + |f|/3 + 1/2."""
-    modulus = np.abs(f_sr)
-    if np.any(modulus > 1.0 + 1e-10):
-        raise ValueError(f"|f_sr| = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
-    modulus = np.minimum(modulus, 1.0)
+    modulus = np.minimum(_modulus(f_sr), 1.0)
     return modulus * modulus / 6.0 + modulus / 3.0 + 0.5
 
 
 def concurrence_closed_form(params: InitialStateParams, f_ss, f_sr):
     """C = 2 sin^2(theta/2) |f_ss| |f_sr|, clamped to [0, 1]; elementwise on arrays."""
-    mod_ss = np.abs(f_ss)
-    mod_sr = np.abs(f_sr)
-    if np.any(mod_ss > 1.0 + 1e-10) or np.any(mod_sr > 1.0 + 1e-10):
-        raise ValueError(
-            f"amplitude moduli ({float(np.max(mod_ss))!r}, {float(np.max(mod_sr))!r}) "
-            "exceed 1 beyond tolerance"
-        )
+    mod_ss = _modulus(f_ss, "|f_ss|")
+    mod_sr = _modulus(f_sr)
     raw = 2.0 * math.sin(params.theta / 2.0) ** 2 * mod_ss * mod_sr
     if np.any(raw > 1.0 + 1e-9):
         raise ValueError(f"concurrence value {float(np.max(raw))!r} exceeds 1 beyond tolerance")

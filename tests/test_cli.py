@@ -1,12 +1,15 @@
 """Config parsing, run outputs, and exit codes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinchannel as sc
-from spinchannel.cli import ConfigError, main, parse_config, run
+from spinchannel.cli import MODES, ConfigError, RunConfig, main, parse_config, run
 
 
 # ---------------------------------------------------------------- parsing
@@ -115,6 +118,82 @@ def test_parse_custom_coupling_constraints():
 def test_parse_rejects_out_with_separators():
     with pytest.raises(ConfigError, match="out"):
         parse_config("mode = time_scan\npositions = 4\nout = a/b\n")
+
+
+# RunConfig fields each mode reads; the config key is the field name except lam
+_COMMON_FIELDS = ("mode", "coupling", "nu", "c", "a", "lam", "coupling_file", "zz", "out")
+_MODE_FIELDS = {
+    "time_scan": ("positions", "sender", "receiver", "dh", "theta", "phi", "t_max", "grid_points"),
+    "size_scan": ("n_min", "n_max", "configurations", "theta", "phi", "grid_points"),
+    "diagnostics": ("positions", "sender", "receiver", "dh"),
+}
+_STEMS = st.text(alphabet="abcxyz_019", min_size=1, max_size=8)
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _render(config: RunConfig) -> list[str]:
+    lines = []
+    for name in _COMMON_FIELDS + _MODE_FIELDS[config.mode]:
+        value = getattr(config, name)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, tuple):
+            text = ",".join(value)
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{'lambda' if name == 'lam' else name} = {text}")
+    return lines
+
+
+@st.composite
+def _valid_configs(draw) -> RunConfig:
+    mode = draw(st.sampled_from(MODES))
+    kinds = ("power_law", "mirror_periodic") if mode == "size_scan" else ("power_law", "mirror_periodic", "custom")
+    coupling = draw(st.sampled_from(kinds))
+    fields = dict(
+        mode=mode,
+        coupling=coupling,
+        nu=draw(_POSITIVE),
+        c=draw(_POSITIVE),
+        a=draw(_POSITIVE),
+        lam=draw(_POSITIVE),
+        coupling_file=draw(_STEMS) + ".txt" if coupling == "custom" else None,
+        zz=draw(st.booleans()),
+        out=draw(_STEMS),
+    )
+    if mode != "size_scan":
+        positions = draw(st.integers(2, 40))
+        dh = positions >= 3 and draw(st.booleans())
+        gap = 2 if dh else 1
+        sender = draw(st.integers(1, positions - gap))
+        receiver = draw(st.integers(sender + gap, positions))
+        fields.update(positions=positions, sender=sender, receiver=receiver, dh=dh)
+    if mode != "diagnostics":
+        fields.update(
+            theta=draw(st.floats(0.0, math.pi)),
+            phi=draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+            grid_points=draw(st.integers(2, 5000)),
+        )
+    if mode == "time_scan":
+        fields["t_max"] = draw(st.none() | _POSITIVE)
+    if mode == "size_scan":
+        n_min = draw(st.integers(2, 20))
+        layouts = draw(st.sampled_from([("complete",), ("double_hole",), ("complete", "double_hole")]))
+        fields.update(n_min=n_min, n_max=draw(st.integers(n_min, 30)), configurations=layouts)
+    return RunConfig(**fields)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_config_round_trips_through_text(data):
+    # the rendering names every RunConfig field, so a new field cannot go unchecked
+    names = {field.name for field in dataclasses.fields(RunConfig)}
+    assert set(_COMMON_FIELDS).union(*_MODE_FIELDS.values()) == names
+    config = data.draw(_valid_configs())
+    lines = data.draw(st.permutations(_render(config)))
+    assert parse_config("\n".join(lines) + "\n") == config
 
 
 # ---------------------------------------------------------------- run outputs
@@ -239,6 +318,43 @@ def test_main_invalid_config(tmp_path, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+_TIME = "mode = time_scan\npositions = 4\n"
+_SIZE = "mode = size_scan\nn_min = 4\nn_max = 6\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "fragments"),
+    [
+        ("mode = time_scan\npositions = 1.5\n", ("line 2", "positions", "integer")),
+        (_TIME + "nu = inf\n", ("line 3", "nu", "finite")),
+        (_TIME + "coupling = ring\n", ("line 3", "coupling", "one of")),
+        (_TIME + "coupling = mirror_periodic\nlambda = 0\n", ("lam", "must be > 0")),
+        (_TIME + "phi = 7\n", ("phi must lie in",)),
+        (_TIME + "t_max = 0\n", ("t_max must be > 0",)),
+        ("mode = size_scan\nn_min = 1\nn_max = 4\n", ("n_min must be >= 2",)),
+        ("mode = size_scan\nn_min = 5\nn_max = 4\n", ("n_max must be >= n_min",)),
+        (_TIME + "out = a\\b\n", ("out must be a bare file stem",)),
+        (_SIZE + "coupling = custom\ncoupling_file = j.txt\n", ("size_scan", "custom")),
+        (_TIME + "coupling = mirror_periodic\nnu = -1\n", ("nu must be > 0",)),
+        (
+            _TIME + "foo = 1\nn_min = 2\n",
+            ("line 3: unknown key 'foo'", "line 4: key 'n_min' does not apply to mode 'time_scan'"),
+        ),
+    ],
+)
+def test_main_rejects_config_with_exit_2(tmp_path, capsys, text, fragments):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(text)
+    assert main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in captured.err
+    assert not (tmp_path / "results").exists()
+
+
 def test_main_numerical_failure(tmp_path, capsys):
     matrix_path = tmp_path / "zero.txt"
     matrix_path.write_text("2\n0.0 0.0\n0.0 0.0\n")
@@ -249,6 +365,21 @@ def test_main_numerical_failure(tmp_path, capsys):
     assert main([str(config_path), "--out", str(tmp_path), "--quiet"]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "time_scan.csv").exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB for an array")])
+def test_main_maps_memory_error_to_exit_3(tmp_path, capsys, monkeypatch, error):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("spinchannel.cli.run", exhausted)
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("mode = diagnostics\npositions = 3\n")
+    assert main([str(config_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "memory" in err
+    assert err.count("\n") == 1
 
 
 def test_main_resolves_coupling_file_relative_to_config(tmp_path, capsys):

@@ -51,6 +51,21 @@ def test_transfer_fidelity_clamps_rounding_noise():
     assert sc.transfer_fidelity(1.0 + 1e-11) == 1.0
 
 
+@pytest.mark.parametrize(
+    "score",
+    [
+        sc.transfer_fidelity,
+        sc.averaged_fidelity,
+        lambda f: sc.concurrence_closed_form(sc.InitialStateParams(), f, 0.5),
+        lambda f: sc.concurrence_closed_form(sc.InitialStateParams(), 0.5, f),
+    ],
+)
+def test_scores_reject_moduli_beyond_tolerance(score):
+    assert 0.0 <= score(np.array([0.5, 1.0 + 5e-11])).max() <= 1.0
+    with pytest.raises(ValueError, match="beyond tolerance"):
+        score(np.array([0.5, 1.0 + 2e-10]))
+
+
 def test_averaged_fidelity_values():
     assert sc.averaged_fidelity(1.0 + 0.0j) == pytest.approx(1.0, abs=1e-15)
     assert sc.averaged_fidelity(0.0j) == 0.5
