@@ -15,7 +15,9 @@ with the weight lost to the rest of the chain given by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +33,10 @@ _MIRROR_TOLERANCE_EPS = 16.0
 # rows per block in the entrywise checks, so no n x n temporary is built
 _CHECK_ROWS = 256
 
+# a 1-D time array within this many eps * max|t| of t0 + k dt is a progression;
+# np.linspace grids are exact except for their last point, within one
+_PROGRESSION_ULPS = 4.0
+
 
 class NumericsError(RuntimeError):
     """A numerical routine failed or produced an inconsistent result."""
@@ -38,10 +44,17 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+
+    ``propagate`` takes its phases from the spectral midpoint
+    (E_min + E_max) / 2, so the midpoint and the rates -i (E - midpoint) are
+    derived here once per decomposition.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    _midpoint: float = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -50,6 +63,11 @@ class SpectralDecomposition:
         eigenvectors.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
+        midpoint = 0.5 * (eigenvalues.min() + eigenvalues.max()) if eigenvalues.size else 0.0
+        rates = -1j * (eigenvalues - midpoint)
+        rates.setflags(write=False)
+        object.__setattr__(self, "_midpoint", float(midpoint))
+        object.__setattr__(self, "_rates", rates)
 
     @property
     def n(self) -> int:
@@ -165,13 +183,66 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     ``t`` and a single ``to`` give one complex number.  Apart from the
     result, the only large array it builds is the grid-by-spectrum phase
     block.
+
+    Phases are taken from the spectral midpoint Ebar = (E_min + E_max) / 2:
+    the block holds exp(-i (E_j - Ebar) t) and the sum is multiplied by
+    exp(-i Ebar t).  A large common energy (such as the diagonal offset of
+    a long chain) then stays out of the phase arguments, whose rounding
+    grows with their size; moduli depend only on the relative phases.  A
+    1-D arithmetic progression of times (an ``np.linspace`` grid) builds
+    the block from two ceil(sqrt(G))-row tables of ``exp`` instead of G
+    rows.
     """
     V = decomp.eigenvectors
-    phases = np.multiply.outer(np.asarray(t, dtype=np.float64), -1j * decomp.eigenvalues)
-    np.exp(phases, out=phases)
-    phases *= V[from_index]
+    times = np.asarray(t, dtype=np.float64)
+    progression = _progression(times)
+    if progression is None:
+        phases = np.multiply.outer(times, decomp._rates)
+        np.exp(phases, out=phases)
+        phases *= V[from_index]
+    else:
+        phases = _progression_phases(decomp._rates, V[from_index], *progression)
     targets = V if to is None else V[np.asarray(to)]
-    return phases @ targets.T
+    amplitudes = phases @ targets.T
+    if times.ndim == 0:
+        # refinement probes call this per instant; one cmath.exp is the cheap shift
+        return amplitudes * cmath.exp(-1j * decomp._midpoint * float(times))
+    shift = np.exp(-1j * decomp._midpoint * times)
+    amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
+    return amplitudes
+
+
+def _progression(times: np.ndarray) -> tuple[float, float, int] | None:
+    """(t0, dt, G) when 1-D ``times`` is t0 + k dt, k < G, to a few ulps of max|t|; else None."""
+    if times.ndim != 1 or times.size < 2:
+        return None
+    count = times.size
+    t0, t_last = float(times[0]), float(times[-1])
+    dt = (t_last - t0) / (count - 1)
+    # a progression's largest |t| is at one of its ends
+    tolerance = _PROGRESSION_ULPS * np.finfo(np.float64).eps * max(abs(t0), abs(t_last))
+    deviation = np.abs(times - (t0 + dt * np.arange(count))).max()
+    if not deviation <= tolerance:
+        return None
+    return t0, dt, count
+
+
+def _progression_phases(
+    rates: np.ndarray, weights: np.ndarray, t0: float, dt: float, count: int
+) -> np.ndarray:
+    """exp(rates (t0 + k dt)) * weights for k < count, as a count-by-n block.
+
+    With k = a B + b and B = ceil(sqrt(count)), row k is the coarse row
+    exp(rates (t0 + a B dt)) times the fine row exp(rates b dt) * weights.
+    """
+    fine_rows = math.isqrt(count - 1) + 1
+    coarse_rows = -(-count // fine_rows)
+    fine = np.exp(np.multiply.outer(dt * np.arange(fine_rows), rates))
+    fine *= weights
+    coarse = np.exp(np.multiply.outer(t0 + (fine_rows * dt) * np.arange(coarse_rows), rates))
+    block = np.empty((coarse_rows, fine_rows, rates.size), dtype=np.complex128)
+    np.multiply(coarse[:, None, :], fine, out=block)
+    return block.reshape(coarse_rows * fine_rows, rates.size)[:count]
 
 
 def full_space_amplitude(decomp: SpectralDecomposition, from_site: int, to_site: int, t):

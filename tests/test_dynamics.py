@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinchannel as sc
 from spinchannel import dynamics
-from support import dh_geometry, random_symmetric
+from support import dh_geometry, random_couplings, random_symmetric
 
 # the dense reference, bound before any test replaces np.linalg.eigh
 _DENSE_EIGH = np.linalg.eigh
@@ -223,6 +225,45 @@ def test_amplitude_series_rejects_broken_decomposition():
     f_ss, f_sr = sc.propagate(bad, 0, np.array([0.0, 1.0]), to=(0, 2)).T
     with pytest.raises(sc.NumericsError):
         sc.leaked_weight(f_ss, f_sr)
+
+
+def test_mirror_chain_transfer_amplitude_matches_closed_form_at_1000_sites():
+    # f_1N(t) = (-i sin(lam t / 2))^(N - 1) on the mirror-periodic chain
+    # (Christandl et al., PRL 92, 187902, 2004); the grid is a progression
+    n, lam = 1000, 2.0
+    J = sc.build_couplings(sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam=lam))
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(J, False))
+    times = np.linspace(0.0, 2.0 * math.pi / lam, 2000)
+
+    def closed_form(t):
+        return (-1j) ** ((n - 1) % 4) * np.sin(lam * t / 2.0) ** (n - 1)
+
+    assert np.max(np.abs(sc.propagate(decomp, 0, times, to=n - 1) - closed_form(times))) <= 1e-12
+    for t in [*times[::37].tolist(), *times[995:1005].tolist(), math.pi / lam]:
+        assert abs(sc.propagate(decomp, 0, t, to=n - 1) - closed_form(t)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    t_max=st.floats(0.1, 5.0),
+    shift=st.floats(-10.0, 10.0),
+)
+def test_propagation_invariants_on_random_couplings(n, seed, t_max, shift):
+    # a linspace grid and sorted irregular times, so both ways of building the
+    # phase block are checked.  The two eigh calls round |E| <~ 60 apart by
+    # ~eps |E|, which t turns into phase: t <= 5 keeps that below ~3e-13.
+    rng = np.random.default_rng(seed)
+    H = sc.sector_hamiltonian(random_couplings(n, rng)).matrix
+    decomp = sc.eigendecompose(H)
+    shifted = sc.eigendecompose(H + shift * np.eye(n))
+    s, r = sorted(rng.choice(n, size=2, replace=False).tolist())
+    for times in (np.linspace(0.0, t_max, 60), np.sort(rng.uniform(0.0, t_max, 60))):
+        amps = sc.propagate(decomp, s, times)
+        assert np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(amps[:, r] - sc.propagate(decomp, r, times, to=s))) <= 1e-12
+        assert np.max(np.abs(np.abs(sc.propagate(shifted, s, times)) - np.abs(amps))) <= 1e-12
 
 
 # ---------------------------------------------------------------- full space

@@ -7,7 +7,7 @@ import pytest
 
 import spinchannel as sc
 from spinchannel.experiments import _interior_peak
-from support import dh_geometry, two_site_model
+from support import dh_geometry, reference_amplitudes, two_site_model
 
 
 # ---------------------------------------------------------------- refine_peak
@@ -160,20 +160,39 @@ def test_time_scan_sample_fields_are_consistent():
 
 
 def test_time_scan_dispersion_column_on_long_double_hole_chain():
-    # 200 positions, 198 occupied: the dispersion column (the clipped leak)
-    # must agree with the direct sum over the full amplitude vector, and the
-    # amplitude columns with scalar propagation
+    # 200 positions, 198 occupied, t up to 2.1e7 where |E_j| t reaches 5e9 rad.
+    # The dispersion column (the clipped leak) equals the full-vector sum on
+    # the same grid; the columns and scalar calls match a reference that
+    # reduces every E_j t mod 2 pi exactly.  Moduli only: the common phase
+    # exp(-i Ebar t) is uncertain to ~1e-6 rad at these times.
     geo = dh_geometry(198)
     model = sc.CouplingModel.power_law()
     result = sc.time_scan(geo, model, grid_points=10)
     decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model)))
     s, r = geo.sender_index, geo.receiver_index
     assert result.times.shape == (10,)
+    grid = sc.propagate(decomp, s, result.times)
+    reference = reference_amplitudes(decomp, s, result.times)
     for k, t in enumerate(result.times.tolist()):
-        amps = sc.propagate(decomp, s, t)
-        assert result.dispersion[k] == pytest.approx(sc.dispersion(amps, s, r), abs=1e-12)
-        assert result.f_ss[k] == pytest.approx(sc.propagate(decomp, s, t, to=s), abs=1e-12)
-        assert result.f_sr[k] == pytest.approx(sc.propagate(decomp, s, t, to=r), abs=1e-12)
+        assert result.dispersion[k] == pytest.approx(sc.dispersion(grid[k], s, r), abs=1e-12)
+        assert result.dispersion[k] == pytest.approx(sc.dispersion(reference[k], s, r), abs=5e-11)
+        for column, site in ((result.f_ss, s), (result.f_sr, r)):
+            expected = abs(reference[k, site])
+            assert abs(column[k]) == pytest.approx(expected, abs=1e-8)
+            assert abs(sc.propagate(decomp, s, t, to=site)) == pytest.approx(expected, abs=1e-8)
+
+
+def test_time_scan_moduli_at_large_phase_on_1000_position_chain():
+    # the default window reaches t ~ 2.7e9, where |E_j| t ~ 3e12 rad
+    geo = dh_geometry(998)
+    model = sc.CouplingModel.power_law()
+    result = sc.time_scan(geo, model)
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model)))
+    s, r = geo.sender_index, geo.receiver_index
+    every_37th = slice(None, None, 37)
+    reference = reference_amplitudes(decomp, s, result.times[every_37th], to=(s, r))
+    for column, expected in ((result.f_ss, reference[:, 0]), (result.f_sr, reference[:, 1])):
+        assert np.max(np.abs(np.abs(column[every_37th]) - np.abs(expected))) <= 2e-6
 
 
 def test_time_scan_theta_scales_concurrence():
