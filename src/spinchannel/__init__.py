@@ -17,7 +17,6 @@ from .experiments import (
     SizeScanResult,
     SizeScanRow,
     TimeScanResult,
-    refine_peak,
     size_scan,
     time_scan,
 )

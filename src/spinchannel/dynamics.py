@@ -15,7 +15,6 @@ with the weight lost to the rest of the chain given by
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -191,7 +190,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     grows with their size; moduli depend only on the relative phases.  A
     1-D arithmetic progression of times (an ``np.linspace`` grid) builds
     the block from two ceil(sqrt(G))-row tables of ``exp`` instead of G
-    rows.
+    rows; any other ``t`` takes one ``exp`` per time and eigenvalue.
     """
     V = decomp.eigenvectors
     times = np.asarray(t, dtype=np.float64)
@@ -204,9 +203,6 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
         phases = _progression_phases(decomp._rates, V[from_index], *progression)
     targets = V if to is None else V[np.asarray(to)]
     amplitudes = phases @ targets.T
-    if times.ndim == 0:
-        # refinement probes call this per instant; one cmath.exp is the cheap shift
-        return amplitudes * cmath.exp(-1j * decomp._midpoint * float(times))
     shift = np.exp(-1j * decomp._midpoint * times)
     amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes

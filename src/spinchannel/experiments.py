@@ -2,10 +2,13 @@
 
 A time scan evolves the single-excitation amplitudes on a uniform grid,
 scores the whole grid at once with the metrics module (one array per
-quantity), and refines the best grid peaks by golden-section search.  A
-size scan repeats this over a range of chain sizes for complete and
-double-hole layouts and keeps only the peak data, which is the quantity
-that separates the two layouts as the chain grows.
+quantity), and refines the best grid peaks by golden-section search.  The
+search runs every candidate lobe of the fidelity and of the concurrence in
+lockstep, so each of its steps is one ``propagate`` call over all probes,
+however many lobes there are.  A size scan repeats this over a range of
+chain sizes for complete and double-hole layouts and keeps only the peak
+data, which is the quantity that separates the two layouts as the chain
+grows.
 """
 
 from __future__ import annotations
@@ -106,105 +109,100 @@ class SizeScanResult:
     rows: tuple[SizeScanRow, ...]
 
 
-def refine_peak(
-    evaluator: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol_width: float | None = None,
-) -> Peak:
-    """Golden-section maximization of ``evaluator`` inside ``bracket``.
-
-    Shrinks the bracket to ``tol_width`` (default 1e-6 times the bracket's
-    time scale) and returns the best point found.  On an exact tie between
-    the two probes both ends are pulled in symmetrically, so a constant
-    series resolves to the bracket midpoint.
-    """
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if not (t_hi > t_lo):
-        raise ValueError(f"bracket must satisfy t_lo < t_hi (got {bracket})")
-    if tol_width is None:
-        tol_width = 1e-6 * max(abs(t_lo), abs(t_hi), 1.0)
-    if tol_width <= 0.0:
-        raise ValueError(f"tol_width must be > 0 (got {tol_width})")
-
-    best_t = math.nan
-    best_v = -math.inf
-
-    def probe(t: float) -> float:
-        nonlocal best_t, best_v
-        value = float(evaluator(t))
-        if not math.isfinite(value):
-            raise NumericsError(f"series evaluator returned {value!r} at t={t!r}")
-        if value > best_v:
-            best_t, best_v = t, value
-        return value
-
-    a, b = t_lo, t_hi
-    if b - a > tol_width:
-        span = b - a
-        n_iter = math.ceil(math.log(tol_width / span) / math.log(_INV_PHI))
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        fc = probe(c)
-        fd = probe(d)
-        for _ in range(n_iter):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_PHI * (b - a)
-                fc = probe(c)
-            elif fd > fc:
-                a, c, fc = c, d, fd
-                d = a + _INV_PHI * (b - a)
-                fd = probe(d)
-            else:
-                # exact tie: shrink symmetrically so plateaus keep their center
-                a, b = c, d
-                c = b - _INV_PHI * (b - a)
-                d = a + _INV_PHI * (b - a)
-                fc = probe(c)
-                fd = probe(d)
-            if b - a <= tol_width:
-                break
-    mid = 0.5 * (a + b)
-    mid_value = probe(mid)
-    if mid_value >= best_v:
-        return Peak(mid, mid_value)
-    return Peak(best_t, best_v)
-
-
-def _interior_peak(
+def _refined_peaks(
     times: np.ndarray,
-    values: np.ndarray,
-    evaluator: Callable[[float], float],
+    series: Sequence[np.ndarray],
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol_width: float,
-) -> Peak | None:
-    """Refine the near-maximal interior grid lobes and pick the winner.
+) -> list[Peak | None]:
+    """The refined peak of each grid series, all lobes searched at once.
 
-    Every interior local maximum within _PEAK_TIE_BAND of the global grid
-    maximum is refined; the largest refined value wins.  A later lobe must
-    beat the best so far by more than _REFINED_TIE_ULPS * eps * max(1, |v|),
-    so crests equal up to rounding go to the earliest lobe.  Returns None
-    when the grid has no interior local maximum in the band (a series still
-    rising at the window edge).
+    A lobe is an interior local maximum within _PEAK_TIE_BAND of its
+    series' grid maximum; a flat run counts once.  Every lobe of every
+    series is refined in lockstep by golden-section search over
+    [t_{k-1}, t_{k+1}] down to ``tol_width``; ``evaluate(t, which)`` scores
+    probe t[i] on series which[i] and is called once per step.  A lobe
+    makes one fresh probe per step, two on an exact tie, where both ends
+    move in so a constant series resolves to the bracket midpoint.
+
+    Per series, a grid point beats a worse refinement, and the earliest
+    lobe within _REFINED_TIE_ULPS * eps * max(1, |v|) of the best value v
+    wins, so crests equal up to rounding go to the earliest lobe.  A series
+    with no lobe (still rising at the window edge) yields None.
     """
-    vmax = float(values.max())
-    tie_cut = vmax - _PEAK_TIE_BAND * max(1.0, abs(vmax))
-    last = len(values) - 1
-    best: Peak | None = None
-    k = 1
-    while k < last:
-        if values[k] >= values[k - 1] and values[k] >= values[k + 1] and values[k] >= tie_cut:
-            refined = refine_peak(evaluator, (times[k - 1], times[k + 1]), tol_width)
-            if refined.value < values[k]:
-                refined = Peak(float(times[k]), float(values[k]))
-            if best is None or (
-                refined.value - best.value > _REFINED_TIE_ULPS * _EPS * max(1.0, abs(best.value))
-            ):
-                best = refined
-            # a flat run is one lobe; jump to its right edge
-            while k + 1 < last and values[k + 1] == values[k]:
-                k += 1
-        k += 1
-    return best
+    last = len(times) - 1
+    lobes = []
+    for values in series:
+        vmax = float(values.max())
+        tie_cut = vmax - _PEAK_TIE_BAND * max(1.0, abs(vmax))
+        inner = values[1:last]
+        crest = (inner >= values[: last - 1]) & (inner >= values[2:]) & (inner >= tie_cut)
+        # a flat run of equal values is one lobe, kept at its first crest
+        crest[1:] &= ~crest[:-1] | (inner[1:] != inner[:-1])
+        lobes.append(np.flatnonzero(crest) + 1)
+    which = np.repeat(np.arange(len(series)), [k.size for k in lobes])
+    k = np.concatenate(lobes)
+    if not k.size:
+        return [None] * len(series)
+
+    a, b = times[k - 1], times[k + 1]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    best_t = np.full(k.size, np.nan)
+    best_v = np.full(k.size, -np.inf)
+
+    def probe(on_c: np.ndarray, on_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score c of the lobes on_c and d of the lobes on_d in one evaluate call."""
+        t = np.concatenate((c[on_c], d[on_d]))
+        scores = evaluate(t, which[np.concatenate((on_c, on_d))])
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise NumericsError(f"series evaluator returned {scores[bad[0]]!r} at t={t[bad[0]]!r}")
+        # c probes count before d probes, as one lobe's own search sees them
+        for owners, points, values in ((on_c, c, scores[: on_c.size]), (on_d, d, scores[on_c.size :])):
+            better = values > best_v[owners]
+            best_t[owners[better]] = points[owners[better]]
+            best_v[owners[better]] = values[better]
+        return scores[: on_c.size], scores[on_c.size :]
+
+    # the brackets all span two grid steps, so they share one iteration count
+    n_iter = math.ceil(math.log(tol_width / float((b - a).max())) / math.log(_INV_PHI))
+    active = b - a > tol_width
+    on = np.flatnonzero(active)
+    fc, fd = np.full(k.size, -np.inf), np.full(k.size, -np.inf)
+    fc[on], fd[on] = probe(on, on)
+    for _ in range(n_iter):
+        active &= b - a > tol_width
+        if not active.any():
+            break
+        new_c = active & ~(fd > fc)
+        new_d = active & ~(fc > fd)
+        # fc > fd keeps [a, d], fd > fc keeps [c, b], a tie keeps [c, d]
+        a, b = np.where(new_d, c, a), np.where(new_c, d, b)
+        c, d = np.where(new_d, d, c), np.where(new_c, c, d)
+        fc, fd = np.where(new_d, fd, fc), np.where(new_c, fc, fd)
+        c = np.where(new_c, b - _INV_PHI * (b - a), c)
+        d = np.where(new_d, a + _INV_PHI * (b - a), d)
+        fc[new_c], fd[new_d] = probe(np.flatnonzero(new_c), np.flatnonzero(new_d))
+    # the final midpoint competes as one more c probe and wins ties
+    c = 0.5 * (a + b)
+    mid_v, _ = probe(np.arange(k.size), np.arange(0))
+    refined_t = np.where(mid_v >= best_v, c, best_t)
+    # a grid point beats a worse refinement
+    grid_v = np.concatenate([values[lobe] for values, lobe in zip(series, lobes)])
+    refined_t = np.where(best_v < grid_v, times[k], refined_t)
+    refined_v = np.maximum(best_v, grid_v)
+
+    peaks: list[Peak | None] = []
+    for i in range(len(series)):
+        t, v = refined_t[which == i], refined_v[which == i]
+        if not v.size:
+            peaks.append(None)
+            continue
+        top = float(v.max())
+        first = int(np.argmax(v >= top - _REFINED_TIE_ULPS * _EPS * max(1.0, abs(top))))
+        peaks.append(Peak(float(t[first]), float(v[first])))
+    return peaks
 
 
 def _score_grid(
@@ -284,12 +282,9 @@ def time_scan(
         else:
             t_max = _WINDOW_PERIODS * prediction.transfer_time
 
-    def fidelity_at(t: float) -> float:
-        return transfer_fidelity(propagate(decomp, s, t, to=r))
-
-    def concurrence_at(t: float) -> float:
-        f_ss, f_sr = propagate(decomp, s, t, to=(s, r))
-        return concurrence_closed_form(params, f_ss, f_sr)
+    def score_probes(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        f_ss, f_sr = propagate(decomp, s, t, to=(s, r)).T
+        return np.choose(which, (transfer_fidelity(f_sr), concurrence_closed_form(params, f_ss, f_sr)))
 
     extended = False
     while True:
@@ -297,9 +292,7 @@ def time_scan(
         columns = _score_grid(decomp, s, r, params, times)
         f_values = columns["fidelity"]
         c_values = columns["concurrence"]
-        tol_width = 1e-9 * t_max
-        peak_f = _interior_peak(times, f_values, fidelity_at, tol_width)
-        peak_c = _interior_peak(times, c_values, concurrence_at, tol_width)
+        peak_f, peak_c = _refined_peaks(times, (f_values, c_values), score_probes, 1e-9 * t_max)
         edge_beats = any(
             peak is None or values[-1] > peak.value
             for peak, values in ((peak_f, f_values), (peak_c, c_values))

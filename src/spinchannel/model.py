@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 # Full-space construction is exponential in the number of sites; past this
-# size the 2^N x 2^N matrix is no longer a practical cross-check.
-FULL_SPACE_MAX_SITES = 14
+# size the 2^N x 2^N matrix is no longer a practical cross-check (at the cap
+# the dense matrix takes 128 MiB, at 14 sites it would take 2 GiB).
+FULL_SPACE_MAX_SITES = 12
 
 COUPLING_KINDS = ("power_law", "mirror_periodic", "custom")
 

@@ -6,21 +6,30 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
-from spinchannel.experiments import _interior_peak
+from spinchannel import experiments
+from spinchannel.experiments import _refined_peaks
 from support import dh_geometry, reference_amplitudes, two_site_model
 
 
-# ---------------------------------------------------------------- refine_peak
+# ---------------------------------------------------------------- peak refinement
+
+
+def _refine_one(times, evaluator, tol_width):
+    """The refined peak of one series: evaluator maps an array of times to values."""
+    times = np.asarray(times, dtype=float)
+    (peak,) = _refined_peaks(times, (evaluator(times),), lambda t, which: evaluator(t), tol_width)
+    return peak
 
 
 def test_refine_peak_known_maximizer():
-    peak = sc.refine_peak(lambda t: math.sin(t / 2.0) ** 2, (2.5, 3.8))
+    # the one lobe's bracket is the grid neighbors (2.5, 3.8)
+    peak = _refine_one([2.5, 3.15, 3.8], lambda t: np.sin(t / 2.0) ** 2, 1e-6 * 3.8)
     assert abs(peak.t - math.pi) <= 1e-5
     assert peak.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_refine_peak_constant_series_returns_midpoint():
-    peak = sc.refine_peak(lambda t: 0.25, (1.0, 3.0))
+    peak = _refine_one([1.0, 2.5, 3.0], lambda t: np.full(t.shape, 0.25), 1e-6 * 3.0)
     assert peak.t == pytest.approx(2.0, abs=1e-6)
     assert peak.value == 0.25
 
@@ -33,22 +42,20 @@ def test_refine_peak_two_site_concurrence():
     params = sc.InitialStateParams()
 
     def concurrence_at(t):
-        f_ss, f_sr = sc.propagate(decomp, 0, t, to=(0, 1))
+        f_ss, f_sr = sc.propagate(decomp, 0, t, to=(0, 1)).T
         return sc.concurrence_closed_form(params, f_ss, f_sr)
 
     half_period = math.pi / (2.0 * 2.0 * J)  # T/2 with T = pi/(2J)
-    peak = sc.refine_peak(concurrence_at, (half_period - 0.4, half_period + 0.4))
+    times = [half_period - 0.4, half_period + 0.1, half_period + 0.4]
+    peak = _refine_one(times, concurrence_at, 1e-6 * (half_period + 0.4))
     assert abs(peak.t - half_period) <= 1e-5
     assert peak.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_refine_peak_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sc.refine_peak(lambda t: t, (2.0, 1.0))
-    with pytest.raises(ValueError):
-        sc.refine_peak(lambda t: t, (1.0, 2.0), tol_width=0.0)
+    times, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0])
     with pytest.raises(sc.NumericsError):
-        sc.refine_peak(lambda t: math.inf, (0.0, 1.0))
+        _refined_peaks(times, (values,), lambda t, which: np.full(t.shape, math.inf), 1e-6)
 
 
 # ---------------------------------------------------------------- time_scan
@@ -92,11 +99,9 @@ def test_interior_peak_ulp_tie_goes_to_earliest_crest():
     higher = float(np.nextafter(1.0, 2.0))
 
     def evaluator(t):
-        return 1.0 - (t - 1.0) ** 2 if t < 2.0 else higher - (t - 3.0) ** 2
+        return np.where(t < 2.0, 1.0 - (t - 1.0) ** 2, higher - (t - 3.0) ** 2)
 
-    times = np.linspace(0.0, 4.0, 41)
-    values = np.array([evaluator(t) for t in times])
-    peak = _interior_peak(times, values, evaluator, 1e-9)
+    peak = _refine_one(np.linspace(0.0, 4.0, 41), evaluator, 1e-9)
     assert peak.t == pytest.approx(1.0, abs=1e-6)
 
 
@@ -122,16 +127,46 @@ def test_time_scan_window_extension():
 
 
 def test_time_scan_peaks_dominate_samples():
-    for geo, model in (
-        (dh_geometry(6), sc.CouplingModel.power_law()),
-        (sc.build_chain_geometry(7), sc.CouplingModel.power_law()),
-        (sc.build_chain_geometry(2), two_site_model(2.0)),
+    for geo, model, zz in (
+        (dh_geometry(6), sc.CouplingModel.power_law(), True),
+        (sc.build_chain_geometry(7), sc.CouplingModel.power_law(), True),
+        (sc.build_chain_geometry(2), two_site_model(2.0), True),
+        (sc.build_chain_geometry(14), sc.CouplingModel.mirror_periodic(lam=1.0), False),
     ):
-        result = sc.time_scan(geo, model)
+        result = sc.time_scan(geo, model, include_zz_diagonal=zz)
         f_best = result.fidelity.max()
         c_best = result.concurrence.max()
         assert result.peak_fidelity.value >= f_best
         assert result.peak_concurrence.value >= c_best
+        # each peak is its own series at its reported time, not the other one
+        decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model), zz))
+        s, r = geo.sender_index, geo.receiver_index
+        t_f, t_c = result.peak_fidelity.t, result.peak_concurrence.t
+        f_sr = sc.propagate(decomp, s, t_f, to=r)
+        assert result.peak_fidelity.value == pytest.approx(sc.transfer_fidelity(f_sr), abs=1e-12)
+        f_ss, f_sr = sc.propagate(decomp, s, t_c, to=(s, r))
+        c_at = sc.concurrence_closed_form(sc.InitialStateParams(), f_ss, f_sr)
+        assert result.peak_concurrence.value == pytest.approx(c_at, abs=1e-12)
+
+
+def test_propagate_calls_per_scan_do_not_grow_with_lobes(monkeypatch):
+    # the 14-site mirror chain has 48 refined lobes; each golden-section
+    # step probes all of them in one propagate call
+    calls = []
+    real_propagate = experiments.propagate
+
+    def counting_propagate(*args, **kwargs):
+        calls.append(args)
+        return real_propagate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "propagate", counting_propagate)
+    result = sc.time_scan(
+        sc.build_chain_geometry(14),
+        sc.CouplingModel.mirror_periodic(lam=1.0),
+        include_zz_diagonal=False,
+    )
+    assert not result.extended
+    assert len(calls) <= 40
 
 
 def test_time_scan_sample_fields_are_consistent():
