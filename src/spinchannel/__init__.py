@@ -23,7 +23,6 @@ from .experiments import (
 from .metrics import (
     InitialStateParams,
     SpectralOverlaps,
-    TwoQubitPrediction,
     averaged_fidelity,
     concurrence_closed_form,
     dispersion,
@@ -40,7 +39,6 @@ from .model import (
     ChainGeometry,
     CouplingMatrix,
     CouplingModel,
-    FullHamiltonian,
     SectorHamiltonian,
     build_chain_geometry,
     build_couplings,

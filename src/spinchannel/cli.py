@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import NumericsError, eigendecompose
-from .experiments import size_scan, time_scan
+from .experiments import CONFIGURATIONS, DEFAULT_GRID_POINTS, size_scan, time_scan
 from .metrics import InitialStateParams, leakage_bound, spectral_overlaps, structure_residuals
 from .model import (
     COUPLING_KINDS,
@@ -33,7 +33,6 @@ MODES = ("time_scan", "size_scan", "diagnostics")
 
 _CHAIN_MODES = ("time_scan", "diagnostics")
 _SCAN_MODES = ("time_scan", "size_scan")
-_LAYOUTS = ("complete", "double_hole")
 
 
 class ConfigError(ValueError):
@@ -60,10 +59,10 @@ class RunConfig:
     theta: float = math.pi
     phi: float = 0.0
     t_max: float | None = None
-    grid_points: int = 2000
+    grid_points: int = DEFAULT_GRID_POINTS
     n_min: int | None = None
     n_max: int | None = None
-    configurations: tuple[str, ...] = _LAYOUTS
+    configurations: tuple[str, ...] = CONFIGURATIONS
 
 
 # Value parsers: each turns the text after '=' into a field value or raises
@@ -104,9 +103,9 @@ def _one_of(choices: tuple[str, ...]):
 
 def _layouts(text: str) -> tuple[str, ...]:
     names = {name.strip() for name in text.split(",")} - {""}
-    if not names or not names <= set(_LAYOUTS):
-        raise ValueError(f"must be a comma-separated subset of {','.join(_LAYOUTS)}")
-    return tuple(name for name in _LAYOUTS if name in names)
+    if not names or not names <= set(CONFIGURATIONS):
+        raise ValueError(f"must be a comma-separated subset of {','.join(CONFIGURATIONS)}")
+    return tuple(name for name in CONFIGURATIONS if name in names)
 
 
 # config key -> (RunConfig field, value parser, modes the key applies to);
@@ -358,11 +357,13 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     failure leaves no files behind; an I/O failure mid-write removes the
     files already written.
     """
-    # materialization problems (bad custom matrix, inconsistent geometry)
-    # count as configuration errors
+    # materialization problems (bad custom matrix, inconsistent geometry, a
+    # custom matrix whose size is not the chain's) count as configuration errors
     try:
         model = _coupling_model(config)
         geometry = _geometry(config) if config.mode in _CHAIN_MODES else None
+        if geometry is not None and model.kind == "custom":
+            build_couplings(geometry, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

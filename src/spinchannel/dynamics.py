@@ -76,10 +76,10 @@ class SpectralDecomposition:
 def eigendecompose(hamiltonian) -> SpectralDecomposition:
     """Diagonalize a real symmetric Hamiltonian.
 
-    Accepts either a bare ndarray or any object with a ``matrix`` attribute
-    (SectorHamiltonian, FullHamiltonian).  Eigenvalues come out ascending and
-    each eigenvector's sign is fixed so its largest-magnitude component is
-    positive, making the decomposition reproducible across runs.
+    Accepts either a bare ndarray (such as full_hamiltonian's) or an object
+    with a ``matrix`` attribute (SectorHamiltonian).  Eigenvalues come out
+    ascending and each eigenvector's sign is fixed so its largest-magnitude
+    component is positive, making the decomposition reproducible across runs.
 
     A matrix with at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
     reversing the site order (checked on the entries) is diagonalized as its

@@ -34,6 +34,8 @@ from .model import ChainGeometry, CouplingModel, build_chain_geometry, build_cou
 
 DEFAULT_GRID_POINTS = 2000
 
+CONFIGURATIONS = ("complete", "double_hole")
+
 # fraction of the dominant-pair transfer period covered by the default window
 _WINDOW_PERIODS = 1.5
 
@@ -50,8 +52,6 @@ _REFINED_TIE_ULPS = 4.0
 _EPS = float(np.finfo(np.float64).eps)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-_CONFIGURATIONS = ("complete", "double_hole")
 
 
 class Peak(NamedTuple):
@@ -264,23 +264,17 @@ def time_scan(
     dominant_pair: tuple[int, int] | None
     dominant_pair_mass: float | None
     try:
-        prediction, _residuals, dominant_pair = two_qubit_effective(decomp, overlaps)
-        delta_eff = prediction.delta
-        sig_sq = overlaps.sigma**2
-        dominant_pair_mass = float(sig_sq[dominant_pair[0]] + sig_sq[dominant_pair[1]])
+        delta_eff, dominant_pair, dominant_pair_mass = two_qubit_effective(decomp, overlaps)
     except NumericsError:
         if t_max is None and model.kind != "mirror_periodic":
             raise
-        prediction = None
-        delta_eff = None
-        dominant_pair = None
-        dominant_pair_mass = None
+        delta_eff = dominant_pair = dominant_pair_mass = None
 
     if t_max is None:
         if model.kind == "mirror_periodic":
             t_max = 2.0 * math.pi / model.lam
         else:
-            t_max = _WINDOW_PERIODS * prediction.transfer_time
+            t_max = _WINDOW_PERIODS * (math.pi / delta_eff)
 
     def score_probes(t: np.ndarray, which: np.ndarray) -> np.ndarray:
         f_ss, f_sr = propagate(decomp, s, t, to=(s, r)).T
@@ -332,7 +326,7 @@ def size_scan(
     n_values: Iterable[int],
     model: CouplingModel,
     include_zz_diagonal: bool = True,
-    configurations: Sequence[str] = _CONFIGURATIONS,
+    configurations: Sequence[str] = CONFIGURATIONS,
     theta: float = math.pi,
     phi: float = 0.0,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -346,12 +340,12 @@ def size_scan(
     if model.kind == "custom":
         raise ValueError("size scans need a generative coupling model, not a custom matrix")
     chosen = set(configurations)
-    unknown = chosen - set(_CONFIGURATIONS)
+    unknown = chosen - set(CONFIGURATIONS)
     if unknown:
-        raise ValueError(f"unknown configurations: {sorted(unknown)}; expected {_CONFIGURATIONS}")
+        raise ValueError(f"unknown configurations: {sorted(unknown)}; expected {CONFIGURATIONS}")
     if not chosen:
         raise ValueError("configurations must not be empty")
-    ordered = [c for c in _CONFIGURATIONS if c in chosen]
+    ordered = [c for c in CONFIGURATIONS if c in chosen]
     rows = []
     for n in n_values:
         n = int(n)

@@ -233,25 +233,6 @@ def leakage_bound(overlaps: SpectralOverlaps) -> tuple[float, float]:
     return gamma_m, overlaps.n * gamma_m
 
 
-@dataclass(frozen=True)
-class TwoQubitPrediction:
-    """Transfer timing predicted from the dominant eigenvector pair's gap."""
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0 (got {self.delta})")
-
-    @property
-    def transfer_time(self) -> float:
-        return math.pi / self.delta
-
-    @property
-    def entangling_time(self) -> float:
-        return self.transfer_time / 2.0
-
-
 def structure_residuals(overlaps: SpectralOverlaps) -> np.ndarray:
     """Per-eigenvector deviation from the ideal two-level structure.
 
@@ -266,13 +247,13 @@ def structure_residuals(overlaps: SpectralOverlaps) -> np.ndarray:
 
 def two_qubit_effective(
     decomp: SpectralDecomposition, overlaps: SpectralOverlaps
-) -> tuple[TwoQubitPrediction, np.ndarray, tuple[int, int]]:
-    """Identify the dominant eigenvector pair and its two-level timing.
+) -> tuple[float, tuple[int, int], float]:
+    """The dominant eigenvector pair: its gap delta, index pair and sender mass.
 
     The two eigenvectors with the largest sender weight sigma_j^2 define an
     effective two-level system with gap delta; perfect transfer would occur
-    at pi/delta and maximal entanglement at half that.  The per-eigenvector
-    structure_residuals are returned alongside.
+    at pi/delta and maximal entanglement at half that.  The mass
+    sigma_j^2 + sigma_k^2 is the share of the sender's weight the pair holds.
     """
     sig_sq = overlaps.sigma**2
     # stable sort so equal weights resolve to the lowest eigenvalue indices
@@ -284,4 +265,4 @@ def two_qubit_effective(
             f"dominant eigenvector pair ({j_lo}, {j_hi}) is degenerate "
             f"(gap {delta!r}); no finite transfer time exists"
         )
-    return TwoQubitPrediction(delta), structure_residuals(overlaps), (j_lo, j_hi)
+    return delta, (j_lo, j_hi), float(sig_sq[j_lo] + sig_sq[j_hi])

@@ -298,8 +298,11 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
 
         H_nn = 2 sum_{j != n} J_nj - sum_{i<j} J_ij
 
-    (measured from the zero-excitation energy).  Without it the sector matrix
-    is the bare hopping matrix of an XY chain.
+    This is an absolute energy, not one measured from the zero-excitation
+    state: in full_hamiltonian that vacuum sits at -sum_{i<j} J_ij, and the
+    one-excitation block of the full matrix equals this matrix.  Measured
+    from the vacuum the diagonal would be 2 sum_{j != n} J_nj.  Without the
+    S^z S^z part the sector matrix is the bare hopping matrix of an XY chain.
     """
     J = couplings.entries
     matrix = J.copy()
@@ -309,26 +312,8 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     return SectorHamiltonian(matrix, include_zz_diagonal)
 
 
-@dataclass(frozen=True)
-class FullHamiltonian:
-    """Interaction on the full 2^n_sites spin space (small chains only)."""
-
-    matrix: np.ndarray
-    include_zz_diagonal: bool
-    n_sites: int
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> FullHamiltonian:
-    """Build the full 2^N matrix of sum_{i<j} J_ij (flip-flop - 4 S_i^z S_j^z).
+def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> np.ndarray:
+    """The full 2^N matrix of sum_{i<j} J_ij (flip-flop - 4 S_i^z S_j^z), read-only.
 
     Basis states are bit strings; bit k set means site k carries an
     excitation.  The flip-flop term hops excitations between sites with
@@ -362,4 +347,5 @@ def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True
                 diagonal += np.where(differ, J[i, j], -J[i, j])
     if include_zz_diagonal:
         matrix[basis, basis] = diagonal
-    return FullHamiltonian(matrix, include_zz_diagonal, n)
+    matrix.setflags(write=False)
+    return matrix

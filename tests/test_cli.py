@@ -340,9 +340,13 @@ _SIZE = "mode = size_scan\nn_min = 4\nn_max = 6\n"
             _TIME + "foo = 1\nn_min = 2\n",
             ("line 3: unknown key 'foo'", "line 4: key 'n_min' does not apply to mode 'time_scan'"),
         ),
+        # the test writes j.txt as a 3x3 matrix, which does not fit 4 sites
+        (_TIME + "coupling = custom\ncoupling_file = j.txt\n", ("3x3", "4 sites")),
+        ("mode = diagnostics\npositions = 4\ncoupling = custom\ncoupling_file = j.txt\n", ("3x3", "4 sites")),
     ],
 )
 def test_main_rejects_config_with_exit_2(tmp_path, capsys, text, fragments):
+    (tmp_path / "j.txt").write_text("3\n0.0 1.0 0.0\n1.0 0.0 1.0\n0.0 1.0 0.0\n")
     config_path = tmp_path / "run.conf"
     config_path.write_text(text)
     assert main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 2

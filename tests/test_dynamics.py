@@ -119,7 +119,7 @@ def test_mirror_split_matches_dense_eigh(eigh_shapes, span, blocks):
 def test_mirror_split_full_space_matches_sector(eigh_shapes):
     # global spin flip maps basis index b to 2^7 - 1 - b, the index reversal
     J = sc.build_couplings(sc.build_chain_geometry(7), sc.CouplingModel.power_law())
-    H = sc.full_hamiltonian(J, True).matrix
+    H = sc.full_hamiltonian(J, True)
     full = sc.eigendecompose(H)
     assert eigh_shapes == [(64, 64), (64, 64)]
     _assert_same_decomposition_as_dense(H, full)
@@ -144,7 +144,7 @@ def test_mirror_split_keeps_dominant_pair_mirror_symmetric():
     geo, H = _dh_sector(1000)
     decomp = sc.eigendecompose(H)
     overlaps = sc.spectral_overlaps(decomp, geo.sender_index, geo.receiver_index)
-    _prediction, _residuals, pair = sc.two_qubit_effective(decomp, overlaps)
+    _delta, pair, _mass = sc.two_qubit_effective(decomp, overlaps)
     for j in pair:
         assert abs(overlaps.sigma[j] ** 2 - overlaps.rho[j] ** 2) <= 1e-12
 

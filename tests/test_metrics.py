@@ -271,27 +271,30 @@ def test_two_qubit_effective_exact_two_sites():
     geo = sc.build_chain_geometry(2)
     decomp = _decomp_for(geo, two_site_model(J))
     overlaps = sc.spectral_overlaps(decomp, 0, 1)
-    prediction, residuals, pair = sc.two_qubit_effective(decomp, overlaps)
-    assert prediction.delta == pytest.approx(2.0 * J, rel=1e-12)
-    assert prediction.transfer_time == pytest.approx(math.pi / (2.0 * J), rel=1e-12)
-    assert prediction.entangling_time == pytest.approx(math.pi / (4.0 * J), rel=1e-12)
+    delta, pair, mass = sc.two_qubit_effective(decomp, overlaps)
+    assert delta == pytest.approx(2.0 * J, rel=1e-12)
+    assert math.pi / delta == pytest.approx(math.pi / (2.0 * J), rel=1e-12)
+    assert math.pi / (2.0 * delta) == pytest.approx(math.pi / (4.0 * J), rel=1e-12)
     assert pair == (0, 1)
-    assert np.max(residuals) <= 1e-14
+    assert mass == pytest.approx(1.0, abs=1e-14)
+    assert np.max(sc.structure_residuals(overlaps)) <= 1e-14
 
 
 def test_two_qubit_effective_dominant_mass():
     dipolar = sc.CouplingModel.power_law()
     decomp_dh = _decomp_for(dh_geometry(10), dipolar)
     overlaps_dh = sc.spectral_overlaps(decomp_dh, 0, 9)
-    _, _, pair = sc.two_qubit_effective(decomp_dh, overlaps_dh)
-    mass_dh = overlaps_dh.sigma[pair[0]] ** 2 + overlaps_dh.sigma[pair[1]] ** 2
+    _, pair, mass_dh = sc.two_qubit_effective(decomp_dh, overlaps_dh)
+    sig_sq = overlaps_dh.sigma**2
+    assert mass_dh == sig_sq[pair[0]] + sig_sq[pair[1]]
     assert mass_dh >= 0.99
 
     mirror = sc.CouplingModel.mirror_periodic(lam=2.0)
     decomp_m = _decomp_for(sc.build_chain_geometry(10), mirror, include_zz=False)
     overlaps_m = sc.spectral_overlaps(decomp_m, 0, 9)
-    _, _, pair_m = sc.two_qubit_effective(decomp_m, overlaps_m)
-    mass_m = overlaps_m.sigma[pair_m[0]] ** 2 + overlaps_m.sigma[pair_m[1]] ** 2
+    _, pair_m, mass_m = sc.two_qubit_effective(decomp_m, overlaps_m)
+    sig_sq_m = overlaps_m.sigma**2
+    assert mass_m == sig_sq_m[pair_m[0]] + sig_sq_m[pair_m[1]]
     # recorded contrast: the engineered chain spreads sender weight over
     # many eigenvectors instead of a single dominant pair
     assert mass_m < 0.9
@@ -302,13 +305,6 @@ def test_two_qubit_effective_degenerate_pair():
     overlaps = sc.spectral_overlaps(decomp, 0, 2)
     with pytest.raises(sc.NumericsError):
         sc.two_qubit_effective(decomp, overlaps)
-
-
-def test_two_qubit_prediction_validates_consistency():
-    with pytest.raises(ValueError):
-        sc.TwoQubitPrediction(-1.0)
-    prediction = sc.TwoQubitPrediction(2.0)
-    assert prediction.transfer_time == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_structure_residual_consistency_check():

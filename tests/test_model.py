@@ -191,19 +191,21 @@ def test_full_two_site_matrix():
             [0.0, 0.0, 0.0, -J],
         ]
     )
-    assert np.array_equal(full.matrix, expected)
+    assert np.array_equal(full, expected)
+    with pytest.raises(ValueError):
+        full[0, 0] = 9.0
     bare = sc.full_hamiltonian(coupl, include_zz_diagonal=False)
-    assert bare.matrix[0, 0] == 0.0 and bare.matrix[3, 3] == 0.0
-    assert bare.matrix[1, 2] == J
+    assert bare[0, 0] == 0.0 and bare[3, 3] == 0.0
+    assert bare[1, 2] == J
 
 
 def test_full_hamiltonian_conserves_excitation_number():
     rng = np.random.default_rng(3)
     coupl = random_couplings(5, rng)
     full = sc.full_hamiltonian(coupl, include_zz_diagonal=True)
-    dim = full.dim
+    dim = full.shape[0]
     pop = np.array([bin(b).count("1") for b in range(dim)])
-    rows, cols = np.nonzero(full.matrix)
+    rows, cols = np.nonzero(full)
     assert np.all(pop[rows] == pop[cols])
 
 
@@ -212,9 +214,9 @@ def test_full_vacuum_energy():
     coupl = random_couplings(4, rng)
     total = sum(coupl.entries[i, j] for i in range(4) for j in range(i + 1, 4))
     full = sc.full_hamiltonian(coupl, include_zz_diagonal=True)
-    assert full.matrix[0, 0] == pytest.approx(-total, rel=1e-14)
+    assert full[0, 0] == pytest.approx(-total, rel=1e-14)
     bare = sc.full_hamiltonian(coupl, include_zz_diagonal=False)
-    assert bare.matrix[0, 0] == 0.0
+    assert bare[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("include_zz", [True, False])
@@ -224,7 +226,7 @@ def test_full_one_excitation_block_matches_sector(include_zz):
     sector = sc.sector_hamiltonian(coupl, include_zz)
     full = sc.full_hamiltonian(coupl, include_zz)
     idx = [1 << k for k in range(6)]
-    block = full.matrix[np.ix_(idx, idx)]
+    block = full[np.ix_(idx, idx)]
     assert np.allclose(block, sector.matrix, rtol=0.0, atol=1e-13)
 
 
