@@ -44,8 +44,6 @@ from .model import (
     build_couplings,
     full_hamiltonian,
     load_coupling_matrix,
-    mirror_periodic_couplings,
-    power_law_couplings,
     sector_hamiltonian,
 )
 

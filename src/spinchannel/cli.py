@@ -212,8 +212,7 @@ def parse_config(text: str) -> RunConfig:
 
     # both generative models are built whatever `coupling` is, so every value is checked
     try:
-        CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a)
-        CouplingModel.mirror_periodic(lam=config.lam)
+        _generative_models(config)
         InitialStateParams(theta=config.theta, phi=config.phi)
         if mode in _CHAIN_MODES:
             _geometry(config)
@@ -222,13 +221,18 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _generative_models(config: RunConfig) -> dict[str, CouplingModel]:
+    """The power-law and mirror-periodic models the config's values describe."""
+    return {
+        "power_law": CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a),
+        "mirror_periodic": CouplingModel.mirror_periodic(lam=config.lam),
+    }
+
+
 def _coupling_model(config: RunConfig) -> CouplingModel:
-    if config.coupling == "power_law":
-        return CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a)
-    if config.coupling == "mirror_periodic":
-        return CouplingModel.mirror_periodic(lam=config.lam)
-    matrix = load_coupling_matrix(config.coupling_file)
-    return CouplingModel.custom(matrix.entries)
+    if config.coupling == "custom":
+        return CouplingModel.custom(load_coupling_matrix(config.coupling_file).entries)
+    return _generative_models(config)[config.coupling]
 
 
 def _geometry(config: RunConfig):
@@ -419,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             # relative to the config file; joining keeps an absolute path as it is
             config = dataclasses.replace(config, coupling_file=str(config_path.parent / config.coupling_file))
         run(config, out_dir=args.out, quiet=args.quiet)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

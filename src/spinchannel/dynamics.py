@@ -29,9 +29,6 @@ MIRROR_SPLIT_MIN_SITES = 64
 # sector_hamiltonian leaves at most ~0.86 of them on mirror-symmetric chains
 _MIRROR_TOLERANCE_EPS = 16.0
 
-# rows per block in the entrywise checks, so no n x n temporary is built
-_CHECK_ROWS = 256
-
 # a 1-D time array within this many eps * max|t| of t0 + k dt is a progression;
 # np.linspace grids are exact except for their last point, within one
 _PROGRESSION_ULPS = 4.0
@@ -93,7 +90,7 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
         raise ValueError(f"expected a square matrix (got shape {matrix.shape})")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
-    if _max_abs_difference(matrix, matrix.T) > 1e-12:
+    if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric")
     try:
         if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES and _is_mirror_symmetric(matrix):
@@ -106,15 +103,6 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
-def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """max|a - b| over two equal-shape 2-D arrays, a block of rows at a time."""
-    worst = 0.0
-    for start in range(0, a.shape[0], _CHECK_ROWS):
-        block = np.subtract(a[start : start + _CHECK_ROWS], b[start : start + _CHECK_ROWS])
-        worst = max(worst, float(np.abs(block, out=block).max()))
-    return worst
-
-
 def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
     """max|H - P H P| <= _MIRROR_TOLERANCE_EPS * eps * max|H|, P the site reversal.
 
@@ -124,7 +112,7 @@ def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
     rows = matrix.shape[0] - matrix.shape[0] // 2
     scale = max(float(matrix.max()), -float(matrix.min()))
     tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
-    return _max_abs_difference(matrix[:rows], matrix[::-1, ::-1][:rows]) <= tolerance
+    return np.abs(matrix[:rows] - matrix[::-1, ::-1][:rows]).max(initial=0.0) <= tolerance
 
 
 def _mirror_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -114,7 +114,7 @@ def _refined_peaks(
     series: Sequence[np.ndarray],
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol_width: float,
-) -> list[Peak | None]:
+) -> list[Peak]:
     """The refined peak of each grid series, all lobes searched at once.
 
     A lobe is an interior local maximum within _PEAK_TIE_BAND of its
@@ -125,10 +125,11 @@ def _refined_peaks(
     makes one fresh probe per step, two on an exact tie, where both ends
     move in so a constant series resolves to the bracket midpoint.
 
-    Per series, a grid point beats a worse refinement, and the earliest
-    lobe within _REFINED_TIE_ULPS * eps * max(1, |v|) of the best value v
-    wins, so crests equal up to rounding go to the earliest lobe.  A series
-    with no lobe (still rising at the window edge) yields None.
+    Per series, a grid point beats a worse refinement, and the last grid
+    point joins the lobes as one more, unrefined, candidate, the only one
+    at times[-1].  The earliest candidate within _REFINED_TIE_ULPS * eps *
+    max(1, |v|) of the best value v wins, so crests equal up to rounding go
+    to the earliest lobe, and the edge wins only by more than that band.
     """
     last = len(times) - 1
     lobes = []
@@ -143,7 +144,7 @@ def _refined_peaks(
     which = np.repeat(np.arange(len(series)), [k.size for k in lobes])
     k = np.concatenate(lobes)
     if not k.size:
-        return [None] * len(series)
+        return [Peak(float(times[-1]), float(values[-1])) for values in series]
 
     a, b = times[k - 1], times[k + 1]
     c = b - _INV_PHI * (b - a)
@@ -193,12 +194,10 @@ def _refined_peaks(
     refined_t = np.where(best_v < grid_v, times[k], refined_t)
     refined_v = np.maximum(best_v, grid_v)
 
-    peaks: list[Peak | None] = []
-    for i in range(len(series)):
-        t, v = refined_t[which == i], refined_v[which == i]
-        if not v.size:
-            peaks.append(None)
-            continue
+    peaks = []
+    for i, values in enumerate(series):
+        t = np.append(refined_t[which == i], times[-1])
+        v = np.append(refined_v[which == i], values[-1])
         top = float(v.max())
         first = int(np.argmax(v >= top - _REFINED_TIE_ULPS * _EPS * max(1.0, abs(top))))
         peaks.append(Peak(float(t[first]), float(v[first])))
@@ -284,22 +283,12 @@ def time_scan(
     while True:
         times = np.linspace(0.0, t_max, grid_points)
         columns = _score_grid(decomp, s, r, params, times)
-        f_values = columns["fidelity"]
-        c_values = columns["concurrence"]
-        peak_f, peak_c = _refined_peaks(times, (f_values, c_values), score_probes, 1e-9 * t_max)
-        edge_beats = any(
-            peak is None or values[-1] > peak.value
-            for peak, values in ((peak_f, f_values), (peak_c, c_values))
-        )
-        if edge_beats and not extended:
-            extended = True
-            t_max = 2.0 * t_max
-            continue
-        if peak_f is None or f_values[-1] > peak_f.value:
-            peak_f = Peak(float(times[-1]), float(f_values[-1]))
-        if peak_c is None or c_values[-1] > peak_c.value:
-            peak_c = Peak(float(times[-1]), float(c_values[-1]))
-        break
+        series = (columns["fidelity"], columns["concurrence"])
+        peak_f, peak_c = _refined_peaks(times, series, score_probes, 1e-9 * t_max)
+        if extended or times[-1] not in (peak_f.t, peak_c.t):
+            break
+        extended = True
+        t_max = 2.0 * t_max
 
     return TimeScanResult(
         **columns,

@@ -177,46 +177,33 @@ class CouplingMatrix:
         return self.entries.shape[0]
 
 
-def power_law_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
-    """J_ij = C / (a d_ij)**nu with d_ij the lattice distance between sites.
+def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
+    """Build the coupling matrix for a geometry under the given model.
 
-    The power is taken once per distance d = 1..span-1 and gathered by the
-    integer distance matrix; distance 0 (the diagonal) maps to 0.
-    """
-    if model.kind != "power_law":
-        raise ValueError(f"expected a power_law model (got {model.kind!r})")
-    pos = np.asarray(geometry.positions)
-    dist = np.abs(pos[:, None] - pos[None, :])
-    d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
-    table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
-    return CouplingMatrix(table[dist])
+    power_law: J_ij = C / (a d_ij)**nu with d_ij the lattice distance between
+    sites.  The power is taken once per distance d = 1..span-1 and gathered
+    by the integer distance matrix; distance 0 (the diagonal) maps to 0.
 
-
-def mirror_periodic_couplings(n_sites: int, lam: float = 2.0) -> CouplingMatrix:
-    """Nearest-neighbour profile J_{i,i+1} = (lam/2) sqrt(i (N - i)), i = 1..N-1.
-
+    mirror_periodic: J_{i,i+1} = (lam/2) sqrt(i (N - i)), i = 1..N-1, else 0.
     This mirror-symmetric modulation makes the hopping spectrum exactly
     linear, so the chain transfers a state perfectly at t = pi / lam.
+
+    custom: the entries as they are, one row per site of the geometry.
     """
-    if n_sites < 2:
-        raise ValueError(f"n_sites must be >= 2 (got {n_sites})")
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0 (got {lam})")
-    i = np.arange(1, n_sites, dtype=np.float64)
-    profile = 0.5 * lam * np.sqrt(i * (n_sites - i))
-    entries = np.zeros((n_sites, n_sites))
-    entries[np.arange(n_sites - 1), np.arange(1, n_sites)] = profile
-    entries[np.arange(1, n_sites), np.arange(n_sites - 1)] = profile
-    return CouplingMatrix(entries)
-
-
-def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
-    """Build the coupling matrix for a geometry under the given model."""
     if model.kind == "power_law":
-        return power_law_couplings(geometry, model)
+        pos = np.asarray(geometry.positions)
+        dist = np.abs(pos[:, None] - pos[None, :])
+        d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
+        table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
+        return CouplingMatrix(table[dist])
     if model.kind == "mirror_periodic":
-        return mirror_periodic_couplings(geometry.n_sites, model.lam)
-    # custom: entries are taken as-is; they must match the geometry size
+        n = geometry.n_sites
+        i = np.arange(1, n, dtype=np.float64)
+        profile = 0.5 * model.lam * np.sqrt(i * (n - i))
+        entries = np.zeros((n, n))
+        entries[np.arange(n - 1), np.arange(1, n)] = profile
+        entries[np.arange(1, n), np.arange(n - 1)] = profile
+        return CouplingMatrix(entries)
     matrix = CouplingMatrix(model.custom_matrix)
     if matrix.n_sites != geometry.n_sites:
         raise ValueError(
@@ -278,16 +265,11 @@ class SectorHamiltonian:
     """Single-excitation block of the interaction, as a real symmetric matrix."""
 
     matrix: np.ndarray
-    include_zz_diagonal: bool
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0]
 
 
 def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> SectorHamiltonian:
@@ -309,7 +291,7 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     if include_zz_diagonal:
         row_sums = J.sum(axis=1)
         np.fill_diagonal(matrix, 2.0 * row_sums - 0.5 * row_sums.sum())
-    return SectorHamiltonian(matrix, include_zz_diagonal)
+    return SectorHamiltonian(matrix)
 
 
 def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> np.ndarray:
@@ -334,11 +316,7 @@ def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True
     diagonal = np.zeros(dim)
     for i in range(n):
         for j in range(i + 1, n):
-            if J[i, j] == 0.0 and not include_zz_diagonal:
-                continue
-            bit_i = (basis >> i) & 1
-            bit_j = (basis >> j) & 1
-            differ = bit_i != bit_j
+            differ = ((basis >> i) & 1) != ((basis >> j) & 1)
             if J[i, j] != 0.0:
                 flipped = basis[differ] ^ ((1 << i) | (1 << j))
                 matrix[basis[differ], flipped] += J[i, j]

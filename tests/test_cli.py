@@ -286,6 +286,38 @@ def test_run_maps_bad_custom_matrix_to_config_error(tmp_path):
         run(config, out_dir=tmp_path, quiet=True)
 
 
+def _summary_fields(text):
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def test_main_mirror_periodic_transfers_perfectly(tmp_path):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(
+        "mode = time_scan\npositions = 9\ncoupling = mirror_periodic\nlambda = 2\nzz = false\nout = mirror\n"
+    )
+    assert main([str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+    summary = _summary_fields((tmp_path / "mirror_summary.txt").read_text())
+    assert float(summary["peak_fidelity"]) >= 1.0 - 1e-12
+    assert abs(float(summary["peak_fidelity_t"]) - math.pi / 2.0) <= 1e-6
+    # the window is 2 pi / lambda, the exact transfer time pi / lambda doubled
+    assert float(summary["t_max"]) == math.pi
+
+
+def test_main_degenerate_pair_summary(tmp_path):
+    # a fixed window scans a chain whose dominant pair has no gap; without
+    # one, test_main_numerical_failure exits 3
+    (tmp_path / "zero.txt").write_text("2\n0.0 0.0\n0.0 0.0\n")
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(
+        "mode = time_scan\npositions = 2\ncoupling = custom\ncoupling_file = zero.txt\nt_max = 1\nout = flat\n"
+    )
+    assert main([str(config_path), "--out", str(tmp_path), "--quiet"]) == 0
+    summary = _summary_fields((tmp_path / "flat_summary.txt").read_text())
+    assert summary["delta_eff"] == "degenerate"
+    assert "dominant_pair" not in summary
+    assert "dominant_pair_mass" not in summary
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -359,6 +391,17 @@ def test_main_rejects_config_with_exit_2(tmp_path, capsys, text, fragments):
     assert not (tmp_path / "results").exists()
 
 
+def test_main_rejects_undecodable_config_with_exit_2(tmp_path, capsys):
+    config_path = tmp_path / "run.conf"
+    config_path.write_bytes(b"mode = time_scan\npositions = 4\nout = \xff\n")
+    assert main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+
+
 def test_main_numerical_failure(tmp_path, capsys):
     matrix_path = tmp_path / "zero.txt"
     matrix_path.write_text("2\n0.0 0.0\n0.0 0.0\n")
@@ -367,7 +410,10 @@ def test_main_numerical_failure(tmp_path, capsys):
         "mode = time_scan\npositions = 2\ncoupling = custom\ncoupling_file = zero.txt\n"
     )
     assert main([str(config_path), "--out", str(tmp_path), "--quiet"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # the default window needs the dominant pair's gap, and it has none
+    assert "degenerate" in err
     assert not (tmp_path / "time_scan.csv").exists()
 
 

@@ -73,6 +73,24 @@ def test_time_scan_two_site_exact_times():
     assert not result.extended
 
 
+def test_time_scan_symmetric_edge_crest_does_not_extend():
+    # the default window of a two-site chain ends on a concurrence crest equal
+    # by symmetry to the first; last-bit rounding must not extend it
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        J = float(rng.uniform(0.1, 3.0))
+        result = sc.time_scan(
+            sc.build_chain_geometry(2),
+            two_site_model(J),
+            include_zz_diagonal=bool(k % 2),
+            theta=float(rng.uniform(0.1, math.pi)),
+            phi=float(rng.uniform(0.0, 6.0)),
+            grid_points=int(rng.integers(20, 2000)),
+        )
+        assert not result.extended
+        assert abs(result.peak_concurrence.t - math.pi / (4.0 * J)) <= 1e-6
+
+
 def test_time_scan_dh_ten_site_peaks():
     result = sc.time_scan(dh_geometry(10), sc.CouplingModel.power_law())
     assert result.peak_fidelity.value >= 0.99

@@ -68,7 +68,7 @@ def test_geometry_type_rejects_inconsistent_sites():
 
 def test_power_law_dipolar_values():
     geo = sc.build_chain_geometry(3)
-    J = sc.power_law_couplings(geo, sc.CouplingModel.power_law())
+    J = sc.build_couplings(geo, sc.CouplingModel.power_law())
     assert J.entries[0, 1] == 1.0
     assert J.entries[0, 2] == pytest.approx(1.0 / 8.0, abs=1e-15)
     assert np.all(J.entries == J.entries.T)
@@ -78,14 +78,14 @@ def test_power_law_dipolar_values():
 def test_power_law_general_parameters():
     geo = sc.build_chain_geometry(4)
     model = sc.CouplingModel.power_law(nu=2.0, strength_c=3.0, spacing_a=2.0)
-    J = sc.power_law_couplings(geo, model)
+    J = sc.build_couplings(geo, model)
     # J = C / (a d)^nu
     assert J.entries[0, 3] == pytest.approx(3.0 / (2.0 * 3.0) ** 2, rel=1e-15)
 
 
 def test_power_law_uses_lattice_distance_across_holes():
     geo = sc.build_chain_geometry(4, 1, 3, double_hole=True)  # positions 1, 3, 4
-    J = sc.power_law_couplings(geo, sc.CouplingModel.power_law())
+    J = sc.build_couplings(geo, sc.CouplingModel.power_law())
     assert J.entries[0, 1] == pytest.approx(1.0 / 8.0, rel=1e-15)  # distance 2
     assert J.entries[1, 2] == pytest.approx(1.0, rel=1e-15)  # distance 1
 
@@ -98,12 +98,12 @@ def test_power_law_table_matches_direct_formula():
     with np.errstate(divide="ignore"):
         direct = model.strength_c / (model.spacing_a * dist) ** model.nu
     np.fill_diagonal(direct, 0.0)
-    assert np.array_equal(sc.power_law_couplings(geo, model).entries, direct)
+    assert np.array_equal(sc.build_couplings(geo, model).entries, direct)
 
 
 def test_mirror_periodic_profile():
     n, lam = 6, 2.0
-    J = sc.mirror_periodic_couplings(n, lam)
+    J = sc.build_couplings(sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam))
     for i in range(1, n):
         expected = 0.5 * lam * math.sqrt(i * (n - i))
         assert J.entries[i - 1, i] == pytest.approx(expected, rel=1e-15)
