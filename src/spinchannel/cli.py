@@ -331,8 +331,7 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
     return [(f"{config.out}.csv", csv_text)], _summary(fields)
 
 
-def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
-    couplings = build_couplings(geometry, model)
+def _diagnostics_payload(config: RunConfig, geometry, couplings) -> tuple[list[tuple[str, str]], str]:
     decomp = eigendecompose(sector_hamiltonian(couplings, config.zz))
     overlaps = spectral_overlaps(decomp, geometry.sender_index, geometry.receiver_index)
     residuals = structure_residuals(overlaps)
@@ -366,8 +365,9 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     try:
         model = _coupling_model(config)
         geometry = _geometry(config) if config.mode in _CHAIN_MODES else None
-        if geometry is not None and model.kind == "custom":
-            build_couplings(geometry, model)
+        couplings = None
+        if geometry is not None and (model.kind == "custom" or config.mode == "diagnostics"):
+            couplings = build_couplings(geometry, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -376,7 +376,7 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     elif config.mode == "size_scan":
         files, report = _size_scan_payload(config, model)
     else:
-        files, report = _diagnostics_payload(config, model, geometry)
+        files, report = _diagnostics_payload(config, geometry, couplings)
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

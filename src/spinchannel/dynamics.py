@@ -86,8 +86,8 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     cannot mix however close their energies are.
     """
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix (got shape {matrix.shape})")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
     if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12:
@@ -184,9 +184,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     times = np.asarray(t, dtype=np.float64)
     progression = _progression(times)
     if progression is None:
-        phases = np.multiply.outer(times, decomp._rates)
-        np.exp(phases, out=phases)
-        phases *= V[from_index]
+        phases = _phase_block(decomp, from_index, times)
     else:
         phases = _progression_phases(decomp._rates, V[from_index], *progression)
     targets = V if to is None else V[np.asarray(to)]
@@ -194,6 +192,32 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     shift = np.exp(-1j * decomp._midpoint * times)
     amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
+
+
+def _phase_block(decomp: SpectralDecomposition, from_index: int, times: np.ndarray) -> np.ndarray:
+    """exp(-i (E_j - Ebar) t) V[from, j], one ``exp`` per time and eigenvalue: a shape(t) + (n,) block."""
+    phases = np.multiply.outer(times, decomp._rates)
+    np.exp(phases, out=phases)
+    phases *= decomp.eigenvectors[from_index]
+    return phases
+
+
+def _amplitude_derivatives(decomp: SpectralDecomposition, from_index: int, t, to) -> np.ndarray:
+    """g, g' and g'' at each time, where g(t) = exp(i Ebar t) f(t) and f is ``propagate``'s amplitude.
+
+    With w_j = V[to, j] V[from, j] and r_j = -i (E_j - Ebar), the three are
+    sum_j w_j r_j^m exp(r_j t) for m = 0, 1, 2: one phase block times
+    3 * len(to) weight columns.  |g| = |f|, so moduli and their time
+    derivatives come out as those of f, free of the e^{-i Ebar t} factor.
+    ``t`` is 1-D and ``to`` a sequence of site indices; the result has shape
+    (3, len(t), len(to)).
+    """
+    times = np.asarray(t, dtype=np.float64)
+    targets = decomp.eigenvectors[np.asarray(to)].T
+    powers = decomp._rates[:, None] ** np.arange(3)
+    columns = (powers[:, :, None] * targets[:, None, :]).reshape(targets.shape[0], -1)
+    series = _phase_block(decomp, from_index, times) @ columns
+    return series.reshape(times.size, 3, targets.shape[1]).swapaxes(0, 1)
 
 
 def _progression(times: np.ndarray) -> tuple[float, float, int] | None:

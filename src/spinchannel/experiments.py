@@ -2,10 +2,11 @@
 
 A time scan evolves the single-excitation amplitudes on a uniform grid,
 scores the whole grid at once with the metrics module (one array per
-quantity), and refines the best grid peaks by golden-section search.  The
-search runs every candidate lobe of the fidelity and of the concurrence in
-lockstep, so each of its steps is one ``propagate`` call over all probes,
-however many lobes there are.  A size scan repeats this over a range of
+quantity), and refines the best grid peaks by safeguarded Newton steps on
+the closed-form slope and curvature of each series.  The search runs every
+candidate lobe of the fidelity and of the concurrence in lockstep, so each
+of its steps is one phase-block evaluation over all probes, however many
+lobes there are.  A size scan repeats this over a range of
 chain sizes for complete and double-hole layouts and keeps only the peak
 data, which is the quantity that separates the two layouts as the chain
 grows.
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import NumericsError, SpectralDecomposition, eigendecompose, propagate
+from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, eigendecompose, propagate
 from .metrics import (
     InitialStateParams,
     averaged_fidelity,
@@ -50,8 +51,6 @@ _PEAK_TIE_BAND = 1e-3
 _REFINED_TIE_ULPS = 4.0
 
 _EPS = float(np.finfo(np.float64).eps)
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Peak(NamedTuple):
@@ -119,11 +118,18 @@ def _refined_peaks(
 
     A lobe is an interior local maximum within _PEAK_TIE_BAND of its
     series' grid maximum; a flat run counts once.  Every lobe of every
-    series is refined in lockstep by golden-section search over
-    [t_{k-1}, t_{k+1}] down to ``tol_width``; ``evaluate(t, which)`` scores
-    probe t[i] on series which[i] and is called once per step.  A lobe
-    makes one fresh probe per step, two on an exact tie, where both ends
-    move in so a constant series resolves to the bracket midpoint.
+    series is refined in lockstep by a safeguarded Newton iteration on
+    [t_{k-1}, t_{k+1}]; ``evaluate(t, which)`` returns three rows, the value,
+    slope and curvature of series which[i] at probe t[i], and is called once
+    per step.
+    A lobe starts at its bracket midpoint, and the sign of each slope moves
+    one end of its bracket to the probe.  The next probe is the Newton point
+    t - slope / curvature when the curvature is negative and that point lies
+    inside the bracket, else the bracket midpoint.  A lobe stops on a zero
+    slope (so a constant series stays at its midpoint), once its last step
+    or its bracket is within ``tol_width``, or after as many steps as
+    bisection alone needs to bring the widest bracket down to ``tol_width``.
+    Its refinement is its best probe, the later one on a tie.
 
     Per series, a grid point beats a worse refinement, and the last grid
     point joins the lobes as one more, unrefined, candidate, the only one
@@ -147,52 +153,41 @@ def _refined_peaks(
         return [Peak(float(times[-1]), float(values[-1])) for values in series]
 
     a, b = times[k - 1], times[k + 1]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    best_t = np.full(k.size, np.nan)
-    best_v = np.full(k.size, -np.inf)
-
-    def probe(on_c: np.ndarray, on_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Score c of the lobes on_c and d of the lobes on_d in one evaluate call."""
-        t = np.concatenate((c[on_c], d[on_d]))
-        scores = evaluate(t, which[np.concatenate((on_c, on_d))])
-        bad = np.flatnonzero(~np.isfinite(scores))
-        if bad.size:
-            raise NumericsError(f"series evaluator returned {scores[bad[0]]!r} at t={t[bad[0]]!r}")
-        # c probes count before d probes, as one lobe's own search sees them
-        for owners, points, values in ((on_c, c, scores[: on_c.size]), (on_d, d, scores[on_c.size :])):
-            better = values > best_v[owners]
-            best_t[owners[better]] = points[owners[better]]
-            best_v[owners[better]] = values[better]
-        return scores[: on_c.size], scores[on_c.size :]
-
-    # the brackets all span two grid steps, so they share one iteration count
-    n_iter = math.ceil(math.log(tol_width / float((b - a).max())) / math.log(_INV_PHI))
-    active = b - a > tol_width
-    on = np.flatnonzero(active)
-    fc, fd = np.full(k.size, -np.inf), np.full(k.size, -np.inf)
-    fc[on], fd[on] = probe(on, on)
-    for _ in range(n_iter):
-        active &= b - a > tol_width
-        if not active.any():
-            break
-        new_c = active & ~(fd > fc)
-        new_d = active & ~(fc > fd)
-        # fc > fd keeps [a, d], fd > fc keeps [c, b], a tie keeps [c, d]
-        a, b = np.where(new_d, c, a), np.where(new_c, d, b)
-        c, d = np.where(new_d, d, c), np.where(new_c, c, d)
-        fc, fd = np.where(new_d, fd, fc), np.where(new_c, fc, fd)
-        c = np.where(new_c, b - _INV_PHI * (b - a), c)
-        d = np.where(new_d, a + _INV_PHI * (b - a), d)
-        fc[new_c], fd[new_d] = probe(np.flatnonzero(new_c), np.flatnonzero(new_d))
-    # the final midpoint competes as one more c probe and wins ties
-    c = 0.5 * (a + b)
-    mid_v, _ = probe(np.arange(k.size), np.arange(0))
-    refined_t = np.where(mid_v >= best_v, c, best_t)
+    t = 0.5 * (a + b)
+    step = np.full(k.size, np.inf)
+    best_t, best_v = t, np.full(k.size, -np.inf)
+    refined_t, refined_v = np.empty(k.size), np.empty(k.size)
+    # the lobe of each entry still refining; the arrays above hold only those
+    lobe = np.arange(k.size)
+    probes = which
+    for _ in range(1 + max(0, math.ceil(math.log2(float((b - a).max()) / tol_width)))):
+        scores = np.asarray(evaluate(t, probes))
+        finite = np.isfinite(scores).all(axis=0)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericsError(f"series evaluator returned {tuple(scores[:, i])!r} at t={t[i]!r}")
+        value, slope, curvature = scores
+        better = value >= best_v
+        best_t, best_v = np.where(better, t, best_t), np.where(better, value, best_v)
+        # the slope's sign tells which side of t the crest lies on
+        a, b = np.where(slope > 0.0, t, a), np.where(slope < 0.0, t, b)
+        newton = t - np.divide(slope, curvature, out=np.zeros_like(t), where=curvature < 0.0)
+        following = np.where((curvature < 0.0) & (a < newton) & (newton < b), newton, 0.5 * (a + b))
+        done = (slope == 0.0) | (step <= tol_width) | (b - a <= tol_width)
+        step, t = np.abs(following - t), following
+        if done.any():
+            refined_t[lobe[done]], refined_v[lobe[done]] = best_t[done], best_v[done]
+            keep = ~done
+            lobe, probes, a, b, t, step, best_t, best_v = (
+                x[keep] for x in (lobe, probes, a, b, t, step, best_t, best_v)
+            )
+            if not lobe.size:
+                break
+    refined_t[lobe], refined_v[lobe] = best_t, best_v
     # a grid point beats a worse refinement
-    grid_v = np.concatenate([values[lobe] for values, lobe in zip(series, lobes)])
-    refined_t = np.where(best_v < grid_v, times[k], refined_t)
-    refined_v = np.maximum(best_v, grid_v)
+    grid_v = np.concatenate([values[crests] for values, crests in zip(series, lobes)])
+    refined_t = np.where(refined_v < grid_v, times[k], refined_t)
+    refined_v = np.maximum(refined_v, grid_v)
 
     peaks = []
     for i, values in enumerate(series):
@@ -228,6 +223,41 @@ def _score_grid(
     for column in columns.values():
         column.setflags(write=False)
     return columns
+
+
+def _probe_scores(
+    decomp: SpectralDecomposition,
+    sender_index: int,
+    receiver_index: int,
+    params: InitialStateParams,
+    t: np.ndarray,
+    which: np.ndarray,
+) -> np.ndarray:
+    """Value, slope and curvature (rows) of fidelity (which 0) or concurrence (which 1) at each t.
+
+    From g, g', g'' at sender and receiver, m = |g|^2 has m' = 2 Re(g* g')
+    and m'' = 2 Re(g* g'') + 2 |g'|^2.  F is m at the receiver.  With
+    l = m'/m and q = m''/m, C = k sqrt(m_ss m_sr) has C' = C u, where
+    u = (l_ss + l_sr) / 2, and C'' = C ((q_ss + q_sr) / 2 + l_ss l_sr - u^2).
+    """
+    g, slope_g, curvature_g = _amplitude_derivatives(decomp, sender_index, t, (sender_index, receiver_index))
+    m = g.real**2 + g.imag**2
+    slope = 2.0 * (g.conjugate() * slope_g).real
+    curvature = 2.0 * ((g.conjugate() * curvature_g).real + slope_g.real**2 + slope_g.imag**2)
+    # where m = 0 so is C, and its derivatives are taken as 0
+    (l_ss, l_sr), (q_ss, q_sr) = np.divide(
+        (slope, curvature), m, out=np.zeros((2,) + m.shape), where=m > 0.0
+    ).transpose(0, 2, 1)
+    u = 0.5 * (l_ss + l_sr)
+    c = concurrence_closed_form(params, g[:, 0], g[:, 1])
+    scores = np.array(
+        (
+            (transfer_fidelity(g[:, 1]), c),
+            (slope[:, 1], c * u),
+            (curvature[:, 1], c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)),
+        )
+    )
+    return scores[:, which, np.arange(t.size)]
 
 
 def time_scan(
@@ -275,16 +305,14 @@ def time_scan(
         else:
             t_max = _WINDOW_PERIODS * (math.pi / delta_eff)
 
-    def score_probes(t: np.ndarray, which: np.ndarray) -> np.ndarray:
-        f_ss, f_sr = propagate(decomp, s, t, to=(s, r)).T
-        return np.choose(which, (transfer_fidelity(f_sr), concurrence_closed_form(params, f_ss, f_sr)))
-
     extended = False
     while True:
         times = np.linspace(0.0, t_max, grid_points)
         columns = _score_grid(decomp, s, r, params, times)
         series = (columns["fidelity"], columns["concurrence"])
-        peak_f, peak_c = _refined_peaks(times, series, score_probes, 1e-9 * t_max)
+        peak_f, peak_c = _refined_peaks(
+            times, series, lambda t, which: _probe_scores(decomp, s, r, params, t, which), 1e-9 * t_max
+        )
         if extended or times[-1] not in (peak_f.t, peak_c.t):
             break
         extended = True

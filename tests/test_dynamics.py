@@ -73,6 +73,8 @@ def test_eigendecompose_rejects_bad_input():
         sc.eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         sc.eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        sc.eigendecompose(np.zeros((0, 0)))
 
 
 # ------------------------------------------------- mirror-symmetric split
@@ -218,6 +220,36 @@ def test_amplitude_series_matches_pointwise():
         assert series[k, 1] == pytest.approx(f_sr, abs=1e-12)
         expected_leak = 1.0 - abs(f_ss) ** 2 - abs(f_sr) ** 2
         assert leak[k] == pytest.approx(expected_leak, abs=1e-10)
+
+
+@pytest.mark.parametrize("chain", ["random8", "dh202"])
+def test_amplitude_derivatives_match_differences_of_propagate(chain):
+    rng = np.random.default_rng(41)
+    if chain == "random8":
+        decomp = sc.eigendecompose(sc.sector_hamiltonian(random_couplings(8, rng)))
+        s, r = 0, 7
+    else:
+        geo = dh_geometry(200)
+        J = sc.build_couplings(geo, sc.CouplingModel.power_law())
+        decomp = sc.eigendecompose(sc.sector_hamiltonian(J))
+        s, r = geo.sender_index, geo.receiver_index
+    t = np.concatenate(([0.0, 100.0], rng.uniform(0.0, 100.0, size=6)))
+    g, slope, curvature = dynamics._amplitude_derivatives(decomp, s, t, (s, r))
+    assert g.shape == slope.shape == curvature.shape == (t.size, 2)
+
+    def unshifted(times):
+        # g(t) = exp(i Ebar t) f(t), Ebar the spectral midpoint propagate takes phases from
+        midpoint = 0.5 * (decomp.eigenvalues[0] + decomp.eigenvalues[-1])
+        return sc.propagate(decomp, s, times, to=(s, r)) * np.exp(1j * midpoint * times)[:, None]
+
+    # fourth-order central differences
+    h = 2e-3
+    near = [unshifted(t + k * h) for k in (-2, -1, 0, 1, 2)]
+    d1 = (near[0] - 8.0 * near[1] + 8.0 * near[3] - near[4]) / (12.0 * h)
+    d2 = (-near[0] + 16.0 * near[1] - 30.0 * near[2] + 16.0 * near[3] - near[4]) / (12.0 * h * h)
+    assert np.max(np.abs(g - near[2])) <= 1e-12
+    assert np.max(np.abs(slope - d1)) <= 1e-6 * np.max(np.abs(slope))
+    assert np.max(np.abs(curvature - d2)) <= 1e-6 * np.max(np.abs(curvature))
 
 
 def test_amplitude_series_rejects_broken_decomposition():

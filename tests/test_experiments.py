@@ -8,28 +8,35 @@ import pytest
 import spinchannel as sc
 from spinchannel import experiments
 from spinchannel.experiments import _refined_peaks
-from support import dh_geometry, reference_amplitudes, two_site_model
+from support import dh_geometry, random_couplings, reference_amplitudes, two_site_model
 
 
 # ---------------------------------------------------------------- peak refinement
 
 
 def _refine_one(times, evaluator, tol_width):
-    """The refined peak of one series: evaluator maps an array of times to values."""
+    """The refined peak of one series: evaluator maps an array of times to
+    the rows value, slope and curvature."""
     times = np.asarray(times, dtype=float)
-    (peak,) = _refined_peaks(times, (evaluator(times),), lambda t, which: evaluator(t), tol_width)
+    (peak,) = _refined_peaks(times, (evaluator(times)[0],), lambda t, which: evaluator(t), tol_width)
     return peak
 
 
 def test_refine_peak_known_maximizer():
     # the one lobe's bracket is the grid neighbors (2.5, 3.8)
-    peak = _refine_one([2.5, 3.15, 3.8], lambda t: np.sin(t / 2.0) ** 2, 1e-6 * 3.8)
+    peak = _refine_one(
+        [2.5, 3.15, 3.8],
+        lambda t: (np.sin(t / 2.0) ** 2, 0.5 * np.sin(t), 0.5 * np.cos(t)),
+        1e-6 * 3.8,
+    )
     assert abs(peak.t - math.pi) <= 1e-5
     assert peak.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_refine_peak_constant_series_returns_midpoint():
-    peak = _refine_one([1.0, 2.5, 3.0], lambda t: np.full(t.shape, 0.25), 1e-6 * 3.0)
+    peak = _refine_one(
+        [1.0, 2.5, 3.0], lambda t: (np.full(t.shape, 0.25), np.zeros(t.shape), np.zeros(t.shape)), 1e-6 * 3.0
+    )
     assert peak.t == pytest.approx(2.0, abs=1e-6)
     assert peak.value == 0.25
 
@@ -42,8 +49,7 @@ def test_refine_peak_two_site_concurrence():
     params = sc.InitialStateParams()
 
     def concurrence_at(t):
-        f_ss, f_sr = sc.propagate(decomp, 0, t, to=(0, 1)).T
-        return sc.concurrence_closed_form(params, f_ss, f_sr)
+        return experiments._probe_scores(decomp, 0, 1, params, t, np.ones(t.shape, dtype=int))
 
     half_period = math.pi / (2.0 * 2.0 * J)  # T/2 with T = pi/(2J)
     times = [half_period - 0.4, half_period + 0.1, half_period + 0.4]
@@ -54,8 +60,30 @@ def test_refine_peak_two_site_concurrence():
 
 def test_refine_peak_rejects_bad_input():
     times, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0])
-    with pytest.raises(sc.NumericsError):
-        _refined_peaks(times, (values,), lambda t, which: np.full(t.shape, math.inf), 1e-6)
+    for bad in range(3):
+        scores = np.zeros((3, 1))
+        scores[bad] = math.inf
+        with pytest.raises(sc.NumericsError):
+            _refined_peaks(times, (values,), lambda t, which: scores, 1e-6)
+
+
+def test_probe_scores_slope_and_curvature_match_differences():
+    rng = np.random.default_rng(5)
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(random_couplings(8, rng)))
+    params = sc.InitialStateParams(theta=2.0, phi=0.3)
+    t = rng.uniform(0.5, 20.0, size=6)
+    h = 1e-3
+    for which in (0, 1):
+        pick = np.full(t.shape, which)
+        value, slope, curvature = experiments._probe_scores(decomp, 0, 7, params, t, pick)
+        far_below, below, above, far_above = (
+            experiments._probe_scores(decomp, 0, 7, params, t + k * h, pick)[0] for k in (-2, -1, 1, 2)
+        )
+        # fourth-order central differences
+        d1 = (far_below - 8.0 * below + 8.0 * above - far_above) / (12.0 * h)
+        d2 = (-far_below + 16.0 * below - 30.0 * value + 16.0 * above - far_above) / (12.0 * h * h)
+        assert np.max(np.abs(slope - d1)) <= 1e-6 * np.max(np.abs(slope))
+        assert np.max(np.abs(curvature - d2)) <= 1e-6 * np.max(np.abs(curvature))
 
 
 # ---------------------------------------------------------------- time_scan
@@ -116,10 +144,15 @@ def test_interior_peak_ulp_tie_goes_to_earliest_crest():
     # crests at t = 1 (height 1) and t = 3 (one ulp higher)
     higher = float(np.nextafter(1.0, 2.0))
 
-    def evaluator(t):
-        return np.where(t < 2.0, 1.0 - (t - 1.0) ** 2, higher - (t - 3.0) ** 2)
+    def scores(t):
+        first = t < 2.0
+        return (
+            np.where(first, 1.0 - (t - 1.0) ** 2, higher - (t - 3.0) ** 2),
+            np.where(first, -2.0 * (t - 1.0), -2.0 * (t - 3.0)),
+            np.full(t.shape, -2.0),
+        )
 
-    peak = _refine_one(np.linspace(0.0, 4.0, 41), evaluator, 1e-9)
+    peak = _refine_one(np.linspace(0.0, 4.0, 41), scores, 1e-9)
     assert peak.t == pytest.approx(1.0, abs=1e-6)
 
 
@@ -167,24 +200,67 @@ def test_time_scan_peaks_dominate_samples():
         assert result.peak_concurrence.value == pytest.approx(c_at, abs=1e-12)
 
 
-def test_propagate_calls_per_scan_do_not_grow_with_lobes(monkeypatch):
-    # the 14-site mirror chain has 48 refined lobes; each golden-section
-    # step probes all of them in one propagate call
+def _count_evaluations(monkeypatch):
+    """Record every propagate and derivative-helper call a time scan makes."""
     calls = []
-    real_propagate = experiments.propagate
+    for name in ("propagate", "_amplitude_derivatives"):
+        real = getattr(experiments, name)
 
-    def counting_propagate(*args, **kwargs):
-        calls.append(args)
-        return real_propagate(*args, **kwargs)
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "propagate", counting_propagate)
+        monkeypatch.setattr(experiments, name, counting)
+    return calls
+
+
+def test_propagate_calls_per_scan_do_not_grow_with_lobes(monkeypatch):
+    # the 14-site mirror chain has 48 refined lobes; each Newton step
+    # scores all of them in one derivative-helper call
+    calls = _count_evaluations(monkeypatch)
     result = sc.time_scan(
         sc.build_chain_geometry(14),
         sc.CouplingModel.mirror_periodic(lam=1.0),
         include_zz_diagonal=False,
     )
     assert not result.extended
-    assert len(calls) <= 40
+    assert len(calls) <= 32
+
+
+def test_refinement_steps_per_window_on_double_hole_chains(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    for n in range(6, 15):
+        calls.clear()
+        result = sc.time_scan(dh_geometry(n), sc.CouplingModel.power_law())
+        windows = 2 if result.extended else 1
+        assert calls.count("_amplitude_derivatives") <= 10 * windows, n
+
+
+def test_time_scan_peaks_are_local_maxima():
+    # a reported peak sits on a crest of its own series: no neighbor at
+    # +-h = 1e-3 grid steps is higher
+    model = sc.CouplingModel.power_law()
+    params = sc.InitialStateParams()
+    for n in range(9, 15):
+        geo = sc.build_chain_geometry(n)
+        result = sc.time_scan(geo, model)
+        decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model)))
+        s, r = geo.sender_index, geo.receiver_index
+        h = 1e-3 * (result.times[1] - result.times[0])
+        for peak, score in (
+            (result.peak_fidelity, lambda f_ss, f_sr: sc.transfer_fidelity(f_sr)),
+            (result.peak_concurrence, lambda f_ss, f_sr: sc.concurrence_closed_form(params, f_ss, f_sr)),
+        ):
+            around = score(*sc.propagate(decomp, s, peak.t + np.array([-h, 0.0, h]), to=(s, r)).T)
+            assert np.all(around[[0, 2]] <= around[1] + 1e-12), (n, peak)
+
+
+def test_time_scan_zero_theta_concurrence_stays_at_first_crest():
+    # theta = 0 sends no excitation: C is 0 everywhere, one flat lobe at
+    # times[1] that refinement leaves at its bracket midpoint
+    result = sc.time_scan(dh_geometry(6), sc.CouplingModel.power_law(), theta=0.0)
+    assert result.peak_concurrence.value == 0.0
+    assert result.peak_concurrence.t == result.times[1]
 
 
 def test_time_scan_sample_fields_are_consistent():
