@@ -6,10 +6,9 @@ quantity), and refines the best grid peaks by safeguarded Newton steps on
 the closed-form slope and curvature of each series.  The search runs every
 candidate lobe of the fidelity and of the concurrence in lockstep, so each
 of its steps is one phase-block evaluation over all probes, however many
-lobes there are.  A size scan repeats this over a range of
-chain sizes for complete and double-hole layouts and keeps only the peak
-data, which is the quantity that separates the two layouts as the chain
-grows.
+lobes there are.  A size scan repeats this over a range of chain sizes for
+complete and double-hole layouts and keeps only the peak data, which is the
+quantity that separates the two layouts as the chain grows.
 """
 
 from __future__ import annotations
@@ -121,15 +120,16 @@ def _refined_peaks(
     series is refined in lockstep by a safeguarded Newton iteration on
     [t_{k-1}, t_{k+1}]; ``evaluate(t, which)`` returns three rows, the value,
     slope and curvature of series which[i] at probe t[i], and is called once
-    per step.
-    A lobe starts at its bracket midpoint, and the sign of each slope moves
-    one end of its bracket to the probe.  The next probe is the Newton point
-    t - slope / curvature when the curvature is negative and that point lies
-    inside the bracket, else the bracket midpoint.  A lobe stops on a zero
-    slope (so a constant series stays at its midpoint), once its last step
-    or its bracket is within ``tol_width``, or after as many steps as
-    bisection alone needs to bring the widest bracket down to ``tol_width``.
-    Its refinement is its best probe, the later one on a tie.
+    per step.  A lobe starts at its bracket midpoint, and the sign of each
+    slope moves one end of its bracket to the probe.  The next probe is the
+    Newton point t - slope / curvature when the curvature is negative and
+    that point lies in the bracket (it may sit on an end when the crest is
+    there to rounding), else the bracket midpoint.  A lobe stops when its
+    next probe would be t itself (so a constant series stays at its
+    midpoint), once its last step or its bracket is within ``tol_width``,
+    or after as many steps as bisection alone needs to bring the widest
+    bracket down to ``tol_width``.  Its refinement is its best probe, the
+    later one on a tie.
 
     Per series, a grid point beats a worse refinement, and the last grid
     point joins the lobes as one more, unrefined, candidate, the only one
@@ -159,9 +159,9 @@ def _refined_peaks(
     refined_t, refined_v = np.empty(k.size), np.empty(k.size)
     # the lobe of each entry still refining; the arrays above hold only those
     lobe = np.arange(k.size)
-    probes = which
+    series_index = which
     for _ in range(1 + max(0, math.ceil(math.log2(float((b - a).max()) / tol_width)))):
-        scores = np.asarray(evaluate(t, probes))
+        scores = np.asarray(evaluate(t, series_index))
         finite = np.isfinite(scores).all(axis=0)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -172,14 +172,14 @@ def _refined_peaks(
         # the slope's sign tells which side of t the crest lies on
         a, b = np.where(slope > 0.0, t, a), np.where(slope < 0.0, t, b)
         newton = t - np.divide(slope, curvature, out=np.zeros_like(t), where=curvature < 0.0)
-        following = np.where((curvature < 0.0) & (a < newton) & (newton < b), newton, 0.5 * (a + b))
-        done = (slope == 0.0) | (step <= tol_width) | (b - a <= tol_width)
+        following = np.where((curvature < 0.0) & (a <= newton) & (newton <= b), newton, 0.5 * (a + b))
+        done = (following == t) | (step <= tol_width) | (b - a <= tol_width)
         step, t = np.abs(following - t), following
         if done.any():
             refined_t[lobe[done]], refined_v[lobe[done]] = best_t[done], best_v[done]
             keep = ~done
-            lobe, probes, a, b, t, step, best_t, best_v = (
-                x[keep] for x in (lobe, probes, a, b, t, step, best_t, best_v)
+            lobe, series_index, a, b, t, step, best_t, best_v = (
+                x[keep] for x in (lobe, series_index, a, b, t, step, best_t, best_v)
             )
             if not lobe.size:
                 break

@@ -236,6 +236,19 @@ def test_refinement_steps_per_window_on_double_hole_chains(monkeypatch):
         assert calls.count("_amplitude_derivatives") <= 10 * windows, n
 
 
+def test_refinement_stops_on_a_crest_at_its_bracket_end(monkeypatch):
+    # mirror chains reach F = 1 at pi / lam; once a probe lands there to
+    # rounding, the Newton point sits on the bracket end and ends the search
+    calls = _count_evaluations(monkeypatch)
+    for n in range(6, 12):
+        calls.clear()
+        result = sc.time_scan(
+            sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam=2.0), include_zz_diagonal=False
+        )
+        assert result.peak_fidelity.t == pytest.approx(math.pi / 2.0, abs=1e-9)
+        assert calls.count("_amplitude_derivatives") <= 4, n
+
+
 def test_time_scan_peaks_are_local_maxima():
     # a reported peak sits on a crest of its own series: no neighbor at
     # +-h = 1e-3 grid steps is higher
