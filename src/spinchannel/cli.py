@@ -365,18 +365,21 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     try:
         model = _coupling_model(config)
         geometry = _geometry(config) if config.mode in _CHAIN_MODES else None
-        couplings = None
-        if geometry is not None and (model.kind == "custom" or config.mode == "diagnostics"):
-            couplings = build_couplings(geometry, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # the loaded matrix is already checked; only its size against the chain is left
+    if geometry is not None and model.kind == "custom" and model.custom_matrix.shape[0] != geometry.n_sites:
+        size = model.custom_matrix.shape[0]
+        raise ConfigError(
+            f"custom coupling matrix is {size}x{size} but the geometry has {geometry.n_sites} sites"
+        )
 
     if config.mode == "time_scan":
         files, report = _time_scan_payload(config, model, geometry)
     elif config.mode == "size_scan":
         files, report = _size_scan_payload(config, model)
     else:
-        files, report = _diagnostics_payload(config, geometry, couplings)
+        files, report = _diagnostics_payload(config, geometry, build_couplings(geometry, model))
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

@@ -167,28 +167,31 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     ``t`` is a scalar or a 1-D grid; ``to`` is one site index, a sequence of
     indices, or None for every site.  The result has shape
     ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None), so a scalar
-    ``t`` and a single ``to`` give one complex number.  Apart from the
-    result, the only large array it builds is the grid-by-spectrum phase
-    block.
+    ``t`` and a single ``to`` give one complex number.
 
     Phases are taken from the spectral midpoint Ebar = (E_min + E_max) / 2:
-    the block holds exp(-i (E_j - Ebar) t) and the sum is multiplied by
+    the sum runs over exp(-i (E_j - Ebar) t) and is multiplied by
     exp(-i Ebar t).  A large common energy (such as the diagonal offset of
     a long chain) then stays out of the phase arguments, whose rounding
-    grows with their size; moduli depend only on the relative phases.  A
-    1-D arithmetic progression of times (an ``np.linspace`` grid) builds
-    the block from two ceil(sqrt(G))-row tables of ``exp`` instead of G
-    rows; any other ``t`` takes one ``exp`` per time and eigenvalue.
+    grows with their size; moduli depend only on the relative phases.
+
+    A 1-D arithmetic progression of G times (an ``np.linspace`` grid) takes
+    its phases from two tables of about sqrt(G) rows and is scored by one
+    complex GEMM per chunk of targets (``_progression_amplitudes``); the
+    G-by-n phase block is never built.  Besides the result, a few targets
+    T cost about 16 ((2 + T) sqrt(G) n + G T) bytes, and many targets are
+    chunked to stay within the 16 G n bytes of that block.  Any other ``t``
+    takes one ``exp`` per time and eigenvalue into a shape(t) + (n,) phase
+    block.
     """
     V = decomp.eigenvectors
     times = np.asarray(t, dtype=np.float64)
+    targets = V if to is None else V[np.asarray(to)]
     progression = _progression(times)
     if progression is None:
-        phases = _phase_block(decomp, from_index, times)
+        amplitudes = _phase_block(decomp, from_index, times) @ targets.T
     else:
-        phases = _progression_phases(decomp._rates, V[from_index], *progression)
-    targets = V if to is None else V[np.asarray(to)]
-    amplitudes = phases @ targets.T
+        amplitudes = _progression_amplitudes(decomp._rates, V[from_index], targets, *progression)
     shift = np.exp(-1j * decomp._midpoint * times)
     amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
@@ -235,22 +238,41 @@ def _progression(times: np.ndarray) -> tuple[float, float, int] | None:
     return t0, dt, count
 
 
-def _progression_phases(
-    rates: np.ndarray, weights: np.ndarray, t0: float, dt: float, count: int
+def _progression_amplitudes(
+    rates: np.ndarray, weights: np.ndarray, targets: np.ndarray, t0: float, dt: float, count: int
 ) -> np.ndarray:
-    """exp(rates (t0 + k dt)) * weights for k < count, as a count-by-n block.
+    """sum_j exp(rates_j (t0 + k dt)) weights_j targets[..., j] for k < count.
 
-    With k = a B + b and B = ceil(sqrt(count)), row k is the coarse row
-    exp(rates (t0 + a B dt)) times the fine row exp(rates b dt) * weights.
+    With k = a B + b and B = ceil(sqrt(count)), the phase of term j is the
+    coarse entry exp(rates_j (t0 + a B dt)) times the fine entry
+    exp(rates_j b dt).  Amplitude (a B + b, c) is then row a of the coarse
+    table (C x n, C = ceil(count / B)) times column (b, c) of the operand
+    fine[b, j] weights_j targets[c, j], so each chunk of targets is one
+    complex GEMM and the count-by-n phase block is never formed.  A chunk
+    holds at most C n / (n + C) targets (at least one), so its operand, n B
+    entries per target, and its GEMM product, C B per target, together stay
+    within the C B n entries that block would take.  The result has shape
+    (count,) + targets.shape[:-1].
     """
+    n = rates.size
     fine_rows = math.isqrt(count - 1) + 1
     coarse_rows = -(-count // fine_rows)
-    fine = np.exp(np.multiply.outer(dt * np.arange(fine_rows), rates))
-    fine *= weights
+    fine = np.exp(np.multiply.outer(rates, dt * np.arange(fine_rows)))
+    fine *= weights[:, None]
     coarse = np.exp(np.multiply.outer(t0 + (fine_rows * dt) * np.arange(coarse_rows), rates))
-    block = np.empty((coarse_rows, fine_rows, rates.size), dtype=np.complex128)
-    np.multiply(coarse[:, None, :], fine, out=block)
-    return block.reshape(coarse_rows * fine_rows, rates.size)[:count]
+    columns = targets.reshape(-1, n).T
+    width = columns.shape[1]
+    chunk = min(width, max(1, coarse_rows * n // (n + coarse_rows)))
+    operands = np.empty(n * fine_rows * chunk, dtype=np.complex128)
+    amplitudes = np.empty((count, width), dtype=np.complex128)
+    for lo in range(0, width, chunk):
+        part = columns[:, lo : lo + chunk]
+        size = part.shape[1]
+        operand = operands[: n * fine_rows * size].reshape(n, fine_rows, size)
+        np.multiply(fine[:, :, None], part[:, None, :], out=operand)
+        # one statement, so each chunk's GEMM product is freed before the next one is made
+        amplitudes[:, lo : lo + size] = (coarse @ operand.reshape(n, -1)).reshape(-1, size)[:count]
+    return amplitudes.reshape((count,) + targets.shape[:-1])
 
 
 def full_space_amplitude(decomp: SpectralDecomposition, from_site: int, to_site: int, t):

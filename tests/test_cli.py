@@ -263,6 +263,25 @@ def test_run_custom_coupling_file(tmp_path):
     assert "delta_eff = 1" in summary
 
 
+@pytest.mark.parametrize("mode", ["time_scan", "diagnostics"])
+def test_run_builds_a_custom_coupling_matrix_once(tmp_path, monkeypatch, mode):
+    calls = []
+    build = sc.model.build_couplings
+
+    def counting(geometry, model):
+        calls.append(model.kind)
+        return build(geometry, model)
+
+    for module in (sc.cli, sc.experiments):
+        monkeypatch.setattr(module, "build_couplings", counting)
+    (tmp_path / "j.txt").write_text("3\n0.0 1.0 0.5\n1.0 0.0 1.0\n0.5 1.0 0.0\n")
+    config = parse_config(
+        f"mode = {mode}\npositions = 3\ncoupling = custom\ncoupling_file = {tmp_path / 'j.txt'}\n"
+    )
+    run(config, out_dir=tmp_path, quiet=True)
+    assert calls == ["custom"]
+
+
 def test_run_cleans_up_partial_files(tmp_path):
     (tmp_path / "j.txt").write_text("2\n0.0 0.5\n0.5 0.0\n")
     config = parse_config(

@@ -1,6 +1,7 @@
 """Eigendecomposition and single-excitation time evolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,59 @@ def test_amplitude_series_matches_pointwise():
         assert leak[k] == pytest.approx(expected_leak, abs=1e-10)
 
 
+@pytest.fixture(scope="module")
+def scan_chains():
+    """A complete chain, a double-hole chain and the 202-position double-hole chain, whose
+    decomposition goes through the mirror split: (decomposition, sender, receiver)."""
+    chains = {}
+    for label, geo in (
+        ("complete10", sc.build_chain_geometry(10)),
+        ("dh10", dh_geometry(10)),
+        ("dh202", dh_geometry(200)),
+    ):
+        J = sc.build_couplings(geo, sc.CouplingModel.power_law())
+        chains[label] = (sc.eigendecompose(sc.sector_hamiltonian(J)), geo.sender_index, geo.receiver_index)
+    return chains
+
+
+@pytest.mark.parametrize("chain", ["complete10", "dh10", "dh202"])
+def test_progression_grid_matches_direct_phases(scan_chains, chain):
+    # G = 4 fills its last coarse row of B = ceil(sqrt(G)) fine rows, 3, 17,
+    # 2000 and 20001 leave it short, and 2 has a single coarse row
+    decomp, s, r = scan_chains[chain]
+    V = decomp.eigenvectors
+    for count in (2, 3, 4, 17, 2000, 20001):
+        times = np.linspace(2.5, 62.5, count)
+        # every row up to 2000 points, beyond that a sample plus the last coarse rows
+        rows = np.arange(count) if count <= 2000 else np.r_[0:count:41, count - 300 : count]
+        shift = np.exp(-1j * decomp._midpoint * times[rows])
+        for to in (r, (s, r), None):
+            if to is None and chain == "dh202" and count > 2000:
+                continue  # a 64 MB result; the chunked path is covered at 2000 points
+            targets = V if to is None else V[np.asarray(to)]
+            direct = dynamics._phase_block(decomp, s, times[rows]) @ targets.T
+            direct *= shift.reshape((-1,) + (1,) * (direct.ndim - 1))
+            grid = sc.propagate(decomp, s, times, to=to)
+            assert grid.shape == (count,) + targets.shape[:-1]
+            assert np.max(np.abs(grid[rows] - direct)) <= 1e-12, (count, to)
+
+
+def test_progression_grid_never_builds_the_phase_block():
+    # 400 spins on 20000 points: the grid-by-spectrum phase block alone would take 128 MB
+    geo = dh_geometry(400)
+    J = sc.build_couplings(geo, sc.CouplingModel.power_law())
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(J))
+    s, r = geo.sender_index, geo.receiver_index
+    times = np.linspace(0.0, 1e6, 20000)
+    tracemalloc.start()
+    try:
+        sc.propagate(decomp, s, times, to=(s, r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * times.size * decomp.n / 10
+
+
 @pytest.mark.parametrize("chain", ["random8", "dh202"])
 def test_amplitude_derivatives_match_differences_of_propagate(chain):
     rng = np.random.default_rng(41)
@@ -283,8 +337,8 @@ def test_mirror_chain_transfer_amplitude_matches_closed_form_at_1000_sites():
     shift=st.floats(-10.0, 10.0),
 )
 def test_propagation_invariants_on_random_couplings(n, seed, t_max, shift):
-    # a linspace grid and sorted irregular times, so both ways of building the
-    # phase block are checked.  The two eigh calls round |E| <~ 60 apart by
+    # a linspace grid and sorted irregular times, so both ways of scoring a
+    # grid are checked.  The two eigh calls round |E| <~ 60 apart by
     # ~eps |E|, which t turns into phase: t <= 5 keeps that below ~3e-13.
     rng = np.random.default_rng(seed)
     H = sc.sector_hamiltonian(random_couplings(n, rng)).matrix

@@ -1,6 +1,7 @@
 """Time scans, peak refinement, and size scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,19 @@ def test_time_scan_moduli_at_large_phase_on_1000_position_chain():
     reference = reference_amplitudes(decomp, s, result.times[every_37th], to=(s, r))
     for column, expected in ((result.f_ss, reference[:, 0]), (result.f_sr, reference[:, 1])):
         assert np.max(np.abs(np.abs(column[every_37th]) - np.abs(expected))) <= 2e-6
+
+
+def test_time_scan_fine_grid_memory_on_202_position_chain():
+    # 200000 grid points on 200 spins: a grid-by-spectrum phase block would take 640 MB
+    geo = dh_geometry(200)
+    tracemalloc.start()
+    try:
+        result = sc.time_scan(geo, sc.CouplingModel.power_law(), grid_points=200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.times.size == 200000
+    assert peak < 64e6
 
 
 def test_time_scan_theta_scales_concurrence():
