@@ -14,7 +14,6 @@ from .dynamics import (
 )
 from .experiments import (
     Peak,
-    SizeScanResult,
     SizeScanRow,
     TimeScanResult,
     size_scan,

@@ -23,6 +23,7 @@ from .metrics import InitialStateParams, leakage_bound, spectral_overlaps, struc
 from .model import (
     COUPLING_KINDS,
     CouplingModel,
+    _custom_couplings,
     build_chain_geometry,
     build_couplings,
     load_coupling_matrix,
@@ -231,7 +232,7 @@ def _generative_models(config: RunConfig) -> dict[str, CouplingModel]:
 
 def _coupling_model(config: RunConfig) -> CouplingModel:
     if config.coupling == "custom":
-        return CouplingModel.custom(load_coupling_matrix(config.coupling_file).entries)
+        return CouplingModel.custom(load_coupling_matrix(config.coupling_file))
     return _generative_models(config)[config.coupling]
 
 
@@ -311,7 +312,7 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
 
 
 def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tuple[str, str]], str]:
-    result = size_scan(
+    rows = size_scan(
         range(config.n_min, config.n_max + 1),
         model,
         include_zz_diagonal=config.zz,
@@ -324,10 +325,10 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
         "n_spins,configuration,max_concurrence,t_at_max,max_fidelity,t_at_max_f",
         (
             (row.n_spins, row.configuration, row.max_concurrence, row.t_at_max, row.max_fidelity, row.t_at_max_f)
-            for row in result.rows
+            for row in rows
         ),
     )
-    fields = [("mode", "size_scan"), ("rows", len(result.rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
+    fields = [("mode", "size_scan"), ("rows", len(rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
     return [(f"{config.out}.csv", csv_text)], _summary(fields)
 
 
@@ -365,14 +366,10 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     try:
         model = _coupling_model(config)
         geometry = _geometry(config) if config.mode in _CHAIN_MODES else None
+        if geometry is not None and model.kind == "custom":
+            _custom_couplings(geometry, model)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    # the loaded matrix is already checked; only its size against the chain is left
-    if geometry is not None and model.kind == "custom" and model.custom_matrix.shape[0] != geometry.n_sites:
-        size = model.custom_matrix.shape[0]
-        raise ConfigError(
-            f"custom coupling matrix is {size}x{size} but the geometry has {geometry.n_sites} sites"
-        )
 
     if config.mode == "time_scan":
         files, report = _time_scan_payload(config, model, geometry)

@@ -39,9 +39,9 @@ CONFIGURATIONS = ("complete", "double_hole")
 # fraction of the dominant-pair transfer period covered by the default window
 _WINDOW_PERIODS = 1.5
 
-# grid peaks this close to the global grid maximum are all refined before the
-# winner is chosen, so near-ties are resolved by refined values, not by which
-# lobe the grid happened to sample closer to its top
+# grid peaks within this fraction of the series' grid maximum are all refined
+# before the winner is chosen, so near-ties are resolved by refined values, not
+# by which lobe the grid happened to sample closer to its top
 _PEAK_TIE_BAND = 1e-3
 
 # refined crests within this many eps * max(1, |value|) of each other tie, and
@@ -97,15 +97,6 @@ class SizeScanRow:
     max_fidelity: float
     t_at_max_f: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.max_concurrence <= 1.0 and 0.0 <= self.max_fidelity <= 1.0):
-            raise ValueError("peak values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SizeScanResult:
-    rows: tuple[SizeScanRow, ...]
-
 
 def _refined_peaks(
     times: np.ndarray,
@@ -115,9 +106,10 @@ def _refined_peaks(
 ) -> list[Peak]:
     """The refined peak of each grid series, all lobes searched at once.
 
-    A lobe is an interior local maximum within _PEAK_TIE_BAND of its
-    series' grid maximum; a flat run counts once.  Every lobe of every
-    series is refined in lockstep by a safeguarded Newton iteration on
+    A lobe is an interior local maximum of at least (1 - _PEAK_TIE_BAND)
+    times its series' grid maximum, a band relative to the peak since F and
+    C lie in [0, 1]; a flat run counts once.  Every lobe of every series is
+    refined in lockstep by a safeguarded Newton iteration on
     [t_{k-1}, t_{k+1}]; ``evaluate(t, which)`` returns three rows, the value,
     slope and curvature of series which[i] at probe t[i], and is called once
     per step.  A lobe starts at its bracket midpoint, and the sign of each
@@ -128,22 +120,21 @@ def _refined_peaks(
     next probe would be t itself (so a constant series stays at its
     midpoint), once its last step or its bracket is within ``tol_width``,
     or after as many steps as bisection alone needs to bring the widest
-    bracket down to ``tol_width``.  Its refinement is its best probe, the
-    later one on a tie.
+    bracket down to ``tol_width``.  Its best starts at its grid point, and
+    every probe that is no worse replaces it.
 
-    Per series, a grid point beats a worse refinement, and the last grid
-    point joins the lobes as one more, unrefined, candidate, the only one
-    at times[-1].  The earliest candidate within _REFINED_TIE_ULPS * eps *
-    max(1, |v|) of the best value v wins, so crests equal up to rounding go
-    to the earliest lobe, and the edge wins only by more than that band.
+    Per series, the last grid point joins the lobes as one more, unrefined,
+    candidate, the only one at times[-1].  The earliest candidate within
+    _REFINED_TIE_ULPS * eps * max(1, |v|) of the best value v wins, so crests
+    equal up to rounding go to the earliest lobe, and the edge wins only by
+    more than that band.
     """
     last = len(times) - 1
     lobes = []
     for values in series:
-        vmax = float(values.max())
-        tie_cut = vmax - _PEAK_TIE_BAND * max(1.0, abs(vmax))
+        floor = float(values.max()) * (1.0 - _PEAK_TIE_BAND)
         inner = values[1:last]
-        crest = (inner >= values[: last - 1]) & (inner >= values[2:]) & (inner >= tie_cut)
+        crest = (inner >= values[: last - 1]) & (inner >= values[2:]) & (inner >= floor)
         # a flat run of equal values is one lobe, kept at its first crest
         crest[1:] &= ~crest[:-1] | (inner[1:] != inner[:-1])
         lobes.append(np.flatnonzero(crest) + 1)
@@ -155,7 +146,7 @@ def _refined_peaks(
     a, b = times[k - 1], times[k + 1]
     t = 0.5 * (a + b)
     step = np.full(k.size, np.inf)
-    best_t, best_v = t, np.full(k.size, -np.inf)
+    best_t, best_v = times[k], np.concatenate([values[crests] for values, crests in zip(series, lobes)])
     refined_t, refined_v = np.empty(k.size), np.empty(k.size)
     # the lobe of each entry still refining; the arrays above hold only those
     lobe = np.arange(k.size)
@@ -184,10 +175,6 @@ def _refined_peaks(
             if not lobe.size:
                 break
     refined_t[lobe], refined_v[lobe] = best_t, best_v
-    # a grid point beats a worse refinement
-    grid_v = np.concatenate([values[crests] for values, crests in zip(series, lobes)])
-    refined_t = np.where(refined_v < grid_v, times[k], refined_t)
-    refined_v = np.maximum(refined_v, grid_v)
 
     peaks = []
     for i, values in enumerate(series):
@@ -278,8 +265,8 @@ def time_scan(
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2 (got {grid_points})")
-    if t_max is not None and not (t_max > 0.0):
-        raise ValueError(f"t_max must be > 0 (got {t_max})")
+    if t_max is not None and not (0.0 < t_max < math.inf):
+        raise ValueError(f"t_max must be > 0 and finite (got {t_max})")
 
     couplings = build_couplings(geometry, model)
     decomp = eigendecompose(sector_hamiltonian(couplings, include_zz_diagonal))
@@ -347,10 +334,11 @@ def size_scan(
     theta: float = math.pi,
     phi: float = 0.0,
     grid_points: int = DEFAULT_GRID_POINTS,
-) -> SizeScanResult:
-    """Peak concurrence and fidelity versus chain size, one row per layout.
+) -> tuple[SizeScanRow, ...]:
+    """Peak concurrence and fidelity versus chain size, as a tuple of rows.
 
-    n counts occupied spins in both layouts; the double-hole layout places
+    One row per size and layout, by size, then in CONFIGURATIONS order.  n
+    counts occupied spins in both layouts; the double-hole layout places
     them on a lattice span of n + 2 so sender and receiver sit at the ends
     with one hole inside each end of the chain.
     """
@@ -388,4 +376,4 @@ def size_scan(
                     t_at_max_f=result.peak_fidelity.t,
                 )
             )
-    return SizeScanResult(tuple(rows))
+    return tuple(rows)

@@ -151,10 +151,10 @@ def leaked_weight(f_ss, f_sr):
     """Gamma^2(t) from its complement, 1 - |f_ss|^2 - |f_sr|^2; elementwise on arrays.
 
     The raw value must land in [-1e-10, 1 + 1e-10] before it is clipped to
-    [0, 1]; anything further out signals a broken decomposition.
+    [0, 1]; anything further out, NaN included, signals a broken decomposition.
     """
     leak = 1.0 - np.abs(f_ss) ** 2 - np.abs(f_sr) ** 2
-    if np.any(leak < -1e-10) or np.any(leak > 1.0 + 1e-10):
+    if not np.all((leak >= -1e-10) & (leak <= 1.0 + 1e-10)):
         worst = np.ravel(leak)[np.argmax(np.maximum(-leak, leak - 1.0))]
         raise NumericsError(f"leaked weight out of range (worst value {float(worst)!r})")
     return np.clip(leak, 0.0, 1.0)

@@ -88,8 +88,6 @@ def build_chain_geometry(
     """
     if receiver_pos is None:
         receiver_pos = span
-    if span < 2:
-        raise ValueError(f"span must be >= 2 (got {span})")
     if not (1 <= sender_pos < receiver_pos <= span):
         raise ValueError(
             f"need 1 <= sender < receiver <= span "
@@ -114,6 +112,9 @@ class CouplingModel:
     kind = "power_law":       J_ij = strength_c / (spacing_a * |p_i - p_j|)**nu
     kind = "mirror_periodic": J_{i,i+1} = (lam / 2) * sqrt(i (N - i)), else 0
     kind = "custom":          entries taken verbatim from ``custom_matrix``
+
+    A custom model holds a CouplingMatrix, checked here once if an array is
+    given.  Parameters are tested as ``not x > 0``, so NaN fails too.
     """
 
     kind: str
@@ -121,24 +122,26 @@ class CouplingModel:
     strength_c: float = 1.0
     spacing_a: float = 1.0
     lam: float = 2.0
-    custom_matrix: np.ndarray | None = field(default=None, repr=False)
+    custom_matrix: CouplingMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in COUPLING_KINDS:
             raise ValueError(f"unknown coupling kind {self.kind!r}; expected one of {COUPLING_KINDS}")
         if self.kind == "power_law":
-            if self.nu <= 0:
+            if not self.nu > 0:
                 raise ValueError(f"nu must be > 0 (got {self.nu})")
-            if self.strength_c <= 0:
+            if not self.strength_c > 0:
                 raise ValueError(f"strength_c must be > 0 (got {self.strength_c})")
-            if self.spacing_a <= 0:
+            if not self.spacing_a > 0:
                 raise ValueError(f"spacing_a must be > 0 (got {self.spacing_a})")
         elif self.kind == "mirror_periodic":
-            if self.lam <= 0:
+            if not self.lam > 0:
                 raise ValueError(f"lam must be > 0 (got {self.lam})")
         elif self.kind == "custom":
             if self.custom_matrix is None:
                 raise ValueError("custom coupling model needs a custom_matrix")
+            if not isinstance(self.custom_matrix, CouplingMatrix):
+                object.__setattr__(self, "custom_matrix", CouplingMatrix(self.custom_matrix))
 
     @classmethod
     def power_law(cls, nu: float = 3.0, strength_c: float = 1.0, spacing_a: float = 1.0) -> "CouplingModel":
@@ -149,8 +152,8 @@ class CouplingModel:
         return cls(kind="mirror_periodic", lam=lam)
 
     @classmethod
-    def custom(cls, matrix: np.ndarray) -> "CouplingModel":
-        return cls(kind="custom", custom_matrix=np.asarray(matrix, dtype=np.float64))
+    def custom(cls, matrix: np.ndarray | CouplingMatrix) -> "CouplingModel":
+        return cls(kind="custom", custom_matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,8 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     This mirror-symmetric modulation makes the hopping spectrum exactly
     linear, so the chain transfers a state perfectly at t = pi / lam.
 
-    custom: the entries as they are, one row per site of the geometry.
+    custom: the model's own CouplingMatrix, checked when the model was made;
+    only its size against the geometry is checked here.
     """
     if model.kind == "power_law":
         pos = np.asarray(geometry.positions)
@@ -204,13 +208,15 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
         entries[np.arange(n - 1), np.arange(1, n)] = profile
         entries[np.arange(1, n), np.arange(n - 1)] = profile
         return CouplingMatrix(entries)
-    matrix = CouplingMatrix(model.custom_matrix)
-    if matrix.n_sites != geometry.n_sites:
-        raise ValueError(
-            f"custom coupling matrix is {matrix.n_sites}x{matrix.n_sites} "
-            f"but the geometry has {geometry.n_sites} sites"
-        )
-    return matrix
+    return _custom_couplings(geometry, model)
+
+
+def _custom_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
+    """A custom model's matrix, which must have one row per site of the geometry."""
+    n = model.custom_matrix.n_sites
+    if n != geometry.n_sites:
+        raise ValueError(f"custom coupling matrix is {n}x{n} but the geometry has {geometry.n_sites} sites")
+    return model.custom_matrix
 
 
 def load_coupling_matrix(path: str | Path) -> CouplingMatrix:

@@ -29,6 +29,19 @@ def geometry_matrix() -> list[tuple[str, sc.ChainGeometry, sc.CouplingModel]]:
     return cases
 
 
+def count_certifications(monkeypatch) -> list:
+    """Record every CouplingMatrix whose entries get checked from now on."""
+    certified = []
+    check = sc.CouplingMatrix.__post_init__
+
+    def counting(self):
+        certified.append(self)
+        check(self)
+
+    monkeypatch.setattr(sc.CouplingMatrix, "__post_init__", counting)
+    return certified
+
+
 def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     raw = rng.normal(size=(n, n))
     return 0.5 * (raw + raw.T)

@@ -32,7 +32,7 @@ def dh10_scan():
 def size_rows():
     result = sc.size_scan(range(6, 15), _DIPOLAR)
     by_config = {"complete": {}, "double_hole": {}}
-    for row in result.rows:
+    for row in result:
         by_config[row.configuration][row.n_spins] = row.max_concurrence
     return by_config
 

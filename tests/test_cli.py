@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ from hypothesis import strategies as st
 
 import spinchannel as sc
 from spinchannel.cli import MODES, ConfigError, RunConfig, main, parse_config, run
+from support import count_certifications
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------- parsing
@@ -282,6 +289,17 @@ def test_run_builds_a_custom_coupling_matrix_once(tmp_path, monkeypatch, mode):
     assert calls == ["custom"]
 
 
+@pytest.mark.parametrize("mode", ["time_scan", "diagnostics"])
+def test_run_certifies_a_custom_coupling_matrix_once(tmp_path, monkeypatch, mode):
+    certified = count_certifications(monkeypatch)
+    (tmp_path / "j.txt").write_text("3\n0.0 1.0 0.5\n1.0 0.0 1.0\n0.5 1.0 0.0\n")
+    config = parse_config(
+        f"mode = {mode}\npositions = 3\ncoupling = custom\ncoupling_file = {tmp_path / 'j.txt'}\n"
+    )
+    run(config, out_dir=tmp_path, quiet=True)
+    assert len(certified) == 1
+
+
 def test_run_cleans_up_partial_files(tmp_path):
     (tmp_path / "j.txt").write_text("2\n0.0 0.5\n0.5 0.0\n")
     config = parse_config(
@@ -394,6 +412,9 @@ _SIZE = "mode = size_scan\nn_min = 4\nn_max = 6\n"
         # the test writes j.txt as a 3x3 matrix, which does not fit 4 sites
         (_TIME + "coupling = custom\ncoupling_file = j.txt\n", ("3x3", "4 sites")),
         ("mode = diagnostics\npositions = 4\ncoupling = custom\ncoupling_file = j.txt\n", ("3x3", "4 sites")),
+        (_TIME + "nu = abc\n", ("line 3", "nu", "real number")),
+        (_TIME + "= 3\n", ("line 3", "missing key")),
+        ("mode = diagnostics\n", ("diagnostics", "requires the key 'positions'")),
     ],
 )
 def test_main_rejects_config_with_exit_2(tmp_path, capsys, text, fragments):
@@ -419,6 +440,35 @@ def test_main_rejects_undecodable_config_with_exit_2(tmp_path, capsys):
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "results").exists()
+
+
+def _module_main(tmp_path, text):
+    """Run ``python -m spinchannel.cli`` on a config holding text."""
+    (tmp_path / "run.conf").write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "spinchannel.cli", "run.conf", "--out", "results", "--quiet"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_module_entry_point_runs_the_readme_example(tmp_path):
+    done = _module_main(tmp_path, "mode = time_scan\npositions = 12\ndh = true\nout = bench\n")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["bench.csv", "bench_summary.txt"]
+
+
+def test_module_entry_point_rejects_a_bad_config_with_exit_2(tmp_path):
+    done = _module_main(tmp_path, "mode = time_scan\npositions = 4\nfoo = 1\n")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("config error:")
+    assert done.stderr.count("\n") == 1
+    assert "unknown key 'foo'" in done.stderr
 
 
 def test_main_numerical_failure(tmp_path, capsys):

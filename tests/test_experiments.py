@@ -9,7 +9,7 @@ import pytest
 import spinchannel as sc
 from spinchannel import experiments
 from spinchannel.experiments import _refined_peaks
-from support import dh_geometry, random_couplings, reference_amplitudes, two_site_model
+from support import count_certifications, dh_geometry, random_couplings, reference_amplitudes, two_site_model
 
 
 # ---------------------------------------------------------------- peak refinement
@@ -216,16 +216,19 @@ def _count_evaluations(monkeypatch):
 
 
 def test_propagate_calls_per_scan_do_not_grow_with_lobes(monkeypatch):
-    # the 14-site mirror chain has 48 refined lobes; each Newton step
-    # scores all of them in one derivative-helper call
+    # each Newton step scores all lobes in one derivative-helper call; over
+    # 40 pi the 14-site mirror chain has 28 lobes of F and C within the band
     calls = _count_evaluations(monkeypatch)
-    result = sc.time_scan(
-        sc.build_chain_geometry(14),
-        sc.CouplingModel.mirror_periodic(lam=1.0),
-        include_zz_diagonal=False,
-    )
-    assert not result.extended
-    assert len(calls) <= 32
+    for t_max, bound in ((None, 32), (40.0 * math.pi, 8)):
+        calls.clear()
+        result = sc.time_scan(
+            sc.build_chain_geometry(14),
+            sc.CouplingModel.mirror_periodic(lam=1.0),
+            include_zz_diagonal=False,
+            t_max=t_max,
+        )
+        assert not result.extended
+        assert len(calls) <= bound, t_max
 
 
 def test_refinement_steps_per_window_on_double_hole_chains(monkeypatch):
@@ -241,7 +244,7 @@ def test_refinement_stops_on_a_crest_at_its_bracket_end(monkeypatch):
     # mirror chains reach F = 1 at pi / lam; once a probe lands there to
     # rounding, the Newton point sits on the bracket end and ends the search
     calls = _count_evaluations(monkeypatch)
-    for n in range(6, 12):
+    for n in range(6, 15):
         calls.clear()
         result = sc.time_scan(
             sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam=2.0), include_zz_diagonal=False
@@ -391,6 +394,21 @@ def test_time_scan_validates_arguments():
         sc.time_scan(geo, two_site_model(1.0), theta=4.0)
 
 
+def test_time_scan_rejects_an_infinite_window():
+    with pytest.raises(ValueError, match="finite"):
+        sc.time_scan(sc.build_chain_geometry(2), two_site_model(1.0), t_max=math.inf)
+
+
+def test_time_scan_certifies_no_custom_matrix(monkeypatch):
+    # a custom model holds a checked CouplingMatrix, so scanning it again
+    # and again builds none
+    model = sc.CouplingModel.custom(random_couplings(6, np.random.default_rng(3)).entries)
+    certified = count_certifications(monkeypatch)
+    for _ in range(3):
+        sc.time_scan(sc.build_chain_geometry(6), model)
+    assert certified == []
+
+
 def test_time_scan_degenerate_gap_needs_explicit_window():
     geo = sc.build_chain_geometry(2)
     zero = sc.CouplingModel.custom(np.zeros((2, 2)))
@@ -406,24 +424,24 @@ def test_time_scan_degenerate_gap_needs_explicit_window():
 
 def test_size_scan_row_layout():
     result = sc.size_scan(range(6, 13), sc.CouplingModel.power_law())
-    assert len(result.rows) == 14
-    assert [row.n_spins for row in result.rows[:4]] == [6, 6, 7, 7]
-    assert [row.configuration for row in result.rows[:2]] == ["complete", "double_hole"]
-    for row in result.rows:
+    assert len(result) == 14
+    assert [row.n_spins for row in result[:4]] == [6, 6, 7, 7]
+    assert [row.configuration for row in result[:2]] == ["complete", "double_hole"]
+    for row in result:
         assert 0.0 <= row.max_concurrence <= 1.0
         assert 0.0 <= row.max_fidelity <= 1.0
 
 
 def test_size_scan_two_site_complete_is_exact():
     result = sc.size_scan([2], sc.CouplingModel.power_law(), configurations=("complete",))
-    row = result.rows[0]
+    row = result[0]
     assert row.max_concurrence == pytest.approx(1.0, abs=1e-9)
     assert row.max_fidelity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_size_scan_dh_beats_complete():
     result = sc.size_scan(range(6, 11), sc.CouplingModel.power_law())
-    by_key = {(row.n_spins, row.configuration): row for row in result.rows}
+    by_key = {(row.n_spins, row.configuration): row for row in result}
     for n in range(6, 11):
         assert (
             by_key[(n, "double_hole")].max_concurrence

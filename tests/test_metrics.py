@@ -125,6 +125,9 @@ def test_concurrence_rejects_oversized_amplitudes():
     params = sc.InitialStateParams()
     with pytest.raises(ValueError):
         sc.concurrence_closed_form(params, 1.2, 1.0)
+    # each modulus within 1, but 2 |f_ss| |f_sr| = 1.125 is not a concurrence
+    with pytest.raises(ValueError, match="concurrence value"):
+        sc.concurrence_closed_form(params, 0.75, 0.75)
 
 
 def test_wootters_oracle_bell_state():
@@ -147,6 +150,20 @@ def test_wootters_oracle_rejects_unnormalized_input():
     amps[0] = 0.9
     with pytest.raises(ValueError):
         sc.wootters_concurrence_oracle(params, amps, 0, 2)
+
+
+@pytest.mark.parametrize(
+    ("amps", "sender", "receiver", "fragment"),
+    [
+        (np.eye(2, dtype=complex), 0, 1, "flat vector"),
+        (np.ones(1, dtype=complex), 0, 1, "at least 2 sites"),
+        (np.array([1.0, 0.0, 0.0], dtype=complex), 1, 1, "must differ"),
+        (np.array([1.0, 0.0, 0.0], dtype=complex), 0, 3, "receiver_index=3 out of range"),
+    ],
+)
+def test_wootters_oracle_rejects_bad_input(amps, sender, receiver, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        sc.wootters_concurrence_oracle(sc.InitialStateParams(), amps, sender, receiver)
 
 
 def test_wootters_oracle_agrees_with_closed_form():
@@ -195,6 +212,12 @@ def test_dispersion_complement_identity():
         assert direct == pytest.approx(complement, abs=1e-10)
 
 
+def test_leaked_weight_rejects_nan_amplitudes():
+    # every comparison with NaN is false, so NaN must count as out of range
+    with pytest.raises(sc.NumericsError, match="nan"):
+        sc.leaked_weight(np.array([0.5, math.nan]), np.array([0.5, 0.5]))
+
+
 def test_dispersion_complete_positive_and_above_dh():
     # at its own concurrence peak, the complete chain leaks a strictly
     # positive weight into the channel while the double-hole chain stays low
@@ -229,6 +252,15 @@ def test_spectral_overlaps_normalization():
     assert np.sum(overlaps.gamma_sq) == pytest.approx(overlaps.n - 2, abs=1e-10)
     assert np.sum(overlaps.sigma**2) == pytest.approx(1.0, abs=1e-10)
     assert np.sum(overlaps.rho**2) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    ("sender", "receiver", "fragment"), [(0, 2, "receiver_index=2 out of range"), (1, 1, "must differ")]
+)
+def test_spectral_overlaps_rejects_bad_indices(sender, receiver, fragment):
+    decomp = _decomp_for(sc.build_chain_geometry(2), two_site_model(1.0))
+    with pytest.raises(ValueError, match=fragment):
+        sc.spectral_overlaps(decomp, sender, receiver)
 
 
 def test_spectral_overlaps_type_rejects_inconsistent_weights():

@@ -61,6 +61,10 @@ def test_geometry_type_rejects_inconsistent_sites():
         sc.ChainGeometry((1, 3), 2, 3)
     with pytest.raises(ValueError):
         sc.ChainGeometry((1, 3), 3, 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        sc.ChainGeometry((1,), 1, 1)
+    with pytest.raises(ValueError, match="1-based"):
+        sc.ChainGeometry((0, 1), 0, 1)
 
 
 # ---------------------------------------------------------------- couplings
@@ -117,6 +121,8 @@ def test_coupling_model_validation():
         sc.CouplingModel.power_law(nu=-1.0)
     with pytest.raises(ValueError):
         sc.CouplingModel.power_law(strength_c=0.0)
+    with pytest.raises(ValueError, match="spacing_a"):
+        sc.CouplingModel.power_law(spacing_a=0.0)
     with pytest.raises(ValueError):
         sc.CouplingModel.mirror_periodic(lam=0.0)
     with pytest.raises(ValueError):
@@ -125,7 +131,32 @@ def test_coupling_model_validation():
         sc.CouplingModel(kind="nonsense")
 
 
+@pytest.mark.parametrize(
+    ("kind", "name"),
+    [("power_law", "nu"), ("power_law", "strength_c"), ("power_law", "spacing_a"), ("mirror_periodic", "lam")],
+)
+def test_coupling_model_rejects_nan_parameters(kind, name):
+    # NaN fails at construction with the parameter's own message, not later
+    # as a non-finite coupling matrix
+    with pytest.raises(ValueError, match=f"{name} must be > 0"):
+        getattr(sc.CouplingModel, kind)(**{name: math.nan})
+
+
+def test_custom_model_holds_its_checked_matrix():
+    entries = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = sc.CouplingModel.custom(entries)
+    assert isinstance(model.custom_matrix, sc.CouplingMatrix)
+    # the matrix a model holds is the one every build returns
+    assert sc.build_couplings(sc.build_chain_geometry(2), model) is model.custom_matrix
+    matrix = sc.CouplingMatrix(entries)
+    assert sc.CouplingModel.custom(matrix).custom_matrix is matrix
+    with pytest.raises(ValueError, match="symmetric"):
+        sc.CouplingModel.custom(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
 def test_coupling_matrix_validation():
+    with pytest.raises(ValueError, match="square"):
+        sc.CouplingMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sc.CouplingMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -273,6 +304,9 @@ def test_load_coupling_matrix_rejects_bad_files(tmp_path):
         "not_a_number": "2\n0.0 x\nx 0.0\n",
         "too_small": "1\n0.0\n",
         "empty": "\n",
+        "infinite_entry": "2\n0.0 inf\ninf 0.0\n",
+        "nan_entry": "2\n0.0 nan\nnan 0.0\n",
+        "two_token_header": "2 2\n0.0 1.0\n1.0 0.0\n",
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.txt"
