@@ -5,7 +5,8 @@ Usage: spinchannel <config-path> [--out <dir>] [--quiet]
 The configuration is a flat key=value text file ('#' starts a comment).
 Depending on ``mode`` the run writes a time-scan CSV plus a summary block,
 a size-scan CSV, or a per-eigenvector diagnostics table.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure or out of memory.
+0 success, 2 configuration error (any input the CLI or the library
+rejects), 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dynamics import NumericsError, eigendecompose
 from .experiments import CONFIGURATIONS, DEFAULT_GRID_POINTS, size_scan, time_scan
-from .metrics import InitialStateParams, leakage_bound, spectral_overlaps, structure_residuals
+from .metrics import leakage_bound, spectral_overlaps, structure_residuals
 from .model import (
     COUPLING_KINDS,
     CouplingModel,
-    _custom_couplings,
     build_chain_geometry,
     build_couplings,
     load_coupling_matrix,
@@ -42,7 +44,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description with all defaults applied."""
+    """Parsed run description with all defaults applied; ``run`` has the library check its values."""
 
     mode: str
     coupling: str = "power_law"
@@ -163,10 +165,12 @@ def _parse_value(key: str, line_no: int, value: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a key=value configuration document.
+    """Parse a key=value configuration document.
 
-    Domain constraints (couplings, Bloch angles, chain layout) are checked by
-    the library constructors; their ValueError is re-raised as ConfigError.
+    Checks the syntax, the keys and the rules that name CLI keys alone
+    (coupling_file iff custom, a bare out, the n_min..n_max range).  Every
+    other value (couplings, Bloch angles, chain layout, grid, window) is
+    checked by the library when ``run`` builds from it.
     """
     pairs = _read_pairs(text)
     if "mode" not in pairs:
@@ -193,53 +197,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("mode size_scan requires the keys 'n_min' and 'n_max'")
     config = RunConfig(**values)
 
-    # constraints that only the CLI has, or that a scan checks only when it runs
+    # constraints that only the CLI has
     if config.coupling == "custom" and config.coupling_file is None:
         raise ConfigError("coupling_file is required when coupling = custom")
     if config.coupling != "custom" and config.coupling_file is not None:
         raise ConfigError("coupling_file only applies when coupling = custom")
-    if config.coupling == "custom" and mode == "size_scan":
-        raise ConfigError("size_scan cannot use a custom coupling matrix")
     if "/" in config.out or "\\" in config.out:
         raise ConfigError(f"out must be a bare file stem without path separators (got {config.out!r})")
-    if config.grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2 (got {config.grid_points})")
-    if config.t_max is not None and config.t_max <= 0.0:
-        raise ConfigError(f"t_max must be > 0 (got {_text(config.t_max)})")
     if mode == "size_scan" and config.n_min < 2:
         raise ConfigError(f"n_min must be >= 2 (got {config.n_min})")
     if mode == "size_scan" and config.n_max < config.n_min:
         raise ConfigError(f"n_max must be >= n_min (got n_min={config.n_min}, n_max={config.n_max})")
-
-    # both generative models are built whatever `coupling` is, so every value is checked
-    try:
-        _generative_models(config)
-        InitialStateParams(theta=config.theta, phi=config.phi)
-        if mode in _CHAIN_MODES:
-            _geometry(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return config
-
-
-def _generative_models(config: RunConfig) -> dict[str, CouplingModel]:
-    """The power-law and mirror-periodic models the config's values describe."""
-    return {
-        "power_law": CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a),
-        "mirror_periodic": CouplingModel.mirror_periodic(lam=config.lam),
-    }
-
-
-def _coupling_model(config: RunConfig) -> CouplingModel:
-    if config.coupling == "custom":
-        return CouplingModel.custom(load_coupling_matrix(config.coupling_file))
-    return _generative_models(config)[config.coupling]
-
-
-def _geometry(config: RunConfig):
-    return build_chain_geometry(
-        config.positions, config.sender, config.receiver, double_hole=config.dh
-    )
 
 
 def _text(value) -> str:
@@ -302,7 +271,7 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
         fields.append(("dominant_pair", f"{pair[0] + 1},{pair[1] + 1}"))
         fields.append(("dominant_pair_mass", result.dominant_pair_mass))
     fields.append(("gamma_m", result.gamma_m))
-    fields.append(("dispersion_bound", result.n_sites * result.gamma_m))
+    fields.append(("dispersion_bound", result.dispersion_bound))
     fields.append(("t_max", result.t_max))
     fields.append(("window_extended", result.extended))
     summary_text = _summary(fields)
@@ -355,28 +324,33 @@ def _diagnostics_payload(config: RunConfig, geometry, couplings) -> tuple[list[t
 
 
 def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> list[Path]:
-    """Execute a validated configuration and write its output files.
+    """Execute a parsed configuration and write its output files.
 
-    Everything is computed before anything is written, so a numerical
-    failure leaves no files behind; an I/O failure mid-write removes the
-    files already written.
+    The library checks each value as this builds the models, the geometry
+    and the scan; its ValueError, or an OSError reading a coupling file, is
+    re-raised as ConfigError.  Everything is computed before anything is
+    written, so a rejected input or a numerical failure leaves no files
+    behind; an I/O failure mid-write removes the files already written.
     """
-    # materialization problems (bad custom matrix, inconsistent geometry, a
-    # custom matrix whose size is not the chain's) count as configuration errors
     try:
-        model = _coupling_model(config)
-        geometry = _geometry(config) if config.mode in _CHAIN_MODES else None
-        if geometry is not None and model.kind == "custom":
-            _custom_couplings(geometry, model)
+        # both generative models are built whatever `coupling` is, so every value is checked
+        models = {
+            "power_law": CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a),
+            "mirror_periodic": CouplingModel.mirror_periodic(lam=config.lam),
+        }
+        if config.mode in _CHAIN_MODES:
+            geometry = build_chain_geometry(config.positions, config.sender, config.receiver, double_hole=config.dh)
+        if config.coupling == "custom":
+            models["custom"] = CouplingModel.custom(load_coupling_matrix(config.coupling_file))
+        model = models[config.coupling]
+        if config.mode == "time_scan":
+            files, report = _time_scan_payload(config, model, geometry)
+        elif config.mode == "size_scan":
+            files, report = _size_scan_payload(config, model)
+        else:
+            files, report = _diagnostics_payload(config, geometry, build_couplings(geometry, model))
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    if config.mode == "time_scan":
-        files, report = _time_scan_payload(config, model, geometry)
-    elif config.mode == "size_scan":
-        files, report = _size_scan_payload(config, model)
-    else:
-        files, report = _diagnostics_payload(config, geometry, build_couplings(geometry, model))
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -422,14 +396,17 @@ def main(argv: list[str] | None = None) -> int:
         if config.coupling_file is not None:
             # relative to the config file; joining keeps an absolute path as it is
             config = dataclasses.replace(config, coupling_file=str(config_path.parent / config.coupling_file))
-        run(config, out_dir=args.out, quiet=args.quiet)
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+        # the library's finiteness checks judge an overflow; NumPy need not warn of it
+        with np.errstate(all="ignore"):
+            run(config, out_dir=args.out, quiet=args.quiet)
+    except (ValueError, OSError) as exc:
+        # ConfigError, UnicodeDecodeError and every value the library rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"numerical failure: out of memory {exc}".rstrip(), file=sys.stderr)
         return 3
-    except (NumericsError, ValueError, ArithmeticError) as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

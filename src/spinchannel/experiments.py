@@ -63,7 +63,8 @@ class TimeScanResult:
 
     The grid is held as read-only columns, one entry per instant: times, the
     amplitudes f_ss and f_sr, the fidelity, averaged fidelity, concurrence
-    and dispersion (the leaked weight 1 - |f_ss|^2 - |f_sr|^2).
+    and dispersion (the leaked weight 1 - |f_ss|^2 - |f_sr|^2), which never
+    exceeds dispersion_bound = n_sites * gamma_m.
 
     delta_eff, dominant_pair and dominant_pair_mass are None when the
     dominant spectral pair is degenerate (possible only when the scan window
@@ -86,6 +87,7 @@ class TimeScanResult:
     dominant_pair: tuple[int, int] | None
     dominant_pair_mass: float | None
     gamma_m: float
+    dispersion_bound: float
 
 
 @dataclass(frozen=True)
@@ -267,15 +269,14 @@ def time_scan(
         raise ValueError(f"grid_points must be >= 2 (got {grid_points})")
     if t_max is not None and not (0.0 < t_max < math.inf):
         raise ValueError(f"t_max must be > 0 and finite (got {t_max})")
+    params = InitialStateParams(theta=theta, phi=phi)
 
     couplings = build_couplings(geometry, model)
     decomp = eigendecompose(sector_hamiltonian(couplings, include_zz_diagonal))
     s = geometry.sender_index
     r = geometry.receiver_index
-    params = InitialStateParams(theta=theta, phi=phi)
-
     overlaps = spectral_overlaps(decomp, s, r)
-    gamma_m, _bound = leakage_bound(overlaps)
+    gamma_m, dispersion_bound = leakage_bound(overlaps)
     delta_eff: float | None
     dominant_pair: tuple[int, int] | None
     dominant_pair_mass: float | None
@@ -316,6 +317,7 @@ def time_scan(
         dominant_pair=dominant_pair,
         dominant_pair_mass=dominant_pair_mass,
         gamma_m=gamma_m,
+        dispersion_bound=dispersion_bound,
     )
 
 
@@ -340,10 +342,12 @@ def size_scan(
     One row per size and layout, by size, then in CONFIGURATIONS order.  n
     counts occupied spins in both layouts; the double-hole layout places
     them on a lattice span of n + 2 so sender and receiver sit at the ends
-    with one hole inside each end of the chain.
+    with one hole inside each end of the chain.  The model must be
+    generative and every size at least 2, both checked before any scan;
+    time_scan checks theta, phi and grid_points at the first scan.
     """
     if model.kind == "custom":
-        raise ValueError("size scans need a generative coupling model, not a custom matrix")
+        raise ValueError("size_scan cannot use a custom coupling matrix")
     chosen = set(configurations)
     unknown = chosen - set(CONFIGURATIONS)
     if unknown:
@@ -351,11 +355,12 @@ def size_scan(
     if not chosen:
         raise ValueError("configurations must not be empty")
     ordered = [c for c in CONFIGURATIONS if c in chosen]
-    rows = []
-    for n in n_values:
-        n = int(n)
+    sizes = [int(n) for n in n_values]
+    for n in sizes:
         if n < 2:
             raise ValueError(f"every scanned size must be >= 2 (got {n})")
+    rows = []
+    for n in sizes:
         for configuration in ordered:
             geometry = _layout_geometry(n, configuration)
             result = time_scan(

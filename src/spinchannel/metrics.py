@@ -206,7 +206,11 @@ class SpectralOverlaps:
 def spectral_overlaps(
     decomp: SpectralDecomposition, sender_index: int, receiver_index: int
 ) -> SpectralOverlaps:
-    """Project each eigenvector on sender, receiver, and the channel sites."""
+    """Project each eigenvector on sender, receiver, and the channel sites.
+
+    The weights of an orthonormal decomposition always sum as SpectralOverlaps
+    requires, so a sum that fails is a NumericsError, not a rejected input.
+    """
     n = decomp.n
     for label, idx in (("sender_index", sender_index), ("receiver_index", receiver_index)):
         if not (0 <= idx < n):
@@ -220,7 +224,10 @@ def spectral_overlaps(
     mask[sender_index] = False
     mask[receiver_index] = False
     gamma_sq = np.sum(V[mask] ** 2, axis=0)
-    return SpectralOverlaps(sigma, rho, gamma_sq)
+    try:
+        return SpectralOverlaps(sigma, rho, gamma_sq)
+    except ValueError as exc:
+        raise NumericsError(f"eigenvectors are not orthonormal: {exc}") from exc
 
 
 def leakage_bound(overlaps: SpectralOverlaps) -> tuple[float, float]:

@@ -208,11 +208,6 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
         entries[np.arange(n - 1), np.arange(1, n)] = profile
         entries[np.arange(1, n), np.arange(n - 1)] = profile
         return CouplingMatrix(entries)
-    return _custom_couplings(geometry, model)
-
-
-def _custom_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
-    """A custom model's matrix, which must have one row per site of the geometry."""
     n = model.custom_matrix.n_sites
     if n != geometry.n_sites:
         raise ValueError(f"custom coupling matrix is {n}x{n} but the geometry has {geometry.n_sites} sites")

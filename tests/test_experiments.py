@@ -303,6 +303,8 @@ def test_time_scan_sample_fields_are_consistent():
         )
         total = abs(f_ss) ** 2 + abs(f_sr) ** 2 + result.dispersion[k]
         assert total == pytest.approx(1.0, abs=1e-10)
+        assert result.dispersion[k] <= result.dispersion_bound + 1e-12
+    assert result.dispersion_bound == result.n_sites * result.gamma_m
 
 
 def test_time_scan_dispersion_column_on_long_double_hole_chain():
@@ -394,6 +396,20 @@ def test_time_scan_validates_arguments():
         sc.time_scan(geo, two_site_model(1.0), theta=4.0)
 
 
+def test_time_scan_checks_theta_before_diagonalizing(monkeypatch):
+    calls = []
+    decompose = experiments.eigendecompose
+
+    def counting(hamiltonian):
+        calls.append(hamiltonian)
+        return decompose(hamiltonian)
+
+    monkeypatch.setattr(experiments, "eigendecompose", counting)
+    with pytest.raises(ValueError, match="theta"):
+        sc.time_scan(sc.build_chain_geometry(4), sc.CouplingModel.power_law(), theta=9.0)
+    assert calls == []
+
+
 def test_time_scan_rejects_an_infinite_window():
     with pytest.raises(ValueError, match="finite"):
         sc.time_scan(sc.build_chain_geometry(2), two_site_model(1.0), t_max=math.inf)
@@ -456,5 +472,19 @@ def test_size_scan_validates_input():
         sc.size_scan([4], sc.CouplingModel.power_law(), configurations=("ring",))
     with pytest.raises(ValueError):
         sc.size_scan([4], sc.CouplingModel.power_law(), configurations=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="size_scan cannot use a custom coupling matrix"):
         sc.size_scan([4], sc.CouplingModel.custom(np.zeros((4, 4))))
+
+
+def test_size_scan_checks_every_size_before_scanning(monkeypatch):
+    calls = []
+    scan = experiments.time_scan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "time_scan", counting)
+    with pytest.raises(ValueError, match=r"every scanned size must be >= 2 \(got 1\)"):
+        sc.size_scan([6, 1], sc.CouplingModel.power_law())
+    assert calls == []

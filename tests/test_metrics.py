@@ -268,6 +268,14 @@ def test_spectral_overlaps_type_rejects_inconsistent_weights():
         sc.SpectralOverlaps(np.array([1.0, 0.5]), np.array([0.0, 0.5]), np.array([0.0, 0.0]))
 
 
+def test_spectral_overlaps_of_non_orthonormal_vectors_is_a_numerical_failure():
+    # the weights of orthonormal columns always sum right, so a failed sum is
+    # a broken decomposition, not a rejected input
+    broken = sc.SpectralDecomposition(np.zeros(3), np.ones((3, 3)))
+    with pytest.raises(sc.NumericsError, match="not orthonormal"):
+        sc.spectral_overlaps(broken, 0, 2)
+
+
 def test_leakage_bound_two_sites():
     geo = sc.build_chain_geometry(2)
     overlaps = sc.spectral_overlaps(_decomp_for(geo, two_site_model(0.5)), 0, 1)
