@@ -29,6 +29,11 @@ MIRROR_SPLIT_MIN_SITES = 64
 # sector_hamiltonian leaves at most ~0.86 of them on mirror-symmetric chains
 _MIRROR_TOLERANCE_EPS = 16.0
 
+# rows per panel of the passes over whole matrices (the entry checks here, the
+# power-law coupling build in model), so each pass makes panel-sized
+# temporaries, not n x n ones
+_PANEL_ROWS = 64
+
 # a 1-D time array within this many eps * max|t| of t0 + k dt is a progression;
 # np.linspace grids are exact except for their last point, within one
 _PROGRESSION_ULPS = 4.0
@@ -38,9 +43,17 @@ class NumericsError(RuntimeError):
     """A numerical routine failed or produced an inconsistent result."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
+
+    ``SpectralDecomposition(eigenvalues, eigenvectors)`` holds V as given.
+    A decomposition that ``eigendecompose`` split by mirror symmetry holds
+    only the first ceil(n/2) rows of V and a sign per column, -1 for the
+    columns that are odd under the site reversal: row n-1-i is row i times
+    those signs.  ``propagate`` and ``spectral_overlaps`` read the rows they
+    need through ``_rows`` and ``_channel_weight``, and ``eigenvectors``
+    assembles V on first access.
 
     ``propagate`` takes its phases from the spectral midpoint
     (E_min + E_max) / 2, so the midpoint and the rates -i (E - midpoint) are
@@ -48,26 +61,78 @@ class SpectralDecomposition:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    _midpoint: float = field(init=False, repr=False, compare=False)
-    _rates: np.ndarray = field(init=False, repr=False, compare=False)
+    _vectors: np.ndarray | None = field(repr=False)
+    _half: np.ndarray | None = field(repr=False)
+    _signs: np.ndarray | None = field(repr=False)
+    _midpoint: float = field(repr=False)
+    _rates: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        eigenvectors = np.asarray(self.eigenvectors, dtype=np.float64)
-        eigenvalues.setflags(write=False)
-        eigenvectors.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
+    def __init__(self, eigenvalues, eigenvectors) -> None:
+        self._hold(eigenvalues, np.asarray(eigenvectors, dtype=np.float64), None, None)
+
+    @classmethod
+    def _mirrored(cls, eigenvalues: np.ndarray, half: np.ndarray, signs: np.ndarray) -> SpectralDecomposition:
+        """The decomposition whose V has rows ``half`` and, below them, row n-1-i = half[i] * signs."""
+        decomp = cls.__new__(cls)
+        decomp._hold(eigenvalues, None, half, signs)
+        return decomp
+
+    def _hold(self, eigenvalues, vectors, half, signs) -> None:
+        eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         midpoint = 0.5 * (eigenvalues.min() + eigenvalues.max()) if eigenvalues.size else 0.0
         rates = -1j * (eigenvalues - midpoint)
-        rates.setflags(write=False)
-        object.__setattr__(self, "_midpoint", float(midpoint))
-        object.__setattr__(self, "_rates", rates)
+        for array in (eigenvalues, vectors, half, signs, rates):
+            if array is not None:
+                array.setflags(write=False)
+        # frozen: the fields are set once, here, past the dataclass's __setattr__
+        self.__dict__.update(
+            eigenvalues=eigenvalues, _vectors=vectors, _half=half, _signs=signs,
+            _midpoint=float(midpoint), _rates=rates,
+        )
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """V, one eigenvector per column; a split decomposition assembles it on first access."""
+        if self._vectors is None:
+            half = self._half
+            rows = self.n // 2
+            vectors = np.empty((self.n, self.n))
+            vectors[: half.shape[0]] = half
+            np.multiply(half[:rows][::-1], self._signs, out=vectors[half.shape[0] :])
+            vectors.setflags(write=False)
+            self.__dict__["_vectors"] = vectors
+        return self._vectors
+
+    def _rows(self, index) -> np.ndarray:
+        """V[index] for a site index or an integer array of them, without assembling V."""
+        if self._half is None:
+            return self._vectors[index]
+        sites = np.arange(self.n)[index]
+        folded = np.minimum(sites, self.n - 1 - sites)
+        rows = self._half[folded]
+        return np.where((sites != folded)[..., None], rows * self._signs, rows)
+
+    def _channel_weight(self, excluded: tuple[int, int]) -> np.ndarray:
+        """sum_i V[i, j]^2 over every site i but the ``excluded`` ones, per column j.
+
+        A split decomposition sums the half rows, each weighted by how many
+        of its two mirror sites (one for the middle row) are not excluded.
+        """
+        if self._half is None:
+            mask = np.ones(self.n, dtype=bool)
+            for site in excluded:
+                mask[site] = False
+            return np.sum(self._vectors[mask] ** 2, axis=0)
+        weights = np.full(self._half.shape[0], 2.0)
+        if self.n % 2:
+            weights[-1] = 1.0
+        for site in excluded:
+            weights[min(site, self.n - 1 - site)] -= 1.0
+        return np.einsum("i,ij,ij->j", weights, self._half, self._half)
 
 
 def eigendecompose(hamiltonian) -> SpectralDecomposition:
@@ -83,53 +148,73 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     even and odd blocks under that reversal: two half-size ``eigh`` calls,
     about a quarter of the work.  The result is the same decomposition, with
     every eigenvector exactly even or odd, so two states of opposite parity
-    cannot mix however close their energies are.
+    cannot mix however close their energies are; it holds half of V, and
+    builds the rest only when ``eigenvectors`` is read.
     """
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix has non-finite entries")
-    if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12:
+    if not _symmetric_within(matrix, 1e-12):
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric")
     try:
         if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES and _is_mirror_symmetric(matrix):
-            eigenvalues, eigenvectors = _mirror_eigh(matrix)
-        else:
-            eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+            return _mirror_eigh(matrix)
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from None
     _fix_signs(eigenvectors)
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
+def _symmetric_within(matrix: np.ndarray, tolerance: float) -> bool:
+    """Whether every |M[i, k] - M[k, i]| <= tolerance; False when an entry is NaN or infinite.
+
+    Each panel of rows from the diagonal on is compared with the matching
+    panel of columns, so every entry is read and a non-finite one leaves a
+    NaN or infinite difference that fails the test; no warning is raised.
+    """
+    n = matrix.shape[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, _PANEL_ROWS):
+            hi = min(lo + _PANEL_ROWS, n)
+            if not np.abs(matrix[lo:hi, lo:] - matrix[lo:, lo:hi].T).max() <= tolerance:
+                return False
+    return True
+
+
 def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
     """max|H - P H P| <= _MIRROR_TOLERANCE_EPS * eps * max|H|, P the site reversal.
 
-    Entry (i, k) pairs with (n-1-i, n-1-k), and one of the two always lies in
-    the first ceil(n/2) rows, so those rows cover every pair.
+    H is symmetric, so (P H P)[i, k] = H[n-1-i, n-1-k] = H[n-1-k, n-1-i],
+    and H - P H P has the entries of A - A^T for A = H P, H with its columns
+    reversed: the test is A's symmetry test.
     """
-    rows = matrix.shape[0] - matrix.shape[0] // 2
     scale = max(float(matrix.max()), -float(matrix.min()))
-    tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
-    return np.abs(matrix[:rows] - matrix[::-1, ::-1][:rows]).max(initial=0.0) <= tolerance
+    return _symmetric_within(matrix[:, ::-1], _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale)
 
 
-def _mirror_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mirror_eigh(matrix: np.ndarray) -> SpectralDecomposition:
     """``eigh`` of a mirror-symmetric matrix through its even and odd blocks.
 
     With m = n // 2 and i, k < m the blocks are H[i, k] +- H[i, n-1-k]; for
     odd n the middle site joins the even block with couplings sqrt(2) H[i, m].
     An even-block eigenvector (u, c) is (u, c, Pu) / sqrt(2) on the chain
     with the middle entry c unscaled, an odd one (u, -Pu) / sqrt(2), where Pu
-    is u in reverse order.  Eigenvalues are merged by a stable sort.
+    is u in reverse order.  Eigenvalues are merged by a stable sort, which
+    keeps each block's columns in their own order.  The decomposition holds
+    the first ceil(n/2) rows of V and the sign of each column under the
+    reversal; a column's entries below those rows repeat theirs up to that
+    sign, so its first largest-magnitude entry lies among them and
+    ``_fix_signs`` needs only them.
     """
     n = matrix.shape[0]
     m = n // 2
     near = matrix[:m, :m]
     far = matrix[:m, ::-1][:, :m]
     even = np.empty((n - m, n - m))
-    even[:m, :m] = near + far
+    np.add(near, far, out=even[:m, :m])
     if n % 2:
         even[:m, m] = even[m, :m] = np.sqrt(2.0) * matrix[:m, m]
         even[m, m] = matrix[m, m]
@@ -138,16 +223,16 @@ def _mirror_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     eigenvalues = np.concatenate((even_values, odd_values))
     order = np.argsort(eigenvalues, kind="stable")
-    half = np.concatenate((even_vectors[:m], odd_vectors), axis=1)[:, order]
-    half *= np.sqrt(0.5)
-    eigenvectors = np.empty((n, n))
-    eigenvectors[:m] = half
+    odd = order >= n - m
+    half = np.empty((n - m, n))
+    half[:m, ~odd] = even_vectors[:m]
+    half[:m, odd] = odd_vectors
+    half[:m] *= np.sqrt(0.5)
     if n % 2:
-        eigenvectors[m] = np.concatenate((even_vectors[m], np.zeros(m)))[order]
-    # odd columns change sign under the reversal
-    np.negative(half, out=half, where=order >= n - m)
-    eigenvectors[n - m :] = half[::-1]
-    return eigenvalues[order], eigenvectors
+        half[m, ~odd] = even_vectors[m]
+        half[m, odd] = 0.0
+    _fix_signs(half)
+    return SpectralDecomposition._mirrored(eigenvalues[order], half, np.where(odd, -1.0, 1.0))
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -184,14 +269,13 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     takes one ``exp`` per time and eigenvalue into a shape(t) + (n,) phase
     block.
     """
-    V = decomp.eigenvectors
     times = np.asarray(t, dtype=np.float64)
-    targets = V if to is None else V[np.asarray(to)]
+    targets = decomp.eigenvectors if to is None else decomp._rows(np.asarray(to))
     progression = _progression(times)
     if progression is None:
         amplitudes = _phase_block(decomp, from_index, times) @ targets.T
     else:
-        amplitudes = _progression_amplitudes(decomp._rates, V[from_index], targets, *progression)
+        amplitudes = _progression_amplitudes(decomp._rates, decomp._rows(from_index), targets, *progression)
     shift = np.exp(-1j * decomp._midpoint * times)
     amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
@@ -201,7 +285,7 @@ def _phase_block(decomp: SpectralDecomposition, from_index: int, times: np.ndarr
     """exp(-i (E_j - Ebar) t) V[from, j], one ``exp`` per time and eigenvalue: a shape(t) + (n,) block."""
     phases = np.multiply.outer(times, decomp._rates)
     np.exp(phases, out=phases)
-    phases *= decomp.eigenvectors[from_index]
+    phases *= decomp._rows(from_index)
     return phases
 
 
@@ -216,7 +300,7 @@ def _amplitude_derivatives(decomp: SpectralDecomposition, from_index: int, t, to
     (3, len(t), len(to)).
     """
     times = np.asarray(t, dtype=np.float64)
-    targets = decomp.eigenvectors[np.asarray(to)].T
+    targets = decomp._rows(np.asarray(to)).T
     powers = decomp._rates[:, None] ** np.arange(3)
     columns = (powers[:, :, None] * targets[:, None, :]).reshape(targets.shape[0], -1)
     series = _phase_block(decomp, from_index, times) @ columns

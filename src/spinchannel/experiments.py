@@ -343,8 +343,9 @@ def size_scan(
     counts occupied spins in both layouts; the double-hole layout places
     them on a lattice span of n + 2 so sender and receiver sit at the ends
     with one hole inside each end of the chain.  The model must be
-    generative and every size at least 2, both checked before any scan;
-    time_scan checks theta, phi and grid_points at the first scan.
+    generative and the sizes a non-empty list of sizes of at least 2, all
+    checked before any scan; time_scan checks theta, phi and grid_points at
+    the first scan.
     """
     if model.kind == "custom":
         raise ValueError("size_scan cannot use a custom coupling matrix")
@@ -356,6 +357,8 @@ def size_scan(
         raise ValueError("configurations must not be empty")
     ordered = [c for c in CONFIGURATIONS if c in chosen]
     sizes = [int(n) for n in n_values]
+    if not sizes:
+        raise ValueError("n_values must not be empty")
     for n in sizes:
         if n < 2:
             raise ValueError(f"every scanned size must be >= 2 (got {n})")

@@ -217,13 +217,9 @@ def spectral_overlaps(
             raise ValueError(f"{label}={idx} out of range for {n} sites")
     if sender_index == receiver_index:
         raise ValueError("sender and receiver indices must differ")
-    V = decomp.eigenvectors
-    sigma = V[sender_index].copy()
-    rho = V[receiver_index].copy()
-    mask = np.ones(n, dtype=bool)
-    mask[sender_index] = False
-    mask[receiver_index] = False
-    gamma_sq = np.sum(V[mask] ** 2, axis=0)
+    sigma = np.array(decomp._rows(sender_index))
+    rho = np.array(decomp._rows(receiver_index))
+    gamma_sq = decomp._channel_weight((sender_index, receiver_index))
     try:
         return SpectralOverlaps(sigma, rho, gamma_sq)
     except ValueError as exc:

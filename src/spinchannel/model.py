@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import _PANEL_ROWS, _symmetric_within
+
 # Full-space construction is exponential in the number of sites; past this
 # size the 2^N x 2^N matrix is no longer a practical cross-check (at the cap
 # the dense matrix takes 128 MiB, at 14 sites it would take 2 GiB).
@@ -166,9 +168,9 @@ class CouplingMatrix:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"coupling matrix must be square (got shape {entries.shape})")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("coupling matrix has non-finite entries")
-        if not np.array_equal(entries, entries.T):
+        if not _symmetric_within(entries, 0.0):
+            if not np.isfinite(entries).all():
+                raise ValueError("coupling matrix has non-finite entries")
             raise ValueError("coupling matrix must be exactly symmetric")
         if np.any(np.diagonal(entries) != 0.0):
             raise ValueError("coupling matrix diagonal must be exactly zero")
@@ -184,8 +186,9 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     """Build the coupling matrix for a geometry under the given model.
 
     power_law: J_ij = C / (a d_ij)**nu with d_ij the lattice distance between
-    sites.  The power is taken once per distance d = 1..span-1 and gathered
-    by the integer distance matrix; distance 0 (the diagonal) maps to 0.
+    sites.  The power is taken once per distance d = 1..span-1, distance 0
+    (the diagonal) maps to 0, and J is gathered from that table a panel of
+    rows at a time, so no n x n distance matrix is built.
 
     mirror_periodic: J_{i,i+1} = (lam/2) sqrt(i (N - i)), i = 1..N-1, else 0.
     This mirror-symmetric modulation makes the hopping spectrum exactly
@@ -196,10 +199,12 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     """
     if model.kind == "power_law":
         pos = np.asarray(geometry.positions)
-        dist = np.abs(pos[:, None] - pos[None, :])
         d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
         table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
-        return CouplingMatrix(table[dist])
+        entries = np.empty((pos.size, pos.size))
+        for lo in range(0, pos.size, _PANEL_ROWS):
+            entries[lo : lo + _PANEL_ROWS] = table[np.abs(pos[lo : lo + _PANEL_ROWS, None] - pos)]
+        return CouplingMatrix(entries)
     if model.kind == "mirror_periodic":
         n = geometry.n_sites
         i = np.arange(1, n, dtype=np.float64)
@@ -286,12 +291,20 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     one-excitation block of the full matrix equals this matrix.  Measured
     from the vacuum the diagonal would be 2 sum_{j != n} J_nj.  Without the
     S^z S^z part the sector matrix is the bare hopping matrix of an XY chain.
+    Couplings whose sums overflow the diagonal are a ValueError.
     """
     J = couplings.entries
     matrix = J.copy()
     if include_zz_diagonal:
-        row_sums = J.sum(axis=1)
-        np.fill_diagonal(matrix, 2.0 * row_sums - 0.5 * row_sums.sum())
+        # finite couplings can still sum past the float range; the check below judges that
+        with np.errstate(over="ignore", invalid="ignore"):
+            row_sums = J.sum(axis=1)
+            diagonal = 2.0 * row_sums - 0.5 * row_sums.sum()
+        if not np.isfinite(diagonal).all():
+            raise ValueError(
+                "the couplings' row sums overflow: the diagonal 2 sum_j J_nj - sum_{i<j} J_ij is not finite"
+            )
+        np.fill_diagonal(matrix, diagonal)
     return SectorHamiltonian(matrix)
 
 

@@ -503,6 +503,22 @@ def test_main_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "time_scan.csv").exists()
 
 
+def test_main_rejects_overflowing_coupling_file_with_exit_2(tmp_path, capsys):
+    # every entry is finite, but each row of 19 sums past the float range
+    rows = [" ".join("0" if i == k else "1e307" for k in range(20)) for i in range(20)]
+    (tmp_path / "huge.txt").write_text("20\n" + "\n".join(rows) + "\n")
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("mode = diagnostics\npositions = 20\ncoupling = custom\ncoupling_file = huge.txt\n")
+    assert main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: the couplings' row sums overflow: "
+        "the diagonal 2 sum_j J_nj - sum_{i<j} J_ij is not finite\n"
+    )
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB for an array")])
 def test_main_maps_memory_error_to_exit_3(tmp_path, capsys, monkeypatch, error):
     def exhausted(*args, **kwargs):

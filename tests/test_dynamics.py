@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,38 @@ def test_eigendecompose_rejects_bad_input():
         sc.eigendecompose(np.zeros((0, 0)))
 
 
+_NON_FINITE = [(value, site) for value in (np.inf, -np.inf, np.nan) for site in ("upper", "lower", "diagonal")]
+
+
+@pytest.mark.parametrize("n", [5, 130])
+@pytest.mark.parametrize(
+    ("defect", "site", "message"),
+    [(value, site, "non-finite entries") for value, site in _NON_FINITE]
+    + [(2e-12, "upper", "not symmetric"), (2e-12, "lower", "not symmetric")],
+)
+def test_eigendecompose_rejects_one_bad_entry_without_a_warning(n, defect, site, message):
+    # 130 rows span three panels of the entry check, and the entry sits in the last one
+    H = random_symmetric(n, np.random.default_rng(n))
+    i, k = {"upper": (n - 3, n - 1), "lower": (n - 1, n - 3), "diagonal": (n - 1, n - 1)}[site]
+    if message == "not symmetric":
+        H[i, k] += defect
+    else:
+        H[i, k] = defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            sc.eigendecompose(H)
+
+
+def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
+    H = np.zeros((70, 70))
+    H[69, 2], H[2, 69] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symmetric"):
+            sc.eigendecompose(H)
+
+
 # ------------------------------------------------- mirror-symmetric split
 
 
@@ -150,6 +183,107 @@ def test_mirror_split_keeps_dominant_pair_mirror_symmetric():
     _delta, pair, _mass = sc.two_qubit_effective(decomp, overlaps)
     for j in pair:
         assert abs(overlaps.sigma[j] ** 2 - overlaps.rho[j] ** 2) <= 1e-12
+
+
+# mirror chains that take the split path: both layouts, even and odd n, and a mirror-periodic chain
+_SPLIT_CHAINS = {
+    "complete64": (64, "complete"),
+    "complete65": (65, "complete"),
+    "complete101": (101, "complete"),
+    "dh66": (66, "dh"),
+    "dh67": (67, "dh"),
+    "dh101": (101, "dh"),
+    "dh202": (202, "dh"),
+    "mirror99": (99, "mirror"),
+}
+
+
+@pytest.fixture(scope="module")
+def split_chains():
+    """(geometry, sector matrix, decomposition) of each chain in _SPLIT_CHAINS."""
+    chains = {}
+    for label, (span, layout) in _SPLIT_CHAINS.items():
+        geo = sc.build_chain_geometry(span, 1, span, double_hole=layout == "dh")
+        model = sc.CouplingModel.mirror_periodic() if layout == "mirror" else sc.CouplingModel.power_law()
+        H = sc.sector_hamiltonian(sc.build_couplings(geo, model), layout != "mirror").matrix
+        chains[label] = (geo, H, sc.eigendecompose(H))
+    return chains
+
+
+@pytest.mark.parametrize("label", list(_SPLIT_CHAINS))
+def test_split_eigenvectors_reconstruct_the_matrix(split_chains, label):
+    _geo, H, decomp = split_chains[label]
+    assert decomp._half is not None
+    _assert_same_decomposition_as_dense(H, decomp)
+
+
+@pytest.mark.parametrize("label", list(_SPLIT_CHAINS))
+def test_split_eigenvectors_are_even_or_odd_with_a_positive_anchor(split_chains, label):
+    _geo, _H, decomp = split_chains[label]
+    V = decomp.eigenvectors
+    n = decomp.n
+    even = np.all(V[::-1] == V, axis=0)
+    odd = np.all(V[::-1] == -V, axis=0)
+    assert np.all(even ^ odd)
+    # the first entry of largest magnitude is positive
+    anchors = np.argmax(np.abs(V), axis=0)
+    assert np.all(V[anchors, np.arange(n)] > 0.0)
+
+
+@pytest.mark.parametrize("label", list(_SPLIT_CHAINS))
+def test_split_rows_equal_the_assembled_eigenvectors(split_chains, label):
+    geo, H, _decomp = split_chains[label]
+    decomp = sc.eigendecompose(H)
+    n = decomp.n
+    s, r = geo.sender_index, geo.receiver_index
+    indices = [0, 1, n // 2, (n - 1) // 2, n - 2, n - 1, -1, -n, np.array([s, r]), np.array([[r, 3], [n // 2, s]])]
+    rows = [decomp._rows(index) for index in indices]
+    assert decomp._vectors is None  # rows are served without assembling V
+    V = decomp.eigenvectors
+    for index, row in zip(indices, rows):
+        assert np.array_equal(row, V[index]) and np.array_equal(np.signbit(row), np.signbit(V[index]))
+    with pytest.raises(IndexError):
+        decomp._rows(n)
+
+    # so propagate reads the same numbers from a split decomposition as from its V
+    eager = sc.SpectralDecomposition(decomp.eigenvalues, V)
+    times = np.linspace(0.0, 50.0, 30)
+    assert np.array_equal(sc.propagate(decomp, s, times, to=(s, r)), sc.propagate(eager, s, times, to=(s, r)))
+    irregular = times[[3, 1, 7]]
+    assert np.array_equal(sc.propagate(decomp, s, irregular, to=r), sc.propagate(eager, s, irregular, to=r))
+    assert np.array_equal(
+        dynamics._amplitude_derivatives(decomp, s, times[:5], (s, r)),
+        dynamics._amplitude_derivatives(eager, s, times[:5], (s, r)),
+    )
+
+
+@pytest.mark.parametrize("label", list(_SPLIT_CHAINS))
+def test_split_overlaps_match_the_assembled_eigenvectors(split_chains, label):
+    geo, _H, decomp = split_chains[label]
+    eager = sc.SpectralDecomposition(decomp.eigenvalues, decomp.eigenvectors)
+    n = decomp.n
+    # sender and receiver at mirror sites, at two sites of one half, and at the middle site
+    for s, r in ((geo.sender_index, geo.receiver_index), (2, 5), (n - 4, n // 2), (1, n - 1)):
+        split, dense = sc.spectral_overlaps(decomp, s, r), sc.spectral_overlaps(eager, s, r)
+        assert np.array_equal(split.sigma, dense.sigma)
+        assert np.array_equal(split.rho, dense.rho)
+        # summed in another order
+        assert np.max(np.abs(split.gamma_sq - dense.gamma_sq)) <= 1e-14
+
+
+def test_split_decomposition_holds_half_an_eigenvector_matrix():
+    # the 1000-position double-hole chain: V alone would take 8 n^2 bytes
+    _geo, H = _dh_sector(1000)
+    n = H.shape[0]
+    tracemalloc.start()
+    try:
+        decomp = sc.eigendecompose(H)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # half of V's bytes, plus a few length-n vectors (eigenvalues, rates, signs)
+    assert held <= 8 * n * n / 2 + 64 * n
+    assert decomp.eigenvectors.shape == (n, n)
 
 
 def test_eigh_calls_per_chain(eigh_shapes):

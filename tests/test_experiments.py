@@ -474,6 +474,11 @@ def test_size_scan_validates_input():
         sc.size_scan([4], sc.CouplingModel.power_law(), configurations=())
     with pytest.raises(ValueError, match="size_scan cannot use a custom coupling matrix"):
         sc.size_scan([4], sc.CouplingModel.custom(np.zeros((4, 4))))
+    # no scan would check grid_points or theta, so the empty list itself is rejected
+    with pytest.raises(ValueError, match="n_values must not be empty"):
+        sc.size_scan([], sc.CouplingModel.power_law(), grid_points=1, theta=9.0)
+    with pytest.raises(ValueError, match="n_values must not be empty"):
+        sc.size_scan(range(5, 5), sc.CouplingModel.power_law())
 
 
 def test_size_scan_checks_every_size_before_scanning(monkeypatch):

@@ -1,12 +1,13 @@
 """Geometry, coupling, and Hamiltonian construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import spinchannel as sc
-from support import dh_geometry, random_couplings
+from support import dh_geometry, random_couplings, random_symmetric
 
 
 # ---------------------------------------------------------------- geometry
@@ -168,6 +169,28 @@ def test_coupling_matrix_validation():
         matrix.entries[0, 1] = 5.0
 
 
+@pytest.mark.parametrize(
+    ("defect", "message"),
+    [(np.inf, "non-finite"), (-np.inf, "non-finite"), (np.nan, "non-finite"), (None, "exactly symmetric")],
+)
+def test_coupling_matrix_rejects_one_bad_entry_in_a_late_panel_without_a_warning(defect, message):
+    # 130 rows span three panels of the entry check; None moves the entry by one ulp
+    entries = np.abs(random_symmetric(130, np.random.default_rng(5)))
+    np.fill_diagonal(entries, 0.0)
+    entries[128, 3] = np.nextafter(entries[128, 3], np.inf) if defect is None else defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            sc.CouplingMatrix(entries)
+
+
+def test_coupling_matrix_accepts_signed_zeros():
+    entries = np.zeros((3, 3))
+    entries[0, 2], entries[2, 0] = 0.0, -0.0
+    np.fill_diagonal(entries, -0.0)
+    assert sc.CouplingMatrix(entries).n_sites == 3
+
+
 def test_build_couplings_custom_requires_matching_size():
     geo = sc.build_chain_geometry(3)
     model = sc.CouplingModel.custom(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -198,6 +221,19 @@ def test_sector_diagonal_formula():
         assert ham.matrix[n, n] == pytest.approx(2.0 * row - total, rel=1e-12)
     off = ham.matrix - np.diag(np.diagonal(ham.matrix))
     assert np.array_equal(off, J)
+
+
+def test_sector_rejects_overflowing_row_sums_without_a_warning():
+    # every coupling is finite, but 19 of them sum past the float range
+    entries = np.full((20, 20), 1e307)
+    np.fill_diagonal(entries, 0.0)
+    coupl = sc.CouplingMatrix(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row sums overflow"):
+            sc.sector_hamiltonian(coupl)
+        # the bare hopping matrix needs no sums
+        assert np.array_equal(sc.sector_hamiltonian(coupl, include_zz_diagonal=False).matrix, entries)
 
 
 def test_sector_matrix_is_read_only():
