@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -301,8 +303,9 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
     return [(f"{config.out}.csv", csv_text)], _summary(fields)
 
 
-def _diagnostics_payload(config: RunConfig, geometry, couplings) -> tuple[list[tuple[str, str]], str]:
-    decomp = eigendecompose(sector_hamiltonian(couplings, config.zz))
+def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
+    # J goes out of scope once H is built, so it is freed before eigh runs
+    decomp = eigendecompose(sector_hamiltonian(build_couplings(geometry, model), config.zz))
     overlaps = spectral_overlaps(decomp, geometry.sender_index, geometry.receiver_index)
     residuals = structure_residuals(overlaps)
     gamma_m, bound = leakage_bound(overlaps)
@@ -330,7 +333,10 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     and the scan; its ValueError, or an OSError reading a coupling file, is
     re-raised as ConfigError.  Everything is computed before anything is
     written, so a rejected input or a numerical failure leaves no files
-    behind; an I/O failure mid-write removes the files already written.
+    behind.  Each payload is written to a temporary file in the output
+    directory, and only once all are written is each moved into place with
+    os.replace, so no target is ever left truncated.  An OSError on the way
+    removes the temporaries and every target already replaced.
     """
     try:
         # both generative models are built whatever `coupling` is, so every value is checked
@@ -348,25 +354,28 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
         elif config.mode == "size_scan":
             files, report = _size_scan_payload(config, model)
         else:
-            files, report = _diagnostics_payload(config, geometry, build_couplings(geometry, model))
+            files, report = _diagnostics_payload(config, model, geometry)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
+    staged: list[Path] = []
     written: list[Path] = []
     try:
         for name, payload in files:
-            target = out_path / name
-            written.append(target)
-            target.write_text(payload)
+            staged.append(out_path / f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+            # "x": a new file, made with the permissions write_text would give the target
+            with staged[-1].open("x") as handle:
+                handle.write(payload)
+        for (name, _payload), temporary in zip(files, staged):
+            os.replace(temporary, out_path / name)
+            written.append(out_path / name)
     except OSError:
-        # drop whatever made it to disk, a partly written file included, so a
-        # failed run leaves nothing behind
-        for path in written:
+        # a failed run leaves neither its temporaries nor a target it replaced
+        for path in staged + written:
             try:
-                if path.is_file():
-                    path.unlink()
+                path.unlink(missing_ok=True)
             except OSError:
                 pass
         raise

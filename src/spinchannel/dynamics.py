@@ -38,6 +38,16 @@ _PANEL_ROWS = 64
 # np.linspace grids are exact except for their last point, within one
 _PROGRESSION_ULPS = 4.0
 
+# Phases (E_j - Ebar) t that may exceed this many radians are reduced mod 2 pi
+# before exp, whose own exact reduction of a huge argument is several times
+# slower; smaller phases go to exp as they are, so short scans keep their bits.
+_REDUCE_PHASES_ABOVE = 2.0**26
+# 2 pi as the sum of three doubles (Cody-Waite): the first two carry 21
+# significant bits, so k times either is exact for |k| <= 2^32, that is for
+# phases up to _REDUCE_PHASES_UP_TO; larger ones go to exp unreduced.
+_TWO_PI_PARTS = tuple(map(float.fromhex, ("0x1.921fbp+2", "0x1.5110bp-20", "0x1.18469898cc517p-42")))
+_REDUCE_PHASES_UP_TO = 2.0**32 * 2.0 * math.pi
+
 
 class NumericsError(RuntimeError):
     """A numerical routine failed or produced an inconsistent result."""
@@ -56,8 +66,9 @@ class SpectralDecomposition:
     assembles V on first access.
 
     ``propagate`` takes its phases from the spectral midpoint
-    (E_min + E_max) / 2, so the midpoint and the rates -i (E - midpoint) are
-    derived here once per decomposition.
+    (E_min + E_max) / 2, so the midpoint, the rates -i (E - midpoint) and
+    their largest modulus, max|E - midpoint|, are derived here once per
+    decomposition.
     """
 
     eigenvalues: np.ndarray
@@ -66,6 +77,7 @@ class SpectralDecomposition:
     _signs: np.ndarray | None = field(repr=False)
     _midpoint: float = field(repr=False)
     _rates: np.ndarray = field(repr=False)
+    _half_width: float = field(repr=False)
 
     def __init__(self, eigenvalues, eigenvectors) -> None:
         self._hold(eigenvalues, np.asarray(eigenvectors, dtype=np.float64), None, None)
@@ -79,7 +91,8 @@ class SpectralDecomposition:
 
     def _hold(self, eigenvalues, vectors, half, signs) -> None:
         eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        midpoint = 0.5 * (eigenvalues.min() + eigenvalues.max()) if eigenvalues.size else 0.0
+        low, high = (float(eigenvalues.min()), float(eigenvalues.max())) if eigenvalues.size else (0.0, 0.0)
+        midpoint = 0.5 * (low + high)
         rates = -1j * (eigenvalues - midpoint)
         for array in (eigenvalues, vectors, half, signs, rates):
             if array is not None:
@@ -87,7 +100,7 @@ class SpectralDecomposition:
         # frozen: the fields are set once, here, past the dataclass's __setattr__
         self.__dict__.update(
             eigenvalues=eigenvalues, _vectors=vectors, _half=half, _signs=signs,
-            _midpoint=float(midpoint), _rates=rates,
+            _midpoint=midpoint, _rates=rates, _half_width=max(high - midpoint, midpoint - low),
         )
 
     @property
@@ -143,6 +156,13 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     ascending and each eigenvector's sign is fixed so its largest-magnitude
     component is positive, making the decomposition reproducible across runs.
 
+    Every input must be a non-empty square matrix.  Its entries are checked
+    to be finite and symmetric to 1e-12, except in a SectorHamiltonian that
+    ``sector_hamiltonian`` built: it comes from a checked CouplingMatrix and
+    a diagonal checked finite, and says so by its ``_checked`` flag while
+    its matrix stays read-only.  Bare arrays, hand-built SectorHamiltonians
+    and copies whose matrix became writable are checked here.
+
     A matrix with at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
     reversing the site order (checked on the entries) is diagonalized as its
     even and odd blocks under that reversal: two half-size ``eigh`` calls,
@@ -154,7 +174,9 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
-    if not _symmetric_within(matrix, 1e-12):
+    # a copy such as pickle's comes back writable, so the flag holds only while the entries cannot change
+    checked = getattr(hamiltonian, "_checked", False) and not matrix.flags.writeable
+    if not checked and not _symmetric_within(matrix, 1e-12):
         if not np.isfinite(matrix).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric")
@@ -187,12 +209,20 @@ def _symmetric_within(matrix: np.ndarray, tolerance: float) -> bool:
 def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
     """max|H - P H P| <= _MIRROR_TOLERANCE_EPS * eps * max|H|, P the site reversal.
 
-    H is symmetric, so (P H P)[i, k] = H[n-1-i, n-1-k] = H[n-1-k, n-1-i],
-    and H - P H P has the entries of A - A^T for A = H P, H with its columns
-    reversed: the test is A's symmetry test.
+    (P H P)[i, k] = H[n-1-i, n-1-k], so H - P H P is H minus H reversed in
+    both indices, and row n-1-i of that difference is row i reversed and
+    negated: its first ceil(n/2) rows hold every magnitude.  They are
+    compared panel by panel, each row with its reversed partner.
     """
     scale = max(float(matrix.max()), -float(matrix.min()))
-    return _symmetric_within(matrix[:, ::-1], _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale)
+    tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
+    rows = (matrix.shape[0] + 1) // 2
+    mirrored = matrix[::-1, ::-1]
+    for lo in range(0, rows, _PANEL_ROWS):
+        hi = min(lo + _PANEL_ROWS, rows)
+        if not np.abs(matrix[lo:hi] - mirrored[lo:hi]).max() <= tolerance:
+            return False
+    return True
 
 
 def _mirror_eigh(matrix: np.ndarray) -> SpectralDecomposition:
@@ -219,6 +249,8 @@ def _mirror_eigh(matrix: np.ndarray) -> SpectralDecomposition:
         even[:m, m] = even[m, :m] = np.sqrt(2.0) * matrix[:m, m]
         even[m, m] = matrix[m, m]
     even_values, even_vectors = np.linalg.eigh(even)
+    # the odd block is made only once the even one is gone, so the two never coexist
+    del even
     odd_values, odd_vectors = np.linalg.eigh(near - far)
 
     eigenvalues = np.concatenate((even_values, odd_values))
@@ -243,7 +275,8 @@ def _fix_signs(vectors: np.ndarray) -> None:
     top = vectors[hi, columns]
     bottom = -vectors[lo, columns]
     negative = (bottom > top) | ((bottom == top) & (lo < hi))
-    np.negative(vectors, out=vectors, where=negative)
+    # a product by a row of signs: the masked np.negative is several times slower
+    vectors *= np.where(negative, -1.0, 1.0)
 
 
 def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
@@ -268,6 +301,12 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     chunked to stay within the 16 G n bytes of that block.  Any other ``t``
     takes one ``exp`` per time and eigenvalue into a shape(t) + (n,) phase
     block.
+
+    When max|E - Ebar| max|t| exceeds 2^26 rad (a long chain over a long
+    window), each phase is reduced mod 2 pi before ``exp``
+    (``_exp_phases``), which then runs several times faster; each phase
+    factor moves by at most about 3e-16.  Below that bound the phases go to
+    ``exp`` as they are.
     """
     times = np.asarray(t, dtype=np.float64)
     targets = decomp.eigenvectors if to is None else decomp._rows(np.asarray(to))
@@ -275,7 +314,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     if progression is None:
         amplitudes = _phase_block(decomp, from_index, times) @ targets.T
     else:
-        amplitudes = _progression_amplitudes(decomp._rates, decomp._rows(from_index), targets, *progression)
+        amplitudes = _progression_amplitudes(decomp, decomp._rows(from_index), targets, *progression)
     shift = np.exp(-1j * decomp._midpoint * times)
     amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
@@ -283,10 +322,29 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
 
 def _phase_block(decomp: SpectralDecomposition, from_index: int, times: np.ndarray) -> np.ndarray:
     """exp(-i (E_j - Ebar) t) V[from, j], one ``exp`` per time and eigenvalue: a shape(t) + (n,) block."""
-    phases = np.multiply.outer(times, decomp._rates)
-    np.exp(phases, out=phases)
+    # probe arrays are short, and Python's max over their values is the cheapest max|t|
+    longest = max(map(abs, times.ravel().tolist()), default=0.0)
+    phases = _exp_phases(np.multiply.outer(times, decomp._rates), decomp._half_width * longest)
     phases *= decomp._rows(from_index)
     return phases
+
+
+def _exp_phases(phases: np.ndarray, bound: float) -> np.ndarray:
+    """exp of a block of imaginary phases, in place; ``bound`` is at least the largest |phase|.
+
+    When the bound lies in (_REDUCE_PHASES_ABOVE, _REDUCE_PHASES_UP_TO],
+    each phase x first becomes x - k 2 pi with k = rint(x / 2 pi), 2 pi
+    taken as the sum of _TWO_PI_PARTS and subtracted part by part.  The
+    first two products and differences are exact, so only the last part
+    rounds: ``exp`` of the reduced phase lies within about 3e-16 of ``exp``
+    of x.  Otherwise ``exp`` takes the phases as they are.
+    """
+    if _REDUCE_PHASES_ABOVE < bound <= _REDUCE_PHASES_UP_TO:
+        angles = phases.imag
+        turns = np.rint(angles * (0.5 / math.pi))
+        for part in _TWO_PI_PARTS:
+            angles -= turns * part
+    return np.exp(phases, out=phases)
 
 
 def _amplitude_derivatives(decomp: SpectralDecomposition, from_index: int, t, to) -> np.ndarray:
@@ -323,9 +381,9 @@ def _progression(times: np.ndarray) -> tuple[float, float, int] | None:
 
 
 def _progression_amplitudes(
-    rates: np.ndarray, weights: np.ndarray, targets: np.ndarray, t0: float, dt: float, count: int
+    decomp: SpectralDecomposition, weights: np.ndarray, targets: np.ndarray, t0: float, dt: float, count: int
 ) -> np.ndarray:
-    """sum_j exp(rates_j (t0 + k dt)) weights_j targets[..., j] for k < count.
+    """sum_j exp(rates_j (t0 + k dt)) weights_j targets[..., j] for k < count, rates = decomp._rates.
 
     With k = a B + b and B = ceil(sqrt(count)), the phase of term j is the
     coarse entry exp(rates_j (t0 + a B dt)) times the fine entry
@@ -338,12 +396,16 @@ def _progression_amplitudes(
     within the C B n entries that block would take.  The result has shape
     (count,) + targets.shape[:-1].
     """
+    rates = decomp._rates
     n = rates.size
     fine_rows = math.isqrt(count - 1) + 1
     coarse_rows = -(-count // fine_rows)
-    fine = np.exp(np.multiply.outer(rates, dt * np.arange(fine_rows)))
+    # a coarse time t0 + a B dt (a < C) lies in [t0, t_last], a fine one b dt (b < B) within |t_last - t0|
+    t_last = t0 + dt * (count - 1)
+    bound = decomp._half_width * max(abs(t0), abs(t_last), abs(t_last - t0))
+    fine = _exp_phases(np.multiply.outer(rates, dt * np.arange(fine_rows)), bound)
     fine *= weights[:, None]
-    coarse = np.exp(np.multiply.outer(t0 + (fine_rows * dt) * np.arange(coarse_rows), rates))
+    coarse = _exp_phases(np.multiply.outer(t0 + (fine_rows * dt) * np.arange(coarse_rows), rates), bound)
     columns = targets.reshape(-1, n).T
     width = columns.shape[1]
     chunk = min(width, max(1, coarse_rows * n // (n + coarse_rows)))

@@ -271,8 +271,8 @@ def time_scan(
         raise ValueError(f"t_max must be > 0 and finite (got {t_max})")
     params = InitialStateParams(theta=theta, phi=phi)
 
-    couplings = build_couplings(geometry, model)
-    decomp = eigendecompose(sector_hamiltonian(couplings, include_zz_diagonal))
+    # J goes out of scope once H is built, so it is freed before eigh runs
+    decomp = eigendecompose(sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal))
     s = geometry.sender_index
     r = geometry.receiver_index
     overlaps = spectral_overlaps(decomp, s, r)

@@ -268,9 +268,15 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Single-excitation block of the interaction, as a real symmetric matrix."""
+    """Single-excitation block of the interaction, as a real symmetric matrix.
+
+    One that ``sector_hamiltonian`` built is symmetric and finite by
+    construction and says so by ``_checked``, so ``eigendecompose`` does not
+    check its entries again; one built by hand is checked there.
+    """
 
     matrix: np.ndarray
+    _checked = False
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -305,7 +311,10 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
                 "the couplings' row sums overflow: the diagonal 2 sum_j J_nj - sum_{i<j} J_ij is not finite"
             )
         np.fill_diagonal(matrix, diagonal)
-    return SectorHamiltonian(matrix)
+    hamiltonian = SectorHamiltonian(matrix)
+    # J was checked exactly symmetric and finite, and the diagonal finite above
+    object.__setattr__(hamiltonian, "_checked", True)
+    return hamiltonian
 
 
 def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> np.ndarray:

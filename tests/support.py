@@ -77,3 +77,31 @@ def reference_amplitudes(decomp: sc.SpectralDecomposition, from_index: int, time
             angles = np.array([float((e * Decimal(t)) % _TWO_PI) for e in energies])
             rows.append((V[from_index] * np.exp(-1j * angles)) @ targets.T)
     return np.array(rows)
+
+
+def masked_sign_fix(vectors: np.ndarray) -> None:
+    """The sign fix ``eigendecompose`` used before its product by a row of signs.
+
+    Negates, in place, each column whose first largest-magnitude entry is
+    negative, through a masked ``np.negative``.
+    """
+    columns = np.arange(vectors.shape[1])
+    hi = vectors.argmax(axis=0)
+    lo = vectors.argmin(axis=0)
+    top = vectors[hi, columns]
+    bottom = -vectors[lo, columns]
+    negative = (bottom > top) | ((bottom == top) & (lo < hi))
+    np.negative(vectors, out=vectors, where=negative)
+
+
+def transposed_mirror_test(matrix: np.ndarray) -> bool:
+    """The mirror test ``eigendecompose`` used before its row-pair form.
+
+    For symmetric H, H - P H P has the entries of A - A^T with A = H P, H
+    with its columns reversed; the test bounds their magnitudes by the same
+    tolerance, _MIRROR_TOLERANCE_EPS * eps * max|H|.
+    """
+    reversed_columns = matrix[:, ::-1]
+    scale = max(float(matrix.max()), -float(matrix.min()))
+    tolerance = sc.dynamics._MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
+    return bool(np.abs(reversed_columns - reversed_columns.T).max() <= tolerance)

@@ -296,6 +296,42 @@ def test_run_cleans_up_partial_files(tmp_path):
     assert not (tmp_path / "broken.csv").exists()
 
 
+def test_run_keeps_earlier_outputs_when_a_later_write_fails(tmp_path, monkeypatch):
+    config = parse_config("mode = time_scan\npositions = 4\ngrid_points = 50\nout = out\n")
+    (tmp_path / "out.csv").write_text("an earlier run\n")
+    # the second file opened for writing fails, as on a full disk
+    opened = Path.open
+    writes = []
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        if "w" in mode or "x" in mode:
+            writes.append(self)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+        return opened(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    with pytest.raises(OSError):
+        run(config, out_dir=tmp_path, quiet=True)
+    monkeypatch.undo()
+    assert (tmp_path / "out.csv").read_text() == "an earlier run\n"
+    # and no temporary is left behind
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_run_replaces_earlier_outputs_and_leaves_no_temporaries(tmp_path):
+    config = parse_config("mode = time_scan\npositions = 4\ngrid_points = 50\nout = out\n")
+    (tmp_path / "out.csv").write_text("an earlier run\n")
+    (tmp_path / "plain.txt").write_text("")
+    written = run(config, out_dir=tmp_path, quiet=True)
+    assert written == [tmp_path / "out.csv", tmp_path / "out_summary.txt"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out_summary.txt", "plain.txt"]
+    assert (tmp_path / "out.csv").read_text().startswith("t,re_f_ss,")
+    # the outputs get the permissions of a file written in place
+    for path in written:
+        assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
 def test_run_maps_a_value_the_library_rejects_to_config_error(tmp_path):
     # parse_config does not check theta; the scan does, before any output
     config = RunConfig(mode="time_scan", positions=4, receiver=4, theta=9.0)

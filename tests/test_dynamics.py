@@ -1,6 +1,7 @@
 """Eigendecomposition and single-excitation time evolution."""
 
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 import spinchannel as sc
 from spinchannel import dynamics
-from support import dh_geometry, random_couplings, random_symmetric
+from support import (
+    dh_geometry,
+    masked_sign_fix,
+    random_couplings,
+    random_symmetric,
+    reference_amplitudes,
+    transposed_mirror_test,
+)
 
 # the dense reference, bound before any test replaces np.linalg.eigh
 _DENSE_EIGH = np.linalg.eigh
@@ -82,14 +90,16 @@ def test_eigendecompose_rejects_bad_input():
 _NON_FINITE = [(value, site) for value in (np.inf, -np.inf, np.nan) for site in ("upper", "lower", "diagonal")]
 
 
+@pytest.mark.parametrize("wrap", [False, True], ids=["array", "hand_built"])
 @pytest.mark.parametrize("n", [5, 130])
 @pytest.mark.parametrize(
     ("defect", "site", "message"),
     [(value, site, "non-finite entries") for value, site in _NON_FINITE]
     + [(2e-12, "upper", "not symmetric"), (2e-12, "lower", "not symmetric")],
 )
-def test_eigendecompose_rejects_one_bad_entry_without_a_warning(n, defect, site, message):
-    # 130 rows span three panels of the entry check, and the entry sits in the last one
+def test_eigendecompose_rejects_one_bad_entry_without_a_warning(wrap, n, defect, site, message):
+    # 130 rows span three panels of the entry check, and the entry sits in the last one;
+    # a SectorHamiltonian built by hand is checked as a bare array is
     H = random_symmetric(n, np.random.default_rng(n))
     i, k = {"upper": (n - 3, n - 1), "lower": (n - 1, n - 3), "diagonal": (n - 1, n - 1)}[site]
     if message == "not symmetric":
@@ -99,7 +109,7 @@ def test_eigendecompose_rejects_one_bad_entry_without_a_warning(n, defect, site,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            sc.eigendecompose(H)
+            sc.eigendecompose(sc.SectorHamiltonian(H) if wrap else H)
 
 
 def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
@@ -109,6 +119,88 @@ def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not symmetric"):
             sc.eigendecompose(H)
+
+
+@pytest.fixture
+def entry_checks(monkeypatch):
+    """The matrices whose entries eigendecompose checks for finiteness and symmetry."""
+    checked = []
+    check = dynamics._symmetric_within
+
+    def recording(matrix, tolerance):
+        checked.append(matrix)
+        return check(matrix, tolerance)
+
+    monkeypatch.setattr(dynamics, "_symmetric_within", recording)
+    return checked
+
+
+@pytest.mark.parametrize("span", [12, 1000])
+def test_a_built_sector_hamiltonian_is_not_checked_again(entry_checks, span):
+    # its CouplingMatrix was checked exactly symmetric and finite, and its diagonal finite
+    ham = sc.sector_hamiltonian(sc.build_couplings(dh_geometry(span - 2), sc.CouplingModel.power_law()))
+    direct = sc.eigendecompose(ham)
+    assert not any(matrix is ham.matrix for matrix in entry_checks)
+    # a bare array and a hand-built wrapper of the same entries are checked, once each
+    for unchecked in (ham.matrix, sc.SectorHamiltonian(ham.matrix)):
+        entry_checks.clear()
+        again = sc.eigendecompose(unchecked)
+        assert sum(matrix is ham.matrix for matrix in entry_checks) == 1
+        assert np.array_equal(again.eigenvalues, direct.eigenvalues)
+        assert np.array_equal(again.eigenvectors, direct.eigenvectors)
+    # so is a copy whose matrix came back writable: its entries may have changed since
+    copied = pickle.loads(pickle.dumps(ham))
+    copied.matrix[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        sc.eigendecompose(copied)
+
+
+def _sign_fix_cases():
+    """Random matrices of 1 to 300 rows with signed zeros, exact +- ties and constant columns."""
+    rng = np.random.default_rng(17)
+    for rows in (1, 2, 3, 7, 64, 65, 300):
+        columns = int(rng.integers(1, 40))
+        V = rng.normal(size=(rows, columns))
+        V[rng.random(V.shape) < 0.2] = 0.0
+        V[rng.random(V.shape) < 0.2] = -0.0
+        for j in range(columns):
+            kind = j % 5
+            if kind == 1:
+                # an exact tie between +a and -a for the largest magnitude, in either order
+                i, k = rng.choice(rows, size=2, replace=rows < 2)
+                V[i, j], V[k, j] = 10.0, -10.0
+            elif kind == 2:
+                V[:, j] = rng.choice([-2.5, 2.5, 0.0, -0.0])
+            elif kind == 3:
+                V[:, j] = rng.choice([0.0, -0.0], size=rows)
+        yield V
+
+
+@pytest.mark.parametrize("V", list(_sign_fix_cases()), ids=lambda V: f"{V.shape[0]}x{V.shape[1]}")
+def test_sign_fix_matches_the_masked_negative(V):
+    expected, fixed = V.copy(), V.copy()
+    masked_sign_fix(expected)
+    dynamics._fix_signs(fixed)
+    assert np.array_equal(fixed, expected)
+    assert np.array_equal(np.signbit(fixed), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n", [130, 131])
+@pytest.mark.parametrize("size", [15.0, 17.0])
+@pytest.mark.parametrize("where", ["upper", "lower", "middle", "across"])
+def test_mirror_decision_matches_the_transposed_test(n, size, where):
+    # a symmetric perturbation of size * eps * max|H| against the tolerance of 16 of them
+    H = sc.sector_hamiltonian(sc.build_couplings(dh_geometry(n), sc.CouplingModel.power_law())).matrix.copy()
+    i, k = {"upper": (3, 40), "lower": (n - 4, n - 41), "middle": (n // 2, 7), "across": (10, n - 30)}[where]
+    H[i, k] += size * np.finfo(np.float64).eps * np.abs(H).max()
+    H[k, i] = H[i, k]
+    assert dynamics._is_mirror_symmetric(H) == transposed_mirror_test(H) == (size < 16.0)
+    # both rows of an even chain's middle pair, and the diagonal middle entry of an odd one,
+    # which the site reversal leaves in place
+    for row in ((n - 1) // 2, n // 2):
+        M = H.copy()
+        M[row, row] += 100.0 * np.finfo(np.float64).eps * np.abs(H).max()
+        assert dynamics._is_mirror_symmetric(M) == transposed_mirror_test(M) == (n % 2 == 1 and size < 16.0)
 
 
 # ------------------------------------------------- mirror-symmetric split
@@ -438,6 +530,71 @@ def test_amplitude_derivatives_match_differences_of_propagate(chain):
     assert np.max(np.abs(g - near[2])) <= 1e-12
     assert np.max(np.abs(slope - d1)) <= 1e-6 * np.max(np.abs(slope))
     assert np.max(np.abs(curvature - d2)) <= 1e-6 * np.max(np.abs(curvature))
+
+
+def test_reduced_phases_agree_with_exact_phases_at_least_as_closely(monkeypatch):
+    # the scan window of the 1000-position chain is ~2.7e9, so max|E - Ebar| t reaches ~9e9 rad
+    geo = dh_geometry(998)
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, sc.CouplingModel.power_law())))
+    s, r = geo.sender_index, geo.receiver_index
+    t_max = 2.66e9
+    assert dynamics._REDUCE_PHASES_ABOVE < decomp._half_width * t_max <= dynamics._REDUCE_PHASES_UP_TO
+    times = np.linspace(0.0, t_max, 2000)
+    rows = np.r_[0:2000:97, 1999]
+    irregular = np.sort(np.random.default_rng(3).uniform(0.0, t_max, 12))
+    exact = [reference_amplitudes(decomp, s, probes, to=(s, r)) for probes in (times[rows], irregular)]
+
+    def errors():
+        grid = sc.propagate(decomp, s, times, to=(s, r))[rows]
+        probes = sc.propagate(decomp, s, irregular, to=(s, r))
+        return [
+            float(np.max(measure(computed, reference)))
+            for computed, reference in zip((grid, probes), exact)
+            for measure in (lambda a, b: np.abs(a - b), lambda a, b: np.abs(np.abs(a) - np.abs(b)))
+        ]
+
+    reduced = errors()
+    monkeypatch.setattr(dynamics, "_REDUCE_PHASES_ABOVE", math.inf)
+    unreduced = errors()
+    # measured: complex errors 1.85e-4 (grid) and 1.62e-4 (probes) either way, set by the
+    # rounding of Ebar t ~ 3e12 rad; modulus errors 3.7e-7 either way and 2.6e-7 (reduced
+    # 2.8e-17 below unreduced), set by the rounding of (E - Ebar) t
+    for new, old in zip(reduced, unreduced):
+        assert new <= old
+
+
+@pytest.mark.parametrize(
+    ("label", "largest_phase"),
+    [
+        ("below", 0.999 * dynamics._REDUCE_PHASES_ABOVE),
+        ("inside", 1.001 * dynamics._REDUCE_PHASES_ABOVE),
+        ("beyond", 1.001 * dynamics._REDUCE_PHASES_UP_TO),
+    ],
+)
+def test_phases_are_reduced_only_inside_the_range(scan_chains, monkeypatch, label, largest_phase):
+    decomp, s, r = scan_chains["dh202"]
+    t_max = largest_phase / decomp._half_width
+    # a progression from 0, one about 0 (its largest phase is that of t_last - t0) and irregular times
+    grids = (
+        np.linspace(0.0, t_max, 500),
+        np.linspace(-0.5 * t_max, 0.5 * t_max, 301),
+        np.linspace(0.0, t_max, 37)[[5, 2, 30, 36]],
+    )
+
+    def evaluate():
+        return [sc.propagate(decomp, s, times, to=(s, r)) for times in grids] + [
+            dynamics._amplitude_derivatives(decomp, s, grids[2], (s, r))
+        ]
+
+    reduced = evaluate()
+    monkeypatch.setattr(dynamics, "_REDUCE_PHASES_ABOVE", math.inf)
+    for new, old in zip(reduced, evaluate()):
+        if label == "inside":
+            assert not np.array_equal(new, old)
+            scale = np.max(np.abs(old)) if new.ndim == 3 else 1.0
+            assert np.max(np.abs(new - old)) <= 1e-14 * scale
+        else:
+            assert np.array_equal(new, old)
 
 
 def test_amplitude_series_rejects_broken_decomposition():
