@@ -156,12 +156,10 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     ascending and each eigenvector's sign is fixed so its largest-magnitude
     component is positive, making the decomposition reproducible across runs.
 
-    Every input must be a non-empty square matrix.  Its entries are checked
-    to be finite and symmetric to 1e-12, except in a SectorHamiltonian that
-    ``sector_hamiltonian`` built: it comes from a checked CouplingMatrix and
-    a diagonal checked finite, and says so by its ``_checked`` flag while
-    its matrix stays read-only.  Bare arrays, hand-built SectorHamiltonians
-    and copies whose matrix became writable are checked here.
+    Every input must be a non-empty square matrix whose entries are finite
+    and symmetric to 1e-12.  They are checked here, once per call, whatever
+    built the matrix: an array the caller still holds may have been written
+    since any earlier check.
 
     A matrix with at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
     reversing the site order (checked on the entries) is diagonalized as its
@@ -174,9 +172,7 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
-    # a copy such as pickle's comes back writable, so the flag holds only while the entries cannot change
-    checked = getattr(hamiltonian, "_checked", False) and not matrix.flags.writeable
-    if not checked and not _symmetric_within(matrix, 1e-12):
+    if not _symmetric_within(matrix, 1e-12):
         if not np.isfinite(matrix).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric")

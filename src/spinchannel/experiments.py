@@ -57,7 +57,7 @@ class Peak(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeScanResult:
     """Scored time grid plus refined peaks and channel diagnostics.
 

@@ -160,7 +160,7 @@ def leaked_weight(f_ss, f_sr):
     return np.clip(leak, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralOverlaps:
     """Per-eigenvector projections on sender (sigma), receiver (rho), and the rest.
 

@@ -158,7 +158,7 @@ class CouplingModel:
         return cls(kind="custom", custom_matrix=matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """Symmetric matrix of pair couplings with an exactly zero diagonal."""
 
@@ -200,7 +200,9 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     if model.kind == "power_law":
         pos = np.asarray(geometry.positions)
         d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
-        table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
+        # a table past the float range is judged by CouplingMatrix's entry check alone
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
         entries = np.empty((pos.size, pos.size))
         for lo in range(0, pos.size, _PANEL_ROWS):
             entries[lo : lo + _PANEL_ROWS] = table[np.abs(pos[lo : lo + _PANEL_ROWS, None] - pos)]
@@ -208,7 +210,8 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     if model.kind == "mirror_periodic":
         n = geometry.n_sites
         i = np.arange(1, n, dtype=np.float64)
-        profile = 0.5 * model.lam * np.sqrt(i * (n - i))
+        with np.errstate(over="ignore"):
+            profile = 0.5 * model.lam * np.sqrt(i * (n - i))
         entries = np.zeros((n, n))
         entries[np.arange(n - 1), np.arange(1, n)] = profile
         entries[np.arange(1, n), np.arange(n - 1)] = profile
@@ -253,30 +256,26 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
             entries[r] = [float(tok) for tok in tokens]
         except ValueError:
             raise ValueError(f"{path}:{line_no}: entries must be real numbers") from None
-    if not np.all(np.isfinite(entries)):
-        raise ValueError(f"{path}: matrix entries must be finite")
-    asym = np.max(np.abs(entries - entries.T))
-    if asym > 1e-12:
+    if not _symmetric_within(entries, 1e-12):
+        if not np.isfinite(entries).all():
+            raise ValueError(f"{path}: matrix entries must be finite")
+        asym = np.max(np.abs(entries - entries.T))
         raise ValueError(f"{path}: matrix asymmetry {asym:.3e} exceeds 1e-12")
     diag = np.max(np.abs(np.diagonal(entries)))
     if diag > 1e-12:
         raise ValueError(f"{path}: matrix diagonal magnitude {diag:.3e} exceeds 1e-12")
-    entries = 0.5 * (entries + entries.T)
+    # halved before the sum, so entries near the float maximum do not overflow
+    entries *= 0.5
+    entries = entries + entries.T
     np.fill_diagonal(entries, 0.0)
     return CouplingMatrix(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
-    """Single-excitation block of the interaction, as a real symmetric matrix.
-
-    One that ``sector_hamiltonian`` built is symmetric and finite by
-    construction and says so by ``_checked``, so ``eigendecompose`` does not
-    check its entries again; one built by hand is checked there.
-    """
+    """Single-excitation block of the interaction, as a read-only real symmetric matrix."""
 
     matrix: np.ndarray
-    _checked = False
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -311,10 +310,7 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
                 "the couplings' row sums overflow: the diagonal 2 sum_j J_nj - sum_{i<j} J_ij is not finite"
             )
         np.fill_diagonal(matrix, diagonal)
-    hamiltonian = SectorHamiltonian(matrix)
-    # J was checked exactly symmetric and finite, and the diagonal finite above
-    object.__setattr__(hamiltonian, "_checked", True)
-    return hamiltonian
+    return SectorHamiltonian(matrix)
 
 
 def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> np.ndarray:

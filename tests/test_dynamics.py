@@ -1,5 +1,6 @@
 """Eigendecomposition and single-excitation time evolution."""
 
+import copy
 import math
 import pickle
 import tracemalloc
@@ -136,23 +137,38 @@ def entry_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("span", [12, 1000])
-def test_a_built_sector_hamiltonian_is_not_checked_again(entry_checks, span):
-    # its CouplingMatrix was checked exactly symmetric and finite, and its diagonal finite
+def test_every_matrix_is_checked_once_whatever_built_it(entry_checks, span):
     ham = sc.sector_hamiltonian(sc.build_couplings(dh_geometry(span - 2), sc.CouplingModel.power_law()))
-    direct = sc.eigendecompose(ham)
-    assert not any(matrix is ham.matrix for matrix in entry_checks)
-    # a bare array and a hand-built wrapper of the same entries are checked, once each
-    for unchecked in (ham.matrix, sc.SectorHamiltonian(ham.matrix)):
+    decomps = []
+    # a built SectorHamiltonian, a hand-built one and a bare array of the same entries
+    for given in (ham, sc.SectorHamiltonian(ham.matrix), ham.matrix):
         entry_checks.clear()
-        again = sc.eigendecompose(unchecked)
-        assert sum(matrix is ham.matrix for matrix in entry_checks) == 1
-        assert np.array_equal(again.eigenvalues, direct.eigenvalues)
-        assert np.array_equal(again.eigenvectors, direct.eigenvectors)
-    # so is a copy whose matrix came back writable: its entries may have changed since
+        decomps.append(sc.eigendecompose(given))
+        assert len(entry_checks) == 1 and entry_checks[0] is ham.matrix
+    for decomp in decomps[1:]:
+        assert np.array_equal(decomp.eigenvalues, decomps[0].eigenvalues)
+        assert np.array_equal(decomp.eigenvectors, decomps[0].eigenvectors)
+    # a pickled copy comes back writable, and what is written to it is checked too
     copied = pickle.loads(pickle.dumps(ham))
     copied.matrix[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite entries"):
         sc.eigendecompose(copied)
+
+
+@pytest.mark.parametrize("route", ["view_base", "deepcopy"])
+def test_couplings_written_after_their_check_are_rejected(route):
+    # a custom model's CouplingMatrix is checked once, but its entries can change after:
+    # through the writable base of a view, or in a deep copy that came back writable
+    big = np.zeros((8, 8))
+    big[:6, :6] = sc.build_couplings(dh_geometry(6), sc.CouplingModel.power_law()).entries
+    model = sc.CouplingModel.custom(big[:6, :6])
+    if route == "view_base":
+        big[0, 5] += 1.0
+    else:
+        model = copy.deepcopy(model)
+        model.custom_matrix.entries[0, 5] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        sc.time_scan(dh_geometry(6), model)
 
 
 def _sign_fix_cases():

@@ -155,6 +155,47 @@ def test_custom_model_holds_its_checked_matrix():
         sc.CouplingModel.custom(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        sc.CouplingModel.power_law(spacing_a=1e-200),
+        sc.CouplingModel.power_law(strength_c=1e308, spacing_a=1e-3),
+        sc.CouplingModel.mirror_periodic(lam=1.7e308),
+    ],
+    ids=["divide", "overflow", "mirror_overflow"],
+)
+def test_overflowing_coupling_parameters_fail_without_a_warning(model):
+    # the entry check of CouplingMatrix alone reports the problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite entries"):
+            sc.build_couplings(sc.build_chain_geometry(6), model)
+        # a power past the float range still gives the exact zero it stands for
+        J = sc.build_couplings(sc.build_chain_geometry(6), sc.CouplingModel.power_law(nu=2000.0))
+    assert J.entries[0, 1] == 1.0 and np.all(np.triu(J.entries, k=2) == 0.0)
+
+
+def test_array_holding_types_compare_by_identity():
+    # == on two distinct instances would otherwise compare arrays and raise
+    geo = sc.build_chain_geometry(4)
+    couplings = sc.build_couplings(geo, sc.CouplingModel.power_law())
+    ham = sc.sector_hamiltonian(couplings)
+    decomp = sc.eigendecompose(ham)
+    pairs = [
+        (sc.CouplingMatrix(couplings.entries), sc.CouplingMatrix(couplings.entries)),
+        (sc.SectorHamiltonian(ham.matrix), sc.SectorHamiltonian(ham.matrix)),
+        (sc.spectral_overlaps(decomp, 0, 3), sc.spectral_overlaps(decomp, 0, 3)),
+        (sc.time_scan(geo, sc.CouplingModel.power_law()), sc.time_scan(geo, sc.CouplingModel.power_law())),
+    ]
+    for first, second in pairs:
+        assert first == first and first != second
+        assert hash(first) != hash(second)
+    # a custom model compares and hashes by the CouplingMatrix it holds
+    model = sc.CouplingModel.custom(couplings)
+    assert model == sc.CouplingModel.custom(couplings) and hash(model) == hash(sc.CouplingModel.custom(couplings))
+    assert model != sc.CouplingModel.custom(couplings.entries)
+
+
 def test_coupling_matrix_validation():
     with pytest.raises(ValueError, match="square"):
         sc.CouplingMatrix(np.zeros((2, 3)))
@@ -328,6 +369,16 @@ def test_load_coupling_matrix_symmetrizes_tiny_asymmetry(tmp_path):
     J = sc.load_coupling_matrix(path)
     assert J.entries[0, 1] == pytest.approx(1.0 + eps / 2.0, abs=1e-16)
     assert J.entries[0, 1] == J.entries[1, 0]
+
+
+def test_load_coupling_matrix_symmetrizes_entries_near_the_float_maximum(tmp_path):
+    # halving after the sum would overflow 1.5e308 + 1.5e308
+    path = tmp_path / "couplings.txt"
+    path.write_text("3\n0.0 1.5e308 1.0\n1.5e308 0.0 -1.5e308\n1.0 -1.5e308 0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = sc.load_coupling_matrix(path)
+    assert np.array_equal(J.entries, [[0.0, 1.5e308, 1.0], [1.5e308, 0.0, -1.5e308], [1.0, -1.5e308, 0.0]])
 
 
 def test_load_coupling_matrix_rejects_bad_files(tmp_path):
