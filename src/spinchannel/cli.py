@@ -222,8 +222,16 @@ def _text(value) -> str:
     return f"{value:.17g}"
 
 
-def _csv(header: str, rows) -> str:
-    return header + "\n" + "".join(",".join(map(_text, row)) + "\n" for row in rows)
+def _csv(header: str, columns) -> str:
+    """The header, then one line per row of ``columns`` (lists), each value written as ``_text`` writes it.
+
+    Every row goes through one %-format built from the kinds of the columns'
+    first values: ``%.17g`` for numbers, ``%s`` for strings and booleans
+    (made true/false first).
+    """
+    columns = [[_text(v) for v in c] if c and isinstance(c[0], bool) else c for c in columns]
+    form = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
+    return header + "\n" + "".join(form % row for row in zip(*columns))
 
 
 def _summary(fields) -> str:
@@ -253,7 +261,7 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
     )
     csv_text = _csv(
         "t,re_f_ss,im_f_ss,re_f_sr,im_f_sr,fidelity,avg_fidelity,concurrence,dispersion",
-        zip(*(column.tolist() for column in columns)),
+        [column.tolist() for column in columns],
     )
 
     fields = [
@@ -294,10 +302,10 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
     )
     csv_text = _csv(
         "n_spins,configuration,max_concurrence,t_at_max,max_fidelity,t_at_max_f",
-        (
-            (row.n_spins, row.configuration, row.max_concurrence, row.t_at_max, row.max_fidelity, row.t_at_max_f)
-            for row in rows
-        ),
+        [
+            [getattr(row, name) for row in rows]
+            for name in ("n_spins", "configuration", "max_concurrence", "t_at_max", "max_fidelity", "t_at_max_f")
+        ],
     )
     fields = [("mode", "size_scan"), ("rows", len(rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
     return [(f"{config.out}.csv", csv_text)], _summary(fields)
@@ -312,14 +320,14 @@ def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> t
     # square entry by entry: squaring the arrays can round the last bit differently
     csv_text = _csv(
         "j,E_j,sigma_sq,rho_sq,gamma_sq,residual",
-        zip(
+        [
             range(1, overlaps.n + 1),
             decomp.eigenvalues.tolist(),
             [x**2 for x in overlaps.sigma.tolist()],
             [x**2 for x in overlaps.rho.tolist()],
             overlaps.gamma_sq.tolist(),
             residuals.tolist(),
-        ),
+        ],
     )
     fields = [("mode", "diagnostics"), ("n_sites", geometry.n_sites), ("gamma_m", gamma_m)]
     fields.append(("dispersion_bound", bound))

@@ -167,7 +167,11 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     about a quarter of the work.  The result is the same decomposition, with
     every eigenvector exactly even or odd, so two states of opposite parity
     cannot mix however close their energies are; it holds half of V, and
-    builds the rest only when ``eigenvectors`` is read.
+    builds the rest only when ``eigenvectors`` is read.  Once both blocks
+    are built it drops its references to H, so a temporary passed straight
+    in, as in ``eigendecompose(sector_hamiltonian(J))``, is freed before the
+    blocks go to ``eigh`` (on CPython 3.11 and later; 3.10 keeps it alive in
+    the caller until the call returns).
     """
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
@@ -178,7 +182,9 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
         raise ValueError("matrix is not symmetric")
     try:
         if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES and _is_mirror_symmetric(matrix):
-            return _mirror_eigh(matrix)
+            blocks = _mirror_blocks(matrix)
+            del matrix, hamiltonian
+            return _mirror_eigh(blocks)
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from None
@@ -221,19 +227,11 @@ def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
     return True
 
 
-def _mirror_eigh(matrix: np.ndarray) -> SpectralDecomposition:
-    """``eigh`` of a mirror-symmetric matrix through its even and odd blocks.
+def _mirror_blocks(matrix: np.ndarray) -> list[np.ndarray]:
+    """[even, odd]: the blocks of a mirror-symmetric matrix under the site reversal.
 
     With m = n // 2 and i, k < m the blocks are H[i, k] +- H[i, n-1-k]; for
     odd n the middle site joins the even block with couplings sqrt(2) H[i, m].
-    An even-block eigenvector (u, c) is (u, c, Pu) / sqrt(2) on the chain
-    with the middle entry c unscaled, an odd one (u, -Pu) / sqrt(2), where Pu
-    is u in reverse order.  Eigenvalues are merged by a stable sort, which
-    keeps each block's columns in their own order.  The decomposition holds
-    the first ceil(n/2) rows of V and the sign of each column under the
-    reversal; a column's entries below those rows repeat theirs up to that
-    sign, so its first largest-magnitude entry lies among them and
-    ``_fix_signs`` needs only them.
     """
     n = matrix.shape[0]
     m = n // 2
@@ -244,10 +242,26 @@ def _mirror_eigh(matrix: np.ndarray) -> SpectralDecomposition:
     if n % 2:
         even[:m, m] = even[m, :m] = np.sqrt(2.0) * matrix[:m, m]
         even[m, m] = matrix[m, m]
-    even_values, even_vectors = np.linalg.eigh(even)
-    # the odd block is made only once the even one is gone, so the two never coexist
-    del even
-    odd_values, odd_vectors = np.linalg.eigh(near - far)
+    return [even, near - far]
+
+
+def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
+    """``eigh`` of a mirror-symmetric matrix from the [even, odd] blocks of ``_mirror_blocks``.
+
+    Each block is popped from ``blocks`` as it goes to ``eigh``, so it is
+    freed once diagonalized.  An even-block eigenvector (u, c) is
+    (u, c, Pu) / sqrt(2) on the chain with the middle entry c unscaled, an
+    odd one (u, -Pu) / sqrt(2), where Pu is u in reverse order.  Eigenvalues
+    are merged by a stable sort, which keeps each block's columns in their
+    own order.  The decomposition holds the first ceil(n/2) rows of V and
+    the sign of each column under the reversal; a column's entries below
+    those rows repeat theirs up to that sign, so its first largest-magnitude
+    entry lies among them and ``_fix_signs`` needs only them.
+    """
+    m = blocks[1].shape[0]
+    n = m + blocks[0].shape[0]
+    even_values, even_vectors = np.linalg.eigh(blocks.pop(0))
+    odd_values, odd_vectors = np.linalg.eigh(blocks.pop())
 
     eigenvalues = np.concatenate((even_values, odd_values))
     order = np.argsort(eigenvalues, kind="stable")
@@ -259,18 +273,24 @@ def _mirror_eigh(matrix: np.ndarray) -> SpectralDecomposition:
     if n % 2:
         half[m, ~odd] = even_vectors[m]
         half[m, odd] = 0.0
+    del even_vectors, odd_vectors
     _fix_signs(half)
     return SpectralDecomposition._mirrored(eigenvalues[order], half, np.where(odd, -1.0, 1.0))
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
-    """Negate, in place, each column whose first largest-magnitude entry is negative."""
-    columns = np.arange(vectors.shape[1])
-    hi = vectors.argmax(axis=0)
-    lo = vectors.argmin(axis=0)
-    top = vectors[hi, columns]
-    bottom = -vectors[lo, columns]
-    negative = (bottom > top) | ((bottom == top) & (lo < hi))
+    """Negate, in place, each column whose first largest-magnitude entry is negative.
+
+    Column maxima and minima copy nothing; only the columns whose two
+    extremes tie in magnitude are copied, for ``argmax`` and ``argmin``.
+    """
+    top = vectors.max(axis=0)
+    bottom = -vectors.min(axis=0)
+    negative = bottom > top
+    tied = np.flatnonzero(bottom == top)
+    if tied.size:
+        columns = vectors[:, tied]
+        negative[tied] = columns.argmin(axis=0) < columns.argmax(axis=0)
     # a product by a row of signs: the masked np.negative is several times slower
     vectors *= np.where(negative, -1.0, 1.0)
 

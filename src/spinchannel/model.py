@@ -16,6 +16,7 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,10 @@ class CouplingMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild through the constructor, so every copy is checked and read-only
+        return (CouplingMatrix, (self.entries,))
+
     @property
     def n_sites(self) -> int:
         return self.entries.shape[0]
@@ -228,34 +233,46 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
     Format: first non-empty line holds N, followed by N lines of N reals.
     Entries may deviate from exact symmetry by at most 1e-12 (they are
     symmetrized); the diagonal must be zero to the same tolerance.
+
+    The file is read line by line and each good row kept as N floats, so
+    memory grows with the rows read, not with the N a header claims, and
+    peaks at two N x N arrays.  A wrong row count is reported before a bad
+    row, wherever the two lie.
     """
-    tokens_per_line = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            tokens_per_line.append((line_no, stripped.split()))
-    if not tokens_per_line:
+    n, rows, found, error = None, [], 0, None
+    with open(path) as file:
+        # str.splitlines per line, so the lines and their numbers are those of the whole text's splitlines
+        for line_no, line in enumerate(chain.from_iterable(map(str.splitlines, file)), start=1):
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if n is None:
+                try:
+                    (n,) = map(int, tokens)
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
+                if n < 2:
+                    raise ValueError(f"{path}:{line_no}: N must be >= 2 (got {n})")
+                continue
+            found += 1
+            if error is not None or found > n:
+                continue
+            if len(tokens) != n:
+                error = f"{path}:{line_no}: expected {n} entries, found {len(tokens)}"
+                continue
+            try:
+                rows.append(np.array(list(map(float, tokens))))
+            except ValueError:
+                error = f"{path}:{line_no}: entries must be real numbers"
+    if n is None:
         raise ValueError(f"{path}: empty coupling file")
-    header_no, header = tokens_per_line[0]
-    if len(header) != 1:
-        raise ValueError(f"{path}:{header_no}: first line must hold a single integer N")
-    try:
-        n = int(header[0])
-    except ValueError:
-        raise ValueError(f"{path}:{header_no}: first line must hold a single integer N") from None
-    if n < 2:
-        raise ValueError(f"{path}:{header_no}: N must be >= 2 (got {n})")
-    rows = tokens_per_line[1:]
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} matrix rows, found {len(rows)}")
-    entries = np.empty((n, n))
-    for r, (line_no, tokens) in enumerate(rows):
-        if len(tokens) != n:
-            raise ValueError(f"{path}:{line_no}: expected {n} entries, found {len(tokens)}")
-        try:
-            entries[r] = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: entries must be real numbers") from None
+    if found != n:
+        raise ValueError(f"{path}: expected {n} matrix rows, found {found}")
+    if error is not None:
+        raise ValueError(error)
+    entries = np.array(rows)
+    # freed before the symmetrized sum is made, so no more than two n x n arrays coexist
+    del rows
     if not _symmetric_within(entries, 1e-12):
         if not np.isfinite(entries).all():
             raise ValueError(f"{path}: matrix entries must be finite")

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -40,6 +41,17 @@ def count_certifications(monkeypatch) -> list:
 
     monkeypatch.setattr(sc.CouplingMatrix, "__post_init__", counting)
     return certified
+
+
+def traced_peak(fn):
+    """Call fn() under tracemalloc: its result, the peak bytes traced during the call, the bytes held after it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinchannel as sc
+from spinchannel import cli
 from spinchannel.cli import MODES, ConfigError, RunConfig, main, parse_config, run
 from support import count_certifications
 
@@ -187,6 +188,20 @@ def test_config_round_trips_through_text(data):
 
 
 # ---------------------------------------------------------------- run outputs
+
+
+def test_csv_writes_each_value_as_a_summary_field_does():
+    floats = [0.0, -0.0, 1.0 / 3.0, -2.5e-300, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    columns = [
+        floats,
+        list(range(-4, 5)),
+        [2**60, -(2**53) - 1, 0, 7, 8, 1, 2, 3, 4],
+        ["a", "b c", "", "x", "y", "z", "1", "2", "3"],
+        [True, False] * 4 + [True],
+    ]
+    expected = "h\n" + "".join(",".join(map(cli._text, row)) + "\n" for row in zip(*columns))
+    assert cli._csv("h", columns) == expected
+    assert cli._csv("h", [[], []]) == "h\n"
 
 
 def test_run_time_scan_writes_csv_and_summary(tmp_path):

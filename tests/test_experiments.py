@@ -1,7 +1,6 @@
 """Time scans, peak refinement, and size scans."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,14 @@ import pytest
 import spinchannel as sc
 from spinchannel import experiments
 from spinchannel.experiments import _refined_peaks
-from support import count_certifications, dh_geometry, random_couplings, reference_amplitudes, two_site_model
+from support import (
+    count_certifications,
+    dh_geometry,
+    random_couplings,
+    reference_amplitudes,
+    traced_peak,
+    two_site_model,
+)
 
 
 # ---------------------------------------------------------------- peak refinement
@@ -346,29 +352,21 @@ def test_time_scan_moduli_at_large_phase_on_1000_position_chain():
 def test_time_scan_fine_grid_memory_on_202_position_chain():
     # 200000 grid points on 200 spins: a grid-by-spectrum phase block would take 640 MB
     geo = dh_geometry(200)
-    tracemalloc.start()
-    try:
-        result = sc.time_scan(geo, sc.CouplingModel.power_law(), grid_points=200000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak, _ = traced_peak(lambda: sc.time_scan(geo, sc.CouplingModel.power_law(), grid_points=200000))
     assert result.times.size == 200000
     assert peak < 64e6
 
 
 def test_time_scan_frees_the_couplings_before_diagonalizing():
-    # the 1000-position double-hole chain: J and H take 8 n^2 bytes each, and eigh's two
-    # half-size blocks and their copies, eigenvectors and the half rows of V come on top of H
+    # the 1000-position double-hole chain: J and H take 8 n^2 bytes each, and once the two
+    # half-size blocks are built H is freed, so the blocks, their eigenvectors and the half
+    # rows of V never come on top of it
     geo = dh_geometry(998)
     n = geo.n_sites
-    tracemalloc.start()
-    try:
-        sc.time_scan(geo, sc.CouplingModel.power_law())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # measured: 2.51 * 8 n^2 (19.97 MB); with J held through eigh it was 3.76 * 8 n^2
-    assert peak <= 3 * 8 * n * n
+    _, peak, _ = traced_peak(lambda: sc.time_scan(geo, sc.CouplingModel.power_law()))
+    # measured: 2.003 * 8 n^2, J and H while H is built; it was 2.51 * 8 n^2 with H held through
+    # eigh, and 3.76 * 8 n^2 with J held too
+    assert peak <= 2.05 * 8 * n * n
 
 
 def test_time_scan_theta_scales_concurrence():

@@ -1,13 +1,16 @@
 """Geometry, coupling, and Hamiltonian construction."""
 
+import copy
 import math
+import pickle
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import spinchannel as sc
-from support import dh_geometry, random_couplings, random_symmetric
+from support import count_certifications, dh_geometry, random_couplings, random_symmetric, traced_peak
 
 
 # ---------------------------------------------------------------- geometry
@@ -225,6 +228,31 @@ def test_coupling_matrix_rejects_one_bad_entry_in_a_late_panel_without_a_warning
             sc.CouplingMatrix(entries)
 
 
+@pytest.mark.parametrize("route", ["deepcopy", "pickle", "model_deepcopy"])
+def test_coupling_matrix_copies_are_checked_and_read_only(monkeypatch, route):
+    J = random_couplings(5, np.random.default_rng(3))
+    certified = count_certifications(monkeypatch)
+    if route == "deepcopy":
+        copied = copy.deepcopy(J)
+    elif route == "pickle":
+        copied = pickle.loads(pickle.dumps(J))
+    else:
+        copied = copy.deepcopy(sc.CouplingModel.custom(J)).custom_matrix
+    assert certified == [copied]
+    assert copied.entries is not J.entries and np.array_equal(copied.entries, J.entries)
+    with pytest.raises(ValueError, match="read-only"):
+        copied.entries[0, 1] = 5.0
+
+
+def test_a_pickled_asymmetric_coupling_matrix_is_rejected():
+    J = sc.CouplingMatrix(np.zeros((3, 3)))
+    # a tampered payload: entries set past the frozen dataclass's __setattr__ before pickling
+    object.__setattr__(J, "entries", np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    payload = pickle.dumps(J)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        pickle.loads(payload)
+
+
 def test_coupling_matrix_accepts_signed_zeros():
     entries = np.zeros((3, 3))
     entries[0, 2], entries[2, 0] = 0.0, -0.0
@@ -360,6 +388,9 @@ def test_load_coupling_matrix_roundtrip(tmp_path):
     J = sc.load_coupling_matrix(path)
     assert J.n_sites == 3
     assert J.entries[0, 2] == 0.125
+    # CRLF line endings, blank and comment-only lines between rows, no newline at the end
+    path.write_bytes(b"3 # N\r\n\r\n0.0 1.0 0.125\r\n# between rows\r\n1.0 0.0 1.0\r\n0.125 1.0 0.0")
+    assert np.array_equal(sc.load_coupling_matrix(path).entries, J.entries)
 
 
 def test_load_coupling_matrix_symmetrizes_tiny_asymmetry(tmp_path):
@@ -381,22 +412,45 @@ def test_load_coupling_matrix_symmetrizes_entries_near_the_float_maximum(tmp_pat
     assert np.array_equal(J.entries, [[0.0, 1.5e308, 1.0], [1.5e308, 0.0, -1.5e308], [1.0, -1.5e308, 0.0]])
 
 
-def test_load_coupling_matrix_rejects_bad_files(tmp_path):
-    cases = {
-        "asymmetric": "2\n0.0 1.0\n1.5 0.0\n",
-        "diagonal": "2\n0.5 1.0\n1.0 0.0\n",
-        "bad_header": "two\n0.0 1.0\n1.0 0.0\n",
-        "row_count": "3\n0.0 1.0 1.0\n1.0 0.0 1.0\n",
-        "entry_count": "2\n0.0\n0.0 0.0\n",
-        "not_a_number": "2\n0.0 x\nx 0.0\n",
-        "too_small": "1\n0.0\n",
-        "empty": "\n",
-        "infinite_entry": "2\n0.0 inf\ninf 0.0\n",
-        "nan_entry": "2\n0.0 nan\nnan 0.0\n",
-        "two_token_header": "2 2\n0.0 1.0\n1.0 0.0\n",
-    }
-    for name, text in cases.items():
-        path = tmp_path / f"{name}.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            sc.load_coupling_matrix(path)
+_BAD_FILES = {
+    "asymmetric": ("2\n0.0 1.0\n1.5 0.0\n", ": matrix asymmetry 5.000e-01 exceeds 1e-12"),
+    "diagonal": ("2\n0.5 1.0\n1.0 0.0\n", ": matrix diagonal magnitude 5.000e-01 exceeds 1e-12"),
+    "bad_header": ("two\n0.0 1.0\n1.0 0.0\n", ":1: first line must hold a single integer N"),
+    "row_count": ("3\n0.0 1.0 1.0\n1.0 0.0 1.0\n", ": expected 3 matrix rows, found 2"),
+    "entry_count": ("2\n0.0\n0.0 0.0\n", ":2: expected 2 entries, found 1"),
+    "not_a_number": ("2\n0.0 x\nx 0.0\n", ":2: entries must be real numbers"),
+    "too_small": ("1\n0.0\n", ":1: N must be >= 2 (got 1)"),
+    "empty": ("\n", ": empty coupling file"),
+    "infinite_entry": ("2\n0.0 inf\ninf 0.0\n", ": matrix entries must be finite"),
+    "nan_entry": ("2\n0.0 nan\nnan 0.0\n", ": matrix entries must be finite"),
+    "two_token_header": ("2 2\n0.0 1.0\n1.0 0.0\n", ":1: first line must hold a single integer N"),
+    "crlf": ("2\r\n0.0 1.0\r\n1.0 x\r\n", ":3: entries must be real numbers"),
+    "blank_and_comment_lines": ("# c\n2\n\n# rows\n0.0 1.0\n   \n1.0 0.0 0.5\n", ":7: expected 2 entries, found 3"),
+    "comment_after_header": ("2  # sites\n0.0 1.0\n1.0 y\n", ":3: entries must be real numbers"),
+    "form_feed_splits_a_line": ("2\n0.0 1.0\f1.0 x\n", ":3: entries must be real numbers"),
+    # nothing is allocated for rows a header claims but the file lacks
+    "huge_header": ("1000000000\n0.0 1.0\n", ": expected 1000000000 matrix rows, found 1"),
+    "extra_row": ("2\n0.0 1.0\n1.0 0.0\n0.0 0.0\n", ": expected 2 matrix rows, found 3"),
+    # the row count is reported before a bad row, wherever the two lie
+    "extra_row_after_a_bad_one": ("2\n0.0 z\n1.0 0.0\n0.0 0.0\n", ": expected 2 matrix rows, found 3"),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_FILES)
+def test_load_coupling_matrix_rejects_bad_files(tmp_path, name):
+    text, message = _BAD_FILES[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+        sc.load_coupling_matrix(path)
+
+
+def test_load_coupling_matrix_holds_at_most_two_matrices(tmp_path):
+    entries = random_couplings(300, np.random.default_rng(11)).entries
+    path = tmp_path / "couplings.txt"
+    path.write_text("300\n" + "".join(" ".join(map(repr, row)) + "\n" for row in entries.tolist()))
+    J, peak, _ = traced_peak(lambda: sc.load_coupling_matrix(path))
+    assert np.array_equal(J.entries, entries)
+    # measured: 2.04 x, the stacked rows and their symmetrized sum; holding every token
+    # string of the file at once, as a whole-file split does, took about 12 x
+    assert peak <= 3 * entries.nbytes
