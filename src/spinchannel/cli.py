@@ -337,7 +337,7 @@ def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> t
 def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> list[Path]:
     """Execute a parsed configuration and write its output files.
 
-    The library checks each value as this builds the models, the geometry
+    The library checks each value as this builds the geometry, the model
     and the scan; its ValueError, or an OSError reading a coupling file, is
     re-raised as ConfigError.  Everything is computed before anything is
     written, so a rejected input or a numerical failure leaves no files
@@ -347,16 +347,12 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     removes the temporaries and every target already replaced.
     """
     try:
-        # both generative models are built whatever `coupling` is, so every value is checked
-        models = {
-            "power_law": CouplingModel.power_law(nu=config.nu, strength_c=config.c, spacing_a=config.a),
-            "mirror_periodic": CouplingModel.mirror_periodic(lam=config.lam),
-        }
         if config.mode in _CHAIN_MODES:
             geometry = build_chain_geometry(config.positions, config.sender, config.receiver, double_hole=config.dh)
-        if config.coupling == "custom":
-            models["custom"] = CouplingModel.custom(load_coupling_matrix(config.coupling_file))
-        model = models[config.coupling]
+        matrix = load_coupling_matrix(config.coupling_file) if config.coupling == "custom" else None
+        model = CouplingModel(
+            config.coupling, nu=config.nu, strength_c=config.c, spacing_a=config.a, lam=config.lam, custom_matrix=matrix
+        )
         if config.mode == "time_scan":
             files, report = _time_scan_payload(config, model, geometry)
         elif config.mode == "size_scan":

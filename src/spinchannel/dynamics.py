@@ -4,19 +4,15 @@ With H = V diag(E) V^T the transition amplitude from site s to site n is
 
     f_sn(t) = <n| exp(-i H t) |s> = sum_j V[n, j] V[s, j] exp(-i E_j t)
 
-(units with hbar = 1).  ``propagate`` is the one routine that evaluates it,
-for a single instant or a whole time grid and for one, several or all
-target sites; ``full_space_amplitude`` maps sites to basis states of the
-full 2^n space on top of it.  Everything downstream (fidelities,
-concurrence, dispersion) is a function of the two amplitudes f_ss and f_sr,
-with the weight lost to the rest of the chain given by
-1 - |f_ss|^2 - |f_sr|^2.
+(units with hbar = 1).  ``propagate`` evaluates it; ``full_space_amplitude``
+maps sites to basis states of the full 2^n space on top of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,123 +51,96 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True, init=False, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+    """Eigenvalues and eigenvector columns V, held as the first r rows of V.
 
-    ``SpectralDecomposition(eigenvalues, eigenvectors)`` holds V as given.
-    A decomposition that ``eigendecompose`` split by mirror symmetry holds
-    only the first ceil(n/2) rows of V and a sign per column, -1 for the
-    columns that are odd under the site reversal: row n-1-i is row i times
-    those signs.  ``propagate`` and ``spectral_overlaps`` read the rows they
-    need through ``_rows`` and ``_channel_weight``, and ``eigenvectors``
-    assembles V on first access.
-
-    ``propagate`` takes its phases from the spectral midpoint
-    (E_min + E_max) / 2, so the midpoint, the rates -i (E - midpoint) and
-    their largest modulus, max|E - midpoint|, are derived here once per
-    decomposition.
+    ``SpectralDecomposition(eigenvalues, eigenvectors)`` takes a 1-D array
+    of n >= 1 eigenvalues and an n x n V, else raises ValueError, and holds
+    all r = n rows.  A mirror split (``eigendecompose``) holds r = ceil(n/2)
+    rows and ``_signs``, each column's parity: row n-1-i is row i times
+    ``_signs``.  Held arrays are read-only; ``eigenvectors`` and the phase
+    data of ``propagate`` are computed on first read.
     """
 
     eigenvalues: np.ndarray
-    _vectors: np.ndarray | None = field(repr=False)
-    _half: np.ndarray | None = field(repr=False)
+    _held: np.ndarray = field(repr=False)
     _signs: np.ndarray | None = field(repr=False)
-    _midpoint: float = field(repr=False)
-    _rates: np.ndarray = field(repr=False)
-    _half_width: float = field(repr=False)
 
-    def __init__(self, eigenvalues, eigenvectors) -> None:
-        self._hold(eigenvalues, np.asarray(eigenvectors, dtype=np.float64), None, None)
-
-    @classmethod
-    def _mirrored(cls, eigenvalues: np.ndarray, half: np.ndarray, signs: np.ndarray) -> SpectralDecomposition:
-        """The decomposition whose V has rows ``half`` and, below them, row n-1-i = half[i] * signs."""
-        decomp = cls.__new__(cls)
-        decomp._hold(eigenvalues, None, half, signs)
-        return decomp
-
-    def _hold(self, eigenvalues, vectors, half, signs) -> None:
+    def __init__(self, eigenvalues, eigenvectors, *, _signs=None) -> None:
         eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        low, high = (float(eigenvalues.min()), float(eigenvalues.max())) if eigenvalues.size else (0.0, 0.0)
-        midpoint = 0.5 * (low + high)
-        rates = -1j * (eigenvalues - midpoint)
-        for array in (eigenvalues, vectors, half, signs, rates):
+        held = np.asarray(eigenvectors, dtype=np.float64)
+        n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else 0
+        if not n or held.shape != (n if _signs is None else (n + 1) // 2, n):
+            raise ValueError(
+                "expected a 1-D array of n >= 1 eigenvalues and an n x n eigenvector matrix "
+                f"(got shapes {eigenvalues.shape} and {held.shape})"
+            )
+        for array in (eigenvalues, held, _signs):
             if array is not None:
                 array.setflags(write=False)
         # frozen: the fields are set once, here, past the dataclass's __setattr__
-        self.__dict__.update(
-            eigenvalues=eigenvalues, _vectors=vectors, _half=half, _signs=signs,
-            _midpoint=midpoint, _rates=rates, _half_width=max(high - midpoint, midpoint - low),
-        )
+        self.__dict__.update(eigenvalues=eigenvalues, _held=held, _signs=_signs)
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
+    @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """V, one eigenvector per column; a split decomposition assembles it on first access."""
-        if self._vectors is None:
-            half = self._half
-            rows = self.n // 2
-            vectors = np.empty((self.n, self.n))
-            vectors[: half.shape[0]] = half
-            np.multiply(half[:rows][::-1], self._signs, out=vectors[half.shape[0] :])
-            vectors.setflags(write=False)
-            self.__dict__["_vectors"] = vectors
-        return self._vectors
+        """V, one eigenvector per column; a split builds it in one n x n array on first read."""
+        vectors = self._rows(slice(None))
+        vectors.setflags(write=False)
+        return vectors
+
+    @cached_property
+    def _midpoint(self) -> float:
+        return 0.5 * (float(self.eigenvalues.min()) + float(self.eigenvalues.max()))
+
+    @cached_property
+    def _rates(self) -> np.ndarray:
+        rates = -1j * (self.eigenvalues - self._midpoint)
+        rates.setflags(write=False)
+        return rates
+
+    @cached_property
+    def _half_width(self) -> float:
+        return max(float(self.eigenvalues.max()) - self._midpoint, self._midpoint - float(self.eigenvalues.min()))
 
     def _rows(self, index) -> np.ndarray:
-        """V[index] for a site index or an integer array of them, without assembling V."""
-        if self._half is None:
-            return self._vectors[index]
+        """V[index] for a site index, an integer array of them or a slice, without assembling V."""
+        if self._signs is None:
+            return self._held[index]
         sites = np.arange(self.n)[index]
         folded = np.minimum(sites, self.n - 1 - sites)
-        rows = self._half[folded]
-        return np.where((sites != folded)[..., None], rows * self._signs, rows)
+        rows = np.take(self._held, folded, axis=0)
+        # signed in place, so the rows take no memory beyond their own array
+        np.multiply(rows, self._signs, out=rows, where=(sites != folded)[..., None])
+        return rows
 
     def _channel_weight(self, excluded: tuple[int, int]) -> np.ndarray:
-        """sum_i V[i, j]^2 over every site i but the ``excluded`` ones, per column j.
-
-        A split decomposition sums the half rows, each weighted by how many
-        of its two mirror sites (one for the middle row) are not excluded.
-        """
-        if self._half is None:
-            mask = np.ones(self.n, dtype=bool)
-            for site in excluded:
-                mask[site] = False
-            return np.sum(self._vectors[mask] ** 2, axis=0)
-        weights = np.full(self._half.shape[0], 2.0)
-        if self.n % 2:
-            weights[-1] = 1.0
+        """sum_i V[i, j]^2 over every site i but the ``excluded`` ones, per column j."""
+        r, n = self._held.shape
+        # a held row also stands for its mirror site when that site is not held
+        weights = np.where(n - 1 - np.arange(r) < r, 1.0, 2.0)
         for site in excluded:
-            weights[min(site, self.n - 1 - site)] -= 1.0
-        return np.einsum("i,ij,ij->j", weights, self._half, self._half)
+            weights[site if site < r else n - 1 - site] -= 1.0
+        return np.einsum("i,ij,ij->j", weights, self._held, self._held)
 
 
 def eigendecompose(hamiltonian) -> SpectralDecomposition:
-    """Diagonalize a real symmetric Hamiltonian.
+    """Diagonalize a real symmetric Hamiltonian: an ndarray or an object with a ``matrix``.
 
-    Accepts either a bare ndarray (such as full_hamiltonian's) or an object
-    with a ``matrix`` attribute (SectorHamiltonian).  Eigenvalues come out
-    ascending and each eigenvector's sign is fixed so its largest-magnitude
-    component is positive, making the decomposition reproducible across runs.
-
-    Every input must be a non-empty square matrix whose entries are finite
-    and symmetric to 1e-12.  They are checked here, once per call, whatever
-    built the matrix: an array the caller still holds may have been written
+    Eigenvalues come out ascending, and each eigenvector's first
+    largest-magnitude entry is positive.  The matrix must be non-empty,
+    square, finite and symmetric to 1e-12 (else ValueError); it is checked
+    on every call, since an array the caller holds may have been written
     since any earlier check.
 
-    A matrix with at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
-    reversing the site order (checked on the entries) is diagonalized as its
-    even and odd blocks under that reversal: two half-size ``eigh`` calls,
-    about a quarter of the work.  The result is the same decomposition, with
-    every eigenvector exactly even or odd, so two states of opposite parity
-    cannot mix however close their energies are; it holds half of V, and
-    builds the rest only when ``eigenvectors`` is read.  Once both blocks
-    are built it drops its references to H, so a temporary passed straight
-    in, as in ``eigendecompose(sector_hamiltonian(J))``, is freed before the
-    blocks go to ``eigh`` (on CPython 3.11 and later; 3.10 keeps it alive in
-    the caller until the call returns).
+    A matrix of at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
+    reversing the site order is diagonalized as its even and odd blocks,
+    about a quarter of the work, and every eigenvector comes out exactly
+    even or odd.  The result holds ceil(n/2) rows of V.  References to H
+    are dropped before the blocks go to ``eigh``, so on CPython 3.11 and
+    later a temporary passed straight in is freed by then.
     """
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
@@ -193,12 +162,7 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
 
 
 def _symmetric_within(matrix: np.ndarray, tolerance: float) -> bool:
-    """Whether every |M[i, k] - M[k, i]| <= tolerance; False when an entry is NaN or infinite.
-
-    Each panel of rows from the diagonal on is compared with the matching
-    panel of columns, so every entry is read and a non-finite one leaves a
-    NaN or infinite difference that fails the test; no warning is raised.
-    """
+    """Whether every |M[i, k] - M[k, i]| <= tolerance; False, without a warning, when an entry is not finite."""
     n = matrix.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, n, _PANEL_ROWS):
@@ -211,10 +175,8 @@ def _symmetric_within(matrix: np.ndarray, tolerance: float) -> bool:
 def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
     """max|H - P H P| <= _MIRROR_TOLERANCE_EPS * eps * max|H|, P the site reversal.
 
-    (P H P)[i, k] = H[n-1-i, n-1-k], so H - P H P is H minus H reversed in
-    both indices, and row n-1-i of that difference is row i reversed and
-    negated: its first ceil(n/2) rows hold every magnitude.  They are
-    compared panel by panel, each row with its reversed partner.
+    Row n-1-i of H - P H P is row i reversed and negated, so its first
+    ceil(n/2) rows hold every magnitude.
     """
     scale = max(float(matrix.max()), -float(matrix.min()))
     tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
@@ -246,17 +208,12 @@ def _mirror_blocks(matrix: np.ndarray) -> list[np.ndarray]:
 
 
 def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
-    """``eigh`` of a mirror-symmetric matrix from the [even, odd] blocks of ``_mirror_blocks``.
+    """``eigh`` of a mirror-symmetric matrix from the [even, odd] blocks of ``_mirror_blocks``, emptying ``blocks``.
 
-    Each block is popped from ``blocks`` as it goes to ``eigh``, so it is
-    freed once diagonalized.  An even-block eigenvector (u, c) is
-    (u, c, Pu) / sqrt(2) on the chain with the middle entry c unscaled, an
-    odd one (u, -Pu) / sqrt(2), where Pu is u in reverse order.  Eigenvalues
-    are merged by a stable sort, which keeps each block's columns in their
-    own order.  The decomposition holds the first ceil(n/2) rows of V and
-    the sign of each column under the reversal; a column's entries below
-    those rows repeat theirs up to that sign, so its first largest-magnitude
-    entry lies among them and ``_fix_signs`` needs only them.
+    An even-block eigenvector (u, c) is (u, c, Pu) / sqrt(2) on the chain,
+    the middle entry c unscaled, and an odd one (u, -Pu) / sqrt(2), Pu being
+    u reversed.  A column's first largest-magnitude entry lies in its first
+    ceil(n/2) rows, so ``_fix_signs`` needs only those.
     """
     m = blocks[1].shape[0]
     n = m + blocks[0].shape[0]
@@ -275,14 +232,13 @@ def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
         half[m, odd] = 0.0
     del even_vectors, odd_vectors
     _fix_signs(half)
-    return SpectralDecomposition._mirrored(eigenvalues[order], half, np.where(odd, -1.0, 1.0))
+    return SpectralDecomposition(eigenvalues[order], half, _signs=np.where(odd, -1.0, 1.0))
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
     """Negate, in place, each column whose first largest-magnitude entry is negative.
 
-    Column maxima and minima copy nothing; only the columns whose two
-    extremes tie in magnitude are copied, for ``argmax`` and ``argmin``.
+    Only the columns whose two extremes tie in magnitude are copied.
     """
     top = vectors.max(axis=0)
     bottom = -vectors.min(axis=0)
@@ -298,31 +254,18 @@ def _fix_signs(vectors: np.ndarray) -> None:
 def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     """Amplitudes f(t) = sum_j V[to, j] V[from, j] exp(-i E_j t).
 
-    ``t`` is a scalar or a 1-D grid; ``to`` is one site index, a sequence of
-    indices, or None for every site.  The result has shape
-    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None), so a scalar
-    ``t`` and a single ``to`` give one complex number.
+    ``t`` is a scalar or any array of times; ``to`` is one site index, a
+    sequence of them, or None for every site.  The result has shape
+    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None).
 
-    Phases are taken from the spectral midpoint Ebar = (E_min + E_max) / 2:
-    the sum runs over exp(-i (E_j - Ebar) t) and is multiplied by
-    exp(-i Ebar t).  A large common energy (such as the diagonal offset of
-    a long chain) then stays out of the phase arguments, whose rounding
-    grows with their size; moduli depend only on the relative phases.
-
-    A 1-D arithmetic progression of G times (an ``np.linspace`` grid) takes
-    its phases from two tables of about sqrt(G) rows and is scored by one
-    complex GEMM per chunk of targets (``_progression_amplitudes``); the
-    G-by-n phase block is never built.  Besides the result, a few targets
-    T cost about 16 ((2 + T) sqrt(G) n + G T) bytes, and many targets are
-    chunked to stay within the 16 G n bytes of that block.  Any other ``t``
-    takes one ``exp`` per time and eigenvalue into a shape(t) + (n,) phase
-    block.
-
-    When max|E - Ebar| max|t| exceeds 2^26 rad (a long chain over a long
-    window), each phase is reduced mod 2 pi before ``exp``
-    (``_exp_phases``), which then runs several times faster; each phase
-    factor moves by at most about 3e-16.  Below that bound the phases go to
-    ``exp`` as they are.
+    The sum runs over exp(-i (E_j - Ebar) t), Ebar = (E_min + E_max) / 2,
+    and is then multiplied by exp(-i Ebar t), so a large common energy
+    stays out of the phase arguments.  A 1-D arithmetic progression of G
+    times never builds the G x n phase block: besides the result, T
+    targets take about 16 ((2 + T) sqrt(G) n + G T) bytes, and many
+    targets at most the 16 G n bytes of that block.  Any other ``t`` builds
+    it.  Past max|E - Ebar| max|t| = 2^26 rad each phase factor may move by
+    about 3e-16 (``_exp_phases``).
     """
     times = np.asarray(t, dtype=np.float64)
     targets = decomp.eigenvectors if to is None else decomp._rows(np.asarray(to))
@@ -348,12 +291,9 @@ def _phase_block(decomp: SpectralDecomposition, from_index: int, times: np.ndarr
 def _exp_phases(phases: np.ndarray, bound: float) -> np.ndarray:
     """exp of a block of imaginary phases, in place; ``bound`` is at least the largest |phase|.
 
-    When the bound lies in (_REDUCE_PHASES_ABOVE, _REDUCE_PHASES_UP_TO],
-    each phase x first becomes x - k 2 pi with k = rint(x / 2 pi), 2 pi
-    taken as the sum of _TWO_PI_PARTS and subtracted part by part.  The
-    first two products and differences are exact, so only the last part
-    rounds: ``exp`` of the reduced phase lies within about 3e-16 of ``exp``
-    of x.  Otherwise ``exp`` takes the phases as they are.
+    For a bound in (_REDUCE_PHASES_ABOVE, _REDUCE_PHASES_UP_TO] each phase
+    is first reduced mod 2 pi, part by part of _TWO_PI_PARTS, and the result
+    lies within about 3e-16 of ``exp`` of the phase as given.
     """
     if _REDUCE_PHASES_ABOVE < bound <= _REDUCE_PHASES_UP_TO:
         angles = phases.imag
@@ -366,11 +306,8 @@ def _exp_phases(phases: np.ndarray, bound: float) -> np.ndarray:
 def _amplitude_derivatives(decomp: SpectralDecomposition, from_index: int, t, to) -> np.ndarray:
     """g, g' and g'' at each time, where g(t) = exp(i Ebar t) f(t) and f is ``propagate``'s amplitude.
 
-    With w_j = V[to, j] V[from, j] and r_j = -i (E_j - Ebar), the three are
-    sum_j w_j r_j^m exp(r_j t) for m = 0, 1, 2: one phase block times
-    3 * len(to) weight columns.  |g| = |f|, so moduli and their time
-    derivatives come out as those of f, free of the e^{-i Ebar t} factor.
-    ``t`` is 1-D and ``to`` a sequence of site indices; the result has shape
+    |g| = |f|, so moduli and their time derivatives are those of f.  ``t``
+    is 1-D and ``to`` a sequence of site indices; the result has shape
     (3, len(t), len(to)).
     """
     times = np.asarray(t, dtype=np.float64)
@@ -391,9 +328,7 @@ def _progression(times: np.ndarray) -> tuple[float, float, int] | None:
     # a progression's largest |t| is at one of its ends
     tolerance = _PROGRESSION_ULPS * np.finfo(np.float64).eps * max(abs(t0), abs(t_last))
     deviation = np.abs(times - (t0 + dt * np.arange(count))).max()
-    if not deviation <= tolerance:
-        return None
-    return t0, dt, count
+    return (t0, dt, count) if deviation <= tolerance else None
 
 
 def _progression_amplitudes(
@@ -401,15 +336,11 @@ def _progression_amplitudes(
 ) -> np.ndarray:
     """sum_j exp(rates_j (t0 + k dt)) weights_j targets[..., j] for k < count, rates = decomp._rates.
 
-    With k = a B + b and B = ceil(sqrt(count)), the phase of term j is the
-    coarse entry exp(rates_j (t0 + a B dt)) times the fine entry
-    exp(rates_j b dt).  Amplitude (a B + b, c) is then row a of the coarse
-    table (C x n, C = ceil(count / B)) times column (b, c) of the operand
-    fine[b, j] weights_j targets[c, j], so each chunk of targets is one
-    complex GEMM and the count-by-n phase block is never formed.  A chunk
-    holds at most C n / (n + C) targets (at least one), so its operand, n B
-    entries per target, and its GEMM product, C B per target, together stay
-    within the C B n entries that block would take.  The result has shape
+    With k = a B + b and B = ceil(sqrt(count)), the phase at time k is a
+    coarse entry, at t0 + a B dt, times a fine one, at b dt.  Each chunk of
+    targets is then one complex GEMM of the C x n coarse table,
+    C = ceil(count / B), with the fine entries times weights and targets.  A chunk's operand and product
+    stay within the C B n entries of the phase block.  The result has shape
     (count,) + targets.shape[:-1].
     """
     rates = decomp._rates

@@ -117,7 +117,8 @@ class CouplingModel:
     kind = "custom":          entries taken verbatim from ``custom_matrix``
 
     A custom model holds a CouplingMatrix, checked here once if an array is
-    given.  Parameters are tested as ``not x > 0``, so NaN fails too.
+    given.  Every kind checks nu, strength_c, spacing_a and lam as
+    ``not x > 0``, so NaN fails too.
     """
 
     kind: str
@@ -130,17 +131,10 @@ class CouplingModel:
     def __post_init__(self) -> None:
         if self.kind not in COUPLING_KINDS:
             raise ValueError(f"unknown coupling kind {self.kind!r}; expected one of {COUPLING_KINDS}")
-        if self.kind == "power_law":
-            if not self.nu > 0:
-                raise ValueError(f"nu must be > 0 (got {self.nu})")
-            if not self.strength_c > 0:
-                raise ValueError(f"strength_c must be > 0 (got {self.strength_c})")
-            if not self.spacing_a > 0:
-                raise ValueError(f"spacing_a must be > 0 (got {self.spacing_a})")
-        elif self.kind == "mirror_periodic":
-            if not self.lam > 0:
-                raise ValueError(f"lam must be > 0 (got {self.lam})")
-        elif self.kind == "custom":
+        for name in ("nu", "strength_c", "spacing_a", "lam"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
+        if self.kind == "custom":
             if self.custom_matrix is None:
                 raise ValueError("custom coupling model needs a custom_matrix")
             if not isinstance(self.custom_matrix, CouplingMatrix):
@@ -167,14 +161,7 @@ class CouplingMatrix:
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"coupling matrix must be square (got shape {entries.shape})")
-        if not _symmetric_within(entries, 0.0):
-            if not np.isfinite(entries).all():
-                raise ValueError("coupling matrix has non-finite entries")
-            raise ValueError("coupling matrix must be exactly symmetric")
-        if np.any(np.diagonal(entries) != 0.0):
-            raise ValueError("coupling matrix diagonal must be exactly zero")
+        _check_couplings(entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -185,6 +172,18 @@ class CouplingMatrix:
     @property
     def n_sites(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_couplings(entries: np.ndarray) -> None:
+    """Raise ValueError unless ``entries`` is square, finite, exactly symmetric and zero on the diagonal."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"coupling matrix must be square (got shape {entries.shape})")
+    if not _symmetric_within(entries, 0.0):
+        if not np.isfinite(entries).all():
+            raise ValueError("coupling matrix has non-finite entries")
+        raise ValueError("coupling matrix must be exactly symmetric")
+    if np.any(np.diagonal(entries) != 0.0):
+        raise ValueError("coupling matrix diagonal must be exactly zero")
 
 
 def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
@@ -338,7 +337,8 @@ def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True
     amplitude J_ij, and the S^z S^z term (when kept) adds +J_ij for pairs
     with differing occupation and -J_ij for pairs with equal occupation.
     Intended for cross-checks against the sector matrix, so the size is
-    capped at FULL_SPACE_MAX_SITES sites.
+    capped at FULL_SPACE_MAX_SITES sites.  J is checked again here, whole,
+    as CouplingMatrix checks it: its array may have been written since.
     """
     n = couplings.n_sites
     if n > FULL_SPACE_MAX_SITES:
@@ -346,6 +346,7 @@ def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True
             f"full-space build is capped at {FULL_SPACE_MAX_SITES} sites (got {n})"
         )
     J = couplings.entries
+    _check_couplings(J)
     dim = 1 << n
     matrix = np.zeros((dim, dim))
     basis = np.arange(dim)

@@ -327,7 +327,7 @@ def split_chains():
 @pytest.mark.parametrize("label", list(_SPLIT_CHAINS))
 def test_split_eigenvectors_reconstruct_the_matrix(split_chains, label):
     _geo, H, decomp = split_chains[label]
-    assert decomp._half is not None
+    assert decomp._held.shape == ((decomp.n + 1) // 2, decomp.n)  # a split holds ceil(n/2) rows
     _assert_same_decomposition_as_dense(H, decomp)
 
 
@@ -352,7 +352,7 @@ def test_split_rows_equal_the_assembled_eigenvectors(split_chains, label):
     s, r = geo.sender_index, geo.receiver_index
     indices = [0, 1, n // 2, (n - 1) // 2, n - 2, n - 1, -1, -n, np.array([s, r]), np.array([[r, 3], [n // 2, s]])]
     rows = [decomp._rows(index) for index in indices]
-    assert decomp._vectors is None  # rows are served without assembling V
+    assert "eigenvectors" not in vars(decomp)  # rows are served without assembling V
     V = decomp.eigenvectors
     for index, row in zip(indices, rows):
         assert np.array_equal(row, V[index]) and np.array_equal(np.signbit(row), np.signbit(V[index]))
@@ -393,6 +393,17 @@ def test_split_decomposition_holds_half_an_eigenvector_matrix():
     # half of V's bytes, plus a few length-n vectors (eigenvalues, rates, signs)
     assert held <= 8 * n * n / 2 + 64 * n
     assert decomp.eigenvectors.shape == (n, n)
+
+
+def test_split_eigenvectors_are_built_in_one_array():
+    # the first read of V on the 1000-position double-hole chain makes V and nothing of its size besides
+    _geo, H = _dh_sector(1000)
+    decomp = sc.eigendecompose(H)
+    n = decomp.n
+    V, peak, _held = traced_peak(lambda: decomp.eigenvectors)
+    assert peak <= 1.1 * 8 * n * n
+    rows = np.array([decomp._rows(site) for site in range(n)])
+    assert np.array_equal(V, rows) and np.array_equal(np.signbit(V), np.signbit(rows))
 
 
 def test_eigh_calls_per_chain(eigh_shapes):
@@ -614,6 +625,22 @@ def test_amplitude_series_rejects_broken_decomposition():
     f_ss, f_sr = sc.propagate(bad, 0, np.array([0.0, 1.0]), to=(0, 2)).T
     with pytest.raises(sc.NumericsError):
         sc.leaked_weight(f_ss, f_sr)
+
+
+@pytest.mark.parametrize(
+    ("eigenvalues", "eigenvectors"),
+    [
+        (np.zeros(2), np.ones((3, 2))),
+        (np.zeros(3), np.ones((2, 2))),
+        (np.zeros(0), np.ones((0, 0))),
+        (np.zeros((2, 2)), np.ones((2, 2))),
+        (np.zeros(2), np.ones(2)),
+    ],
+    ids=["tall", "short", "empty", "matrix_of_values", "vector_of_vectors"],
+)
+def test_decomposition_rejects_mismatched_shapes(eigenvalues, eigenvectors):
+    with pytest.raises(ValueError, match="n x n eigenvector matrix"):
+        sc.SpectralDecomposition(eigenvalues, eigenvectors)
 
 
 def test_mirror_chain_transfer_amplitude_matches_closed_form_at_1000_sites():

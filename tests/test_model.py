@@ -146,6 +146,16 @@ def test_coupling_model_rejects_nan_parameters(kind, name):
         getattr(sc.CouplingModel, kind)(**{name: math.nan})
 
 
+@pytest.mark.parametrize(
+    ("kind", "name"),
+    [("power_law", "lam"), ("mirror_periodic", "nu"), ("mirror_periodic", "spacing_a"), ("custom", "strength_c")],
+)
+def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
+    matrix = np.zeros((2, 2)) if kind == "custom" else None
+    with pytest.raises(ValueError, match=f"{name} must be > 0"):
+        sc.CouplingModel(kind=kind, custom_matrix=matrix, **{name: -1.0})
+
+
 def test_custom_model_holds_its_checked_matrix():
     entries = np.array([[0.0, 1.0], [1.0, 0.0]])
     model = sc.CouplingModel.custom(entries)
@@ -364,6 +374,23 @@ def test_full_one_excitation_block_matches_sector(include_zz):
     idx = [1 << k for k in range(6)]
     block = full[np.ix_(idx, idx)]
     assert np.allclose(block, sector.matrix, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    ("writes", "message"),
+    [({(2, 0): 5.0, (1, 1): 3.0}, "must be exactly symmetric"), ({(1, 1): 3.0}, "diagonal must be exactly zero")],
+    ids=["lower_triangle_and_diagonal", "diagonal"],
+)
+def test_full_hamiltonian_reads_all_of_couplings_written_after_their_check(writes, message):
+    # entries written through the writable base of a view: the whole matrix is checked again,
+    # lower triangle and diagonal included, with CouplingMatrix's messages
+    big = np.zeros((6, 6))
+    big[:4, :4] = sc.build_couplings(sc.build_chain_geometry(4), sc.CouplingModel.power_law()).entries
+    couplings = sc.CouplingMatrix(big[:4, :4])
+    for index, value in writes.items():
+        big[index] = value
+    with pytest.raises(ValueError, match=message):
+        sc.full_hamiltonian(couplings)
 
 
 def test_full_hamiltonian_size_guard():
