@@ -57,8 +57,10 @@ class SpectralDecomposition:
     of n >= 1 eigenvalues and an n x n V, else raises ValueError, and holds
     all r = n rows.  A mirror split (``eigendecompose``) holds r = ceil(n/2)
     rows and ``_signs``, each column's parity: row n-1-i is row i times
-    ``_signs``.  Held arrays are read-only; ``eigenvectors`` and the phase
-    data of ``propagate`` are computed on first read.
+    ``_signs``.  Held arrays are read-only; a float64 array passed in is held
+    itself, so the caller's array is frozen too (others are copied).
+    ``eigenvectors`` and the phase data of ``propagate`` are computed on
+    first read.
     """
 
     eigenvalues: np.ndarray
@@ -271,7 +273,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     targets = decomp.eigenvectors if to is None else decomp._rows(np.asarray(to))
     progression = _progression(times)
     if progression is None:
-        amplitudes = _phase_block(decomp, from_index, times) @ targets.T
+        amplitudes = _phase_block(decomp, decomp._rows(from_index), times) @ targets.T
     else:
         amplitudes = _progression_amplitudes(decomp, decomp._rows(from_index), targets, *progression)
     shift = np.exp(-1j * decomp._midpoint * times)
@@ -279,12 +281,12 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     return amplitudes
 
 
-def _phase_block(decomp: SpectralDecomposition, from_index: int, times: np.ndarray) -> np.ndarray:
-    """exp(-i (E_j - Ebar) t) V[from, j], one ``exp`` per time and eigenvalue: a shape(t) + (n,) block."""
+def _phase_block(decomp: SpectralDecomposition, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i (E_j - Ebar) t) weights_j, one ``exp`` per time and eigenvalue: a shape(t) + (n,) block."""
     # probe arrays are short, and Python's max over their values is the cheapest max|t|
     longest = max(map(abs, times.ravel().tolist()), default=0.0)
     phases = _exp_phases(np.multiply.outer(times, decomp._rates), decomp._half_width * longest)
-    phases *= decomp._rows(from_index)
+    phases *= weights
     return phases
 
 
@@ -303,19 +305,24 @@ def _exp_phases(phases: np.ndarray, bound: float) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
-def _amplitude_derivatives(decomp: SpectralDecomposition, from_index: int, t, to) -> np.ndarray:
-    """g, g' and g'' at each time, where g(t) = exp(i Ebar t) f(t) and f is ``propagate``'s amplitude.
-
-    |g| = |f|, so moduli and their time derivatives are those of f.  ``t``
-    is 1-D and ``to`` a sequence of site indices; the result has shape
-    (3, len(t), len(to)).
-    """
-    times = np.asarray(t, dtype=np.float64)
+def _derivative_terms(decomp: SpectralDecomposition, from_index: int, to) -> tuple[np.ndarray, np.ndarray]:
+    """V[from] and the n x 3T block rates_j^p V[to_k, j] (column p T + k, p < 3) of ``_amplitude_derivatives``."""
     targets = decomp._rows(np.asarray(to)).T
     powers = decomp._rates[:, None] ** np.arange(3)
-    columns = (powers[:, :, None] * targets[:, None, :]).reshape(targets.shape[0], -1)
-    series = _phase_block(decomp, from_index, times) @ columns
-    return series.reshape(times.size, 3, targets.shape[1]).swapaxes(0, 1)
+    return decomp._rows(from_index), (powers[:, :, None] * targets[:, None, :]).reshape(targets.shape[0], -1)
+
+
+def _amplitude_derivatives(decomp: SpectralDecomposition, terms: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:
+    """g, g' and g'' at each time, where g(t) = exp(i Ebar t) f(t) and f is ``propagate``'s amplitude.
+
+    ``terms`` is ``_derivative_terms(decomp, from_index, to)`` and ``t`` 1-D; the
+    result has shape (3, len(t), len(to)).  |g| = |f|, so moduli and their
+    time derivatives are those of f.
+    """
+    times = np.asarray(t, dtype=np.float64)
+    weights, columns = terms
+    series = _phase_block(decomp, weights, times) @ columns
+    return series.reshape(times.size, 3, columns.shape[1] // 3).swapaxes(0, 1)
 
 
 def _progression(times: np.ndarray) -> tuple[float, float, int] | None:

@@ -1,35 +1,25 @@
 """Scan drivers: fidelity/concurrence versus time, and peak size scans.
 
-A time scan evolves the single-excitation amplitudes on a uniform grid,
-scores the whole grid at once with the metrics module (one array per
-quantity), and refines the best grid peaks by safeguarded Newton steps on
-the closed-form slope and curvature of each series.  The search runs every
-candidate lobe of the fidelity and of the concurrence in lockstep, so each
-of its steps is one phase-block evaluation over all probes, however many
-lobes there are.  A size scan repeats this over a range of chain sizes for
-complete and double-hole layouts and keeps only the peak data, which is the
-quantity that separates the two layouts as the chain grows.
+A time scan scores a uniform grid of the single-excitation amplitudes, one
+array per quantity, and refines the best grid peaks by safeguarded Newton
+steps on the closed-form slope and curvature of each series, every lobe in
+lockstep.  A size scan keeps only the peaks of time scans over chain sizes
+in the complete and double-hole layouts, the data that separates the two.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, eigendecompose, propagate
-from .metrics import (
-    InitialStateParams,
-    averaged_fidelity,
-    concurrence_closed_form,
-    leaked_weight,
-    leakage_bound,
-    spectral_overlaps,
-    transfer_fidelity,
-    two_qubit_effective,
-)
+from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, _derivative_terms, eigendecompose
+from .dynamics import propagate
+from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
+from .metrics import spectral_overlaps, two_qubit_effective
 from .model import ChainGeometry, CouplingModel, build_chain_geometry, build_couplings, sector_hamiltonian
 
 DEFAULT_GRID_POINTS = 2000
@@ -106,85 +96,86 @@ def _refined_peaks(
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol_width: float,
 ) -> list[Peak]:
-    """The refined peak of each grid series, all lobes searched at once.
+    """The refined peak of each grid series (all of one length), all lobes searched at once.
 
     A lobe is an interior local maximum of at least (1 - _PEAK_TIE_BAND)
-    times its series' grid maximum, a band relative to the peak since F and
-    C lie in [0, 1]; a flat run counts once.  Every lobe of every series is
-    refined in lockstep by a safeguarded Newton iteration on
-    [t_{k-1}, t_{k+1}]; ``evaluate(t, which)`` returns three rows, the value,
-    slope and curvature of series which[i] at probe t[i], and is called once
-    per step.  A lobe starts at its bracket midpoint, and the sign of each
-    slope moves one end of its bracket to the probe.  The next probe is the
-    Newton point t - slope / curvature when the curvature is negative and
-    that point lies in the bracket (it may sit on an end when the crest is
-    there to rounding), else the bracket midpoint.  A lobe stops when its
-    next probe would be t itself (so a constant series stays at its
-    midpoint), once its last step or its bracket is within ``tol_width``,
-    or after as many steps as bisection alone needs to bring the widest
-    bracket down to ``tol_width``.  Its best starts at its grid point, and
-    every probe that is no worse replaces it.
+    times its series' grid maximum; a flat run counts once.  All lobes are
+    refined in lockstep by a safeguarded Newton iteration on [t_{k-1},
+    t_{k+1}]: ``evaluate(t, which)``, called once per step, returns three
+    rows, the value, slope and curvature of series which[i] at probe t[i].
+    A lobe starts at its bracket midpoint; each slope's sign moves one end
+    of its bracket to the probe.  The next probe is the Newton point
+    t - slope / curvature when the curvature is negative and that point lies
+    in the bracket, ends included, else the bracket midpoint.  A lobe stops
+    when its next probe is t itself (a constant series stays at its
+    midpoint), when its last step or its bracket is within ``tol_width``, or
+    after the steps bisection needs to bring the widest bracket within
+    ``tol_width``.  Its best starts at its grid point; each probe no worse replaces it.
 
-    Per series, the last grid point joins the lobes as one more, unrefined,
-    candidate, the only one at times[-1].  The earliest candidate within
-    _REFINED_TIE_ULPS * eps * max(1, |v|) of the best value v wins, so crests
-    equal up to rounding go to the earliest lobe, and the edge wins only by
-    more than that band.
+    Per series the last grid point is one more, unrefined, candidate.  The
+    earliest candidate within _REFINED_TIE_ULPS * eps * max(1, |v|) of the
+    best value v wins, so crests equal up to rounding go to the earliest
+    lobe, and the edge wins only by more than that band.
     """
+    values = np.array(series)
     last = len(times) - 1
-    lobes = []
-    for values in series:
-        floor = float(values.max()) * (1.0 - _PEAK_TIE_BAND)
-        inner = values[1:last]
-        crest = (inner >= values[: last - 1]) & (inner >= values[2:]) & (inner >= floor)
-        # a flat run of equal values is one lobe, kept at its first crest
-        crest[1:] &= ~crest[:-1] | (inner[1:] != inner[:-1])
-        lobes.append(np.flatnonzero(crest) + 1)
-    which = np.repeat(np.arange(len(series)), [k.size for k in lobes])
-    k = np.concatenate(lobes)
-    if not k.size:
-        return [Peak(float(times[-1]), float(values[-1])) for values in series]
-
-    a, b = times[k - 1], times[k + 1]
-    t = 0.5 * (a + b)
-    step = np.full(k.size, np.inf)
-    best_t, best_v = times[k], np.concatenate([values[crests] for values, crests in zip(series, lobes)])
-    refined_t, refined_v = np.empty(k.size), np.empty(k.size)
-    # the lobe of each entry still refining; the arrays above hold only those
-    lobe = np.arange(k.size)
-    series_index = which
-    for _ in range(1 + max(0, math.ceil(math.log2(float((b - a).max()) / tol_width)))):
-        scores = np.asarray(evaluate(t, series_index))
-        finite = np.isfinite(scores).all(axis=0)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise NumericsError(f"series evaluator returned {tuple(scores[:, i])!r} at t={t[i]!r}")
-        value, slope, curvature = scores
-        better = value >= best_v
-        best_t, best_v = np.where(better, t, best_t), np.where(better, value, best_v)
-        # the slope's sign tells which side of t the crest lies on
-        a, b = np.where(slope > 0.0, t, a), np.where(slope < 0.0, t, b)
-        newton = t - np.divide(slope, curvature, out=np.zeros_like(t), where=curvature < 0.0)
-        following = np.where((curvature < 0.0) & (a <= newton) & (newton <= b), newton, 0.5 * (a + b))
-        done = (following == t) | (step <= tol_width) | (b - a <= tol_width)
-        step, t = np.abs(following - t), following
-        if done.any():
-            refined_t[lobe[done]], refined_v[lobe[done]] = best_t[done], best_v[done]
-            keep = ~done
-            lobe, series_index, a, b, t, step, best_t, best_v = (
-                x[keep] for x in (lobe, series_index, a, b, t, step, best_t, best_v)
-            )
-            if not lobe.size:
+    floor = values.max(axis=1, keepdims=True) * (1.0 - _PEAK_TIE_BAND)
+    inner = values[:, 1:last]
+    crest = (inner >= values[:, : last - 1]) & (inner >= values[:, 2:]) & (inner >= floor)
+    # a flat run of equal values is one lobe, kept at its first crest
+    crest[:, 1:] &= ~crest[:, :-1] | (inner[:, 1:] != inner[:, :-1])
+    # the flat index's quotient is the series, the remainder the crest's index in inner
+    which, k = np.divmod(crest.ravel().nonzero()[0], last - 1)
+    k += 1
+    # the candidates, rows t and value: each series' lobes, then its last grid point
+    edges = np.arange(len(series))
+    edges += np.searchsorted(which, edges, side="right")
+    refined = np.empty((2, k.size + len(series)))
+    refined[0, edges], refined[1, edges] = times[-1], values[:, -1]
+    if k.size:
+        a, b = times[k - 1], times[k + 1]
+        steps = 1 + max(0, math.ceil(math.log2(float((b - a).max()) / tol_width)))
+        slot = np.arange(k.size) + which
+        # per lobe still refining: bracket ends a, b, probe t, last step, best t and value, and its index
+        rows = np.array((a, b, 0.5 * (a + b), np.full(k.size, np.inf), times[k], values[which, k]))
+        lobes = [[*row, i] for i, row in enumerate(rows.T.tolist())]
+        for _ in range(steps):
+            probes = np.array([lobe[2] for lobe in lobes])
+            scores = np.asarray(evaluate(probes, which[[lobe[6] for lobe in lobes]]))
+            if not np.isfinite(scores).all():
+                i = int(np.argmin(np.isfinite(scores).all(axis=0)))
+                raise NumericsError(f"series evaluator returned {tuple(scores[:, i])!r} at t={probes[i]!r}")
+            running = []
+            # a few lobes per step: Python floats cost less here than NumPy calls on tiny arrays
+            for lobe, value, slope, curvature in zip(lobes, *scores.tolist()):
+                a, b, t, step, best_t, best_v, i = lobe
+                if value >= best_v:
+                    best_t, best_v = t, value
+                # the slope's sign tells which side of t the crest lies on
+                if slope > 0.0:
+                    a = t
+                elif slope < 0.0:
+                    b = t
+                newton = t - slope / curvature if curvature < 0.0 else math.nan
+                following = newton if a <= newton <= b else 0.5 * (a + b)
+                if following == t or step <= tol_width or b - a <= tol_width:
+                    refined[:, slot[i]] = best_t, best_v
+                else:
+                    lobe[:6] = a, b, following, abs(following - t), best_t, best_v
+                    running.append(lobe)
+            lobes = running
+            if not lobes:
                 break
-    refined_t[lobe], refined_v[lobe] = best_t, best_v
+        for *_, best_t, best_v, i in lobes:
+            refined[:, slot[i]] = best_t, best_v
 
-    peaks = []
-    for i, values in enumerate(series):
-        t = np.append(refined_t[which == i], times[-1])
-        v = np.append(refined_v[which == i], values[-1])
+    peaks, start = [], 0
+    for edge in edges.tolist():
+        v = refined[1, start : edge + 1]
         top = float(v.max())
-        first = int(np.argmax(v >= top - _REFINED_TIE_ULPS * _EPS * max(1.0, abs(top))))
-        peaks.append(Peak(float(t[first]), float(v[first])))
+        first = start + int(np.argmax(v >= top - _REFINED_TIE_ULPS * _EPS * max(1.0, abs(top))))
+        peaks.append(Peak(float(refined[0, first]), float(refined[1, first])))
+        start = edge + 1
     return peaks
 
 
@@ -197,16 +188,17 @@ def _score_grid(
 ) -> dict[str, np.ndarray]:
     """The TimeScanResult columns for one grid, as read-only arrays."""
     f_ss, f_sr = propagate(decomp, sender_index, times, to=(sender_index, receiver_index)).T
+    mod_ss, mod_sr = np.abs(f_ss), np.abs(f_sr)
     # conservation first: a broken decomposition is a NumericsError, not a
     # metric's out-of-range ValueError
-    leak = leaked_weight(f_ss, f_sr)
+    leak = _leak(mod_ss, mod_sr)
     columns = {
         "times": times,
         "f_ss": f_ss,
         "f_sr": f_sr,
-        "fidelity": transfer_fidelity(f_sr),
-        "averaged_fidelity": averaged_fidelity(f_sr),
-        "concurrence": concurrence_closed_form(params, f_ss, f_sr),
+        "fidelity": _fidelity(_checked(mod_sr)),
+        "averaged_fidelity": _averaged_fidelity(mod_sr),
+        "concurrence": _concurrence(params, _checked(mod_ss, "|f_ss|"), mod_sr),
         "dispersion": leak,
     }
     for column in columns.values():
@@ -221,6 +213,7 @@ def _probe_scores(
     params: InitialStateParams,
     t: np.ndarray,
     which: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Value, slope and curvature (rows) of fidelity (which 0) or concurrence (which 1) at each t.
 
@@ -228,25 +221,29 @@ def _probe_scores(
     and m'' = 2 Re(g* g'') + 2 |g'|^2.  F is m at the receiver.  With
     l = m'/m and q = m''/m, C = k sqrt(m_ss m_sr) has C' = C u, where
     u = (l_ss + l_sr) / 2, and C'' = C ((q_ss + q_sr) / 2 + l_ss l_sr - u^2).
+    ``terms``, ``_derivative_terms`` for these sites, is built unless a scan passes its own.
     """
-    g, slope_g, curvature_g = _amplitude_derivatives(decomp, sender_index, t, (sender_index, receiver_index))
+    terms = terms or _derivative_terms(decomp, sender_index, (sender_index, receiver_index))
+    g, slope_g, curvature_g = _amplitude_derivatives(decomp, terms, t)
+    conjugate = g.conjugate()
     m = g.real**2 + g.imag**2
-    slope = 2.0 * (g.conjugate() * slope_g).real
-    curvature = 2.0 * ((g.conjugate() * curvature_g).real + slope_g.real**2 + slope_g.imag**2)
+    slope = 2.0 * (conjugate * slope_g).real
+    curvature = 2.0 * ((conjugate * curvature_g).real + slope_g.real**2 + slope_g.imag**2)
     # where m = 0 so is C, and its derivatives are taken as 0
-    (l_ss, l_sr), (q_ss, q_sr) = np.divide(
-        (slope, curvature), m, out=np.zeros((2,) + m.shape), where=m > 0.0
-    ).transpose(0, 2, 1)
+    positive = m > 0.0
+    l_ss, l_sr = np.divide(slope, m, out=np.zeros(m.shape), where=positive).T
+    q_ss, q_sr = np.divide(curvature, m, out=np.zeros(m.shape), where=positive).T
     u = 0.5 * (l_ss + l_sr)
-    c = concurrence_closed_form(params, g[:, 0], g[:, 1])
-    scores = np.array(
+    mod_ss, mod_sr = np.abs(g).T
+    c = _concurrence(params, _checked(mod_ss, "|f_ss|"), _checked(mod_sr))
+    fidelity = which == 0
+    return np.array(
         (
-            (transfer_fidelity(g[:, 1]), c),
-            (slope[:, 1], c * u),
-            (curvature[:, 1], c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)),
+            np.where(fidelity, _fidelity(mod_sr), c),
+            np.where(fidelity, slope[:, 1], c * u),
+            np.where(fidelity, curvature[:, 1], c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)),
         )
     )
-    return scores[:, which, np.arange(t.size)]
 
 
 def time_scan(
@@ -293,13 +290,14 @@ def time_scan(
         else:
             t_max = _WINDOW_PERIODS * (math.pi / delta_eff)
 
+    terms = _derivative_terms(decomp, s, (s, r))
     extended = False
     while True:
         times = np.linspace(0.0, t_max, grid_points)
         columns = _score_grid(decomp, s, r, params, times)
         series = (columns["fidelity"], columns["concurrence"])
         peak_f, peak_c = _refined_peaks(
-            times, series, lambda t, which: _probe_scores(decomp, s, r, params, t, which), 1e-9 * t_max
+            times, series, lambda t, which: _probe_scores(decomp, s, r, params, t, which, terms), 1e-9 * t_max
         )
         if extended or times[-1] not in (peak_f.t, peak_c.t):
             break
@@ -340,12 +338,11 @@ def size_scan(
     """Peak concurrence and fidelity versus chain size, as a tuple of rows.
 
     One row per size and layout, by size, then in CONFIGURATIONS order.  n
-    counts occupied spins in both layouts; the double-hole layout places
-    them on a lattice span of n + 2 so sender and receiver sit at the ends
-    with one hole inside each end of the chain.  The model must be
-    generative and the sizes a non-empty list of sizes of at least 2, all
-    checked before any scan; time_scan checks theta, phi and grid_points at
-    the first scan.
+    counts occupied spins; the double-hole layout places them on a span of
+    n + 2 positions, sender and receiver at the ends.  The model must be
+    generative and the sizes a non-empty list of integers (``operator.index``)
+    of at least 2, all checked before any scan; time_scan checks theta, phi
+    and grid_points at the first scan.
     """
     if model.kind == "custom":
         raise ValueError("size_scan cannot use a custom coupling matrix")
@@ -356,12 +353,16 @@ def size_scan(
     if not chosen:
         raise ValueError("configurations must not be empty")
     ordered = [c for c in CONFIGURATIONS if c in chosen]
-    sizes = [int(n) for n in n_values]
+    sizes = []
+    for n in n_values:
+        try:
+            sizes.append(operator.index(n))
+        except TypeError:
+            raise ValueError(f"every scanned size must be an integer (got {n!r})") from None
+        if sizes[-1] < 2:
+            raise ValueError(f"every scanned size must be >= 2 (got {n})")
     if not sizes:
         raise ValueError("n_values must not be empty")
-    for n in sizes:
-        if n < 2:
-            raise ValueError(f"every scanned size must be >= 2 (got {n})")
     rows = []
     for n in sizes:
         for configuration in ordered:

@@ -1,17 +1,11 @@
 """Figures of merit for the spin-chain channel.
 
-State transfer is scored by the fidelity |f_sr|^2 (and by its average over
-the Bloch sphere of input states), entanglement generation by the
-concurrence between sender and receiver,
-
-    C(t) = 2 sin^2(theta/2) |f_ss(t)| |f_sr(t)|,
-
-and the quality of the effective two-qubit picture by per-eigenvector
-overlaps: sigma_j, rho_j (projections on sender/receiver) and the leaked
-weight gamma_sq_j.  The closed-form concurrence is cross-checked against a
-Wootters computation on the reduced 4x4 density matrix, and the dispersion
-Gamma^2(t) is bounded by N * Gamma_M with Gamma_M = sum_j sigma_j^2
-gamma_sq_j.
+State transfer is scored by the fidelity |f_sr|^2 and its average over input
+states, entanglement generation by the sender-receiver concurrence (closed
+form, cross-checked by a Wootters computation on the reduced 4x4 density
+matrix), and the effective two-qubit picture by per-eigenvector overlaps
+sigma_j, rho_j and gamma_sq_j, which bound the dispersion Gamma^2(t) by
+N * Gamma_M, Gamma_M = sum_j sigma_j^2 gamma_sq_j.
 """
 
 from __future__ import annotations
@@ -47,34 +41,51 @@ class InitialStateParams:
             raise ValueError(f"phi must lie in [0, 2*pi) (got {self.phi})")
 
 
-def _modulus(f, label: str = "|f_sr|"):
-    """|f| elementwise, unclamped; ValueError when it exceeds 1 by more than 1e-10."""
-    modulus = np.abs(f)
-    if np.any(modulus > 1.0 + 1e-10):
+def _checked(modulus, label: str = "|f_sr|"):
+    """``modulus``, a precomputed |f| as the formulas below take it; ValueError if it exceeds 1 by over 1e-10."""
+    if (modulus > 1.0 + 1e-10).any():
         raise ValueError(f"{label} = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
     return modulus
 
 
+def _fidelity(mod_sr):
+    return np.minimum(mod_sr * mod_sr, 1.0)
+
+
+def _averaged_fidelity(mod_sr):
+    modulus = np.minimum(mod_sr, 1.0)
+    return modulus * modulus / 6.0 + modulus / 3.0 + 0.5
+
+
+def _concurrence(params: InitialStateParams, mod_ss, mod_sr):
+    raw = 2.0 * math.sin(params.theta / 2.0) ** 2 * mod_ss * mod_sr
+    if (raw > 1.0 + 1e-9).any():
+        raise ValueError(f"concurrence value {float(np.max(raw))!r} exceeds 1 beyond tolerance")
+    # a product of moduli and a square, so never below +0: only the clamp at 1 can act
+    return np.minimum(raw, 1.0)
+
+
+def _leak(mod_ss, mod_sr):
+    leak = 1.0 - mod_ss**2 - mod_sr**2
+    if not ((leak >= -1e-10) & (leak <= 1.0 + 1e-10)).all():
+        worst = np.ravel(leak)[np.argmax(np.maximum(-leak, leak - 1.0))]
+        raise NumericsError(f"leaked weight out of range (worst value {float(worst)!r})")
+    return np.clip(leak, 0.0, 1.0)
+
+
 def transfer_fidelity(f_sr):
     """F(t) = |f_sr|^2, clamped to [0, 1]; elementwise on arrays."""
-    modulus = _modulus(f_sr)
-    return np.minimum(modulus * modulus, 1.0)
+    return _fidelity(_checked(np.abs(f_sr)))
 
 
 def averaged_fidelity(f_sr):
     """Fidelity averaged over all input states: |f|^2/6 + |f|/3 + 1/2."""
-    modulus = np.minimum(_modulus(f_sr), 1.0)
-    return modulus * modulus / 6.0 + modulus / 3.0 + 0.5
+    return _averaged_fidelity(_checked(np.abs(f_sr)))
 
 
 def concurrence_closed_form(params: InitialStateParams, f_ss, f_sr):
     """C = 2 sin^2(theta/2) |f_ss| |f_sr|, clamped to [0, 1]; elementwise on arrays."""
-    mod_ss = _modulus(f_ss, "|f_ss|")
-    mod_sr = _modulus(f_sr)
-    raw = 2.0 * math.sin(params.theta / 2.0) ** 2 * mod_ss * mod_sr
-    if np.any(raw > 1.0 + 1e-9):
-        raise ValueError(f"concurrence value {float(np.max(raw))!r} exceeds 1 beyond tolerance")
-    return np.clip(raw, 0.0, 1.0)
+    return _concurrence(params, _checked(np.abs(f_ss), "|f_ss|"), _checked(np.abs(f_sr)))
 
 
 def wootters_concurrence_oracle(
@@ -153,11 +164,7 @@ def leaked_weight(f_ss, f_sr):
     The raw value must land in [-1e-10, 1 + 1e-10] before it is clipped to
     [0, 1]; anything further out, NaN included, signals a broken decomposition.
     """
-    leak = 1.0 - np.abs(f_ss) ** 2 - np.abs(f_sr) ** 2
-    if not np.all((leak >= -1e-10) & (leak <= 1.0 + 1e-10)):
-        worst = np.ravel(leak)[np.argmax(np.maximum(-leak, leak - 1.0))]
-        raise NumericsError(f"leaked weight out of range (worst value {float(worst)!r})")
-    return np.clip(leak, 0.0, 1.0)
+    return _leak(np.abs(f_ss), np.abs(f_sr))
 
 
 @dataclass(frozen=True, eq=False)

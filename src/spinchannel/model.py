@@ -155,7 +155,11 @@ class CouplingModel:
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Symmetric matrix of pair couplings with an exactly zero diagonal."""
+    """Symmetric matrix of pair couplings with an exactly zero diagonal.
+
+    A float64 array is held itself, read-only, so the caller's array cannot be
+    written past the check (a view's base still can); any other is copied.
+    """
 
     entries: np.ndarray
 
@@ -182,24 +186,23 @@ def _check_couplings(entries: np.ndarray) -> None:
         if not np.isfinite(entries).all():
             raise ValueError("coupling matrix has non-finite entries")
         raise ValueError("coupling matrix must be exactly symmetric")
-    if np.any(np.diagonal(entries) != 0.0):
+    _check_diagonal(entries)
+
+
+def _check_diagonal(entries: np.ndarray) -> None:
+    if (np.diagonal(entries) != 0.0).any():
         raise ValueError("coupling matrix diagonal must be exactly zero")
 
 
 def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMatrix:
-    """Build the coupling matrix for a geometry under the given model.
+    """Build the coupling matrix for a geometry under the given model (see CouplingModel).
 
-    power_law: J_ij = C / (a d_ij)**nu with d_ij the lattice distance between
-    sites.  The power is taken once per distance d = 1..span-1, distance 0
-    (the diagonal) maps to 0, and J is gathered from that table a panel of
-    rows at a time, so no n x n distance matrix is built.
-
-    mirror_periodic: J_{i,i+1} = (lam/2) sqrt(i (N - i)), i = 1..N-1, else 0.
-    This mirror-symmetric modulation makes the hopping spectrum exactly
-    linear, so the chain transfers a state perfectly at t = pi / lam.
-
-    custom: the model's own CouplingMatrix, checked when the model was made;
-    only its size against the geometry is checked here.
+    power_law takes the power once per lattice distance and gathers J from
+    that table a panel of rows at a time, with no n x n distance matrix.
+    mirror_periodic makes the hopping spectrum exactly linear, so the chain
+    transfers a state perfectly at t = pi / lam.  custom returns the model's
+    own CouplingMatrix, checked when the model was made, after checking its
+    size against the geometry.
     """
     if model.kind == "power_law":
         pos = np.asarray(geometry.positions)
@@ -289,7 +292,7 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
-    """Single-excitation block of the interaction, as a read-only real symmetric matrix."""
+    """Single-excitation block of the interaction: a real symmetric matrix, held read-only as CouplingMatrix holds J."""
 
     matrix: np.ndarray
 
@@ -315,6 +318,8 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     Couplings whose sums overflow the diagonal are a ValueError.
     """
     J = couplings.entries
+    # a write since J's check: eigendecompose sees it unless it is on the diagonal, so that is checked here
+    _check_diagonal(J)
     matrix = J.copy()
     if include_zz_diagonal:
         # finite couplings can still sum past the float range; the check below judges that

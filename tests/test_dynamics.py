@@ -31,6 +31,11 @@ def _dipolar_decomp(n=6, include_zz=True):
     return sc.eigendecompose(sc.sector_hamiltonian(J, include_zz))
 
 
+def _derivatives(decomp, from_index, t, to):
+    """g, g' and g'' from ``from_index`` to the sites ``to`` at times t."""
+    return dynamics._amplitude_derivatives(decomp, dynamics._derivative_terms(decomp, from_index, to), t)
+
+
 # ---------------------------------------------------------------- eigendecompose
 
 
@@ -366,8 +371,8 @@ def test_split_rows_equal_the_assembled_eigenvectors(split_chains, label):
     irregular = times[[3, 1, 7]]
     assert np.array_equal(sc.propagate(decomp, s, irregular, to=r), sc.propagate(eager, s, irregular, to=r))
     assert np.array_equal(
-        dynamics._amplitude_derivatives(decomp, s, times[:5], (s, r)),
-        dynamics._amplitude_derivatives(eager, s, times[:5], (s, r)),
+        _derivatives(decomp, s, times[:5], (s, r)),
+        _derivatives(eager, s, times[:5], (s, r)),
     )
 
 
@@ -507,7 +512,7 @@ def test_progression_grid_matches_direct_phases(scan_chains, chain):
             if to is None and chain == "dh202" and count > 2000:
                 continue  # a 64 MB result; the chunked path is covered at 2000 points
             targets = V if to is None else V[np.asarray(to)]
-            direct = dynamics._phase_block(decomp, s, times[rows]) @ targets.T
+            direct = dynamics._phase_block(decomp, V[s], times[rows]) @ targets.T
             direct *= shift.reshape((-1,) + (1,) * (direct.ndim - 1))
             grid = sc.propagate(decomp, s, times, to=to)
             assert grid.shape == (count,) + targets.shape[:-1]
@@ -537,7 +542,7 @@ def test_amplitude_derivatives_match_differences_of_propagate(chain):
         decomp = sc.eigendecompose(sc.sector_hamiltonian(J))
         s, r = geo.sender_index, geo.receiver_index
     t = np.concatenate(([0.0, 100.0], rng.uniform(0.0, 100.0, size=6)))
-    g, slope, curvature = dynamics._amplitude_derivatives(decomp, s, t, (s, r))
+    g, slope, curvature = _derivatives(decomp, s, t, (s, r))
     assert g.shape == slope.shape == curvature.shape == (t.size, 2)
 
     def unshifted(times):
@@ -606,7 +611,7 @@ def test_phases_are_reduced_only_inside_the_range(scan_chains, monkeypatch, labe
 
     def evaluate():
         return [sc.propagate(decomp, s, times, to=(s, r)) for times in grids] + [
-            dynamics._amplitude_derivatives(decomp, s, grids[2], (s, r))
+            _derivatives(decomp, s, grids[2], (s, r))
         ]
 
     reduced = evaluate()

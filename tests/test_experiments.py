@@ -1,6 +1,7 @@
 """Time scans, peak refinement, and size scans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,58 @@ def test_time_scan_sample_fields_are_consistent():
     assert result.dispersion_bound == result.n_sites * result.gamma_m
 
 
+def _scan_chains():
+    """Complete, double-hole, mirror and seeded-disorder chains of 6 to 14 spins, and a 202-position double hole."""
+    rng = np.random.default_rng(8)
+    dipolar = sc.CouplingModel.power_law()
+    for n in range(6, 15):
+        yield f"complete{n}", sc.build_chain_geometry(n), dipolar
+        yield f"dh{n}", dh_geometry(n), dipolar
+        yield f"mirror{n}", sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam=2.0)
+        geo = sc.build_chain_geometry(n)
+        scale = np.triu(1.0 + rng.uniform(-0.2, 0.2, size=(n, n)), 1)
+        yield f"disorder{n}", geo, sc.CouplingModel.custom(sc.build_couplings(geo, dipolar).entries * (scale + scale.T))
+    yield "dh202", dh_geometry(200), dipolar
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_time_scan_columns_are_the_public_metrics_of_their_amplitudes():
+    for k, (label, geo, model) in enumerate(_scan_chains()):
+        params = sc.InitialStateParams(theta=(math.pi, 2.0, 0.7)[k % 3])
+        result = sc.time_scan(geo, model, theta=params.theta)
+        f_ss, f_sr = result.f_ss, result.f_sr
+        assert _same_bits(result.fidelity, sc.transfer_fidelity(f_sr)), label
+        assert _same_bits(result.averaged_fidelity, sc.averaged_fidelity(f_sr)), label
+        assert _same_bits(result.concurrence, sc.concurrence_closed_form(params, f_ss, f_sr)), label
+        assert _same_bits(result.dispersion, sc.leaked_weight(f_ss, f_sr)), label
+
+
+def test_probe_values_are_the_public_metrics_of_propagated_amplitudes():
+    params = sc.InitialStateParams(theta=2.0)
+    for label, geo, model in _scan_chains():
+        if not label.endswith(("10", "202")):
+            continue
+        decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model)))
+        s, r = geo.sender_index, geo.receiver_index
+        # not a progression, so propagate evaluates each time directly
+        t = (2.0 * math.pi / decomp._half_width) * np.array([3.7, 0.4, 11.2, 5.05, 0.0])
+        f_ss, f_sr = sc.propagate(decomp, s, t, to=(s, r)).T
+        for which, expected in ((0, sc.transfer_fidelity(f_sr)), (1, sc.concurrence_closed_form(params, f_ss, f_sr))):
+            value = experiments._probe_scores(decomp, s, r, params, t, np.full(t.size, which))[0]
+            assert np.max(np.abs(value - expected)) <= 1e-15, (label, which)
+
+
+def test_a_broken_decomposition_scores_as_a_numerics_error():
+    # |f_ss| = 4 at t = 0: the leak check runs before any metric's range check
+    decomp = sc.SpectralDecomposition(np.array([0.0, 1.0, 2.0]), 2.0 * np.eye(3))
+    with pytest.raises(sc.NumericsError, match="leaked weight out of range"):
+        experiments._score_grid(decomp, 0, 2, sc.InitialStateParams(), np.linspace(0.0, 1.0, 5))
+
+
 def test_time_scan_dispersion_column_on_long_double_hole_chain():
     # 200 positions, 198 occupied, t up to 2.1e7 where |E_j| t reaches 5e9 rad.
     # The dispersion column (the clipped leak) equals the full-vector sum on
@@ -506,3 +559,17 @@ def test_size_scan_checks_every_size_before_scanning(monkeypatch):
     with pytest.raises(ValueError, match=r"every scanned size must be >= 2 \(got 1\)"):
         sc.size_scan([6, 1], sc.CouplingModel.power_law())
     assert calls == []
+
+
+def test_size_scan_rejects_sizes_that_are_not_integers(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "time_scan", lambda *args, **kwargs: calls.append(args))
+    # a size that is not an integer is named, not truncated, before any scan
+    for bad, shown in ((6.7, "6.7"), (6.0, "6.0"), ("6", "'6'"), (np.float64(6.0), "6.0")):
+        with pytest.raises(ValueError, match=rf"every scanned size must be an integer \(got .*{re.escape(shown)}\)"):
+            sc.size_scan([6, bad], sc.CouplingModel.power_law())
+    assert calls == []
+    monkeypatch.undo()
+    # NumPy integers pass, as Python integers
+    (row,) = sc.size_scan([np.int64(6)], sc.CouplingModel.power_law(), configurations=("complete",))
+    assert type(row.n_spins) is int and row.n_spins == 6

@@ -315,6 +315,37 @@ def test_sector_rejects_overflowing_row_sums_without_a_warning():
         assert np.array_equal(sc.sector_hamiltonian(coupl, include_zz_diagonal=False).matrix, entries)
 
 
+@pytest.mark.parametrize("include_zz", [False, True])
+def test_sector_hamiltonian_rejects_a_diagonal_written_after_the_check(include_zz):
+    # eigendecompose cannot see this write: as a diagonal entry of H (no S^z S^z part) it is
+    # symmetric, and in the row sums it moves every diagonal entry
+    big = np.zeros((6, 6))
+    big[:4, :4] = sc.build_couplings(sc.build_chain_geometry(4), sc.CouplingModel.power_law()).entries
+    couplings = sc.CouplingMatrix(big[:4, :4])
+    big[1, 1] = 3.0
+    with pytest.raises(ValueError, match="coupling matrix diagonal must be exactly zero"):
+        sc.sector_hamiltonian(couplings, include_zz)
+
+
+def test_constructors_freeze_a_float64_array_and_copy_any_other():
+    # the checked array itself is held read-only, so it cannot be written after its check
+    couplings = random_couplings(4, np.random.default_rng(2)).entries.copy()
+    vectors = np.eye(3)
+    for build, array in (
+        (sc.CouplingMatrix, couplings),
+        (sc.SectorHamiltonian, couplings),
+        (lambda V: sc.SpectralDecomposition(np.zeros(3), V), vectors),
+    ):
+        for given in (array.copy(), array.astype(np.float32)):
+            build(given)
+            assert given.flags.writeable == (given.dtype != np.float64)
+            if given.dtype == np.float64:
+                with pytest.raises(ValueError, match="assignment destination is read-only"):
+                    given[0, 1] = 0.5
+            else:
+                given[0, 1] = 0.5
+
+
 def test_sector_matrix_is_read_only():
     coupl = sc.CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     ham = sc.sector_hamiltonian(coupl)

@@ -1,0 +1,108 @@
+"""Print a SHA-256 of every output of the benchmark's inputs, one line per item.
+
+Usage: python tools/output_digest.py [--src DIR] [--seed N ...] [--dh-seed N ...]
+                                     [--cli-seed N ...] [--config FILE ...]
+
+Items:
+- every ``TimeScanResult`` field (columns, peaks, ``t_max``, ``extended``,
+  ``delta_eff``, ``gamma_m`` and the rest) of the 36 ``sweep_small`` chains
+  at each ``--seed`` (default 3 5 101);
+- the same fields of the 1000-position double-hole ``dh_large`` chain at each
+  ``--dh-seed`` (default 3 31);
+- every file the CLI writes for the ``cli_mix`` configs (the README example
+  ``bench`` among them) at each ``--cli-seed`` (default 3), and for each
+  ``--config`` file.
+
+The chains and configs are those of ``perfbench/workloads.py`` in this
+checkout; ``spinchannel`` is imported from ``--src`` (default: this
+checkout's ``src``).  Run it once per version of the library and ``diff``
+the outputs: equal lines mean bit-identical results.  Arrays hash their
+dtype, shape and bytes, floats their ``float.hex``, so signed zeros count.
+BLAS runs on one thread, as in the benchmark, since the bits of ``eigh``
+on large matrices depend on the thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# fixed before NumPy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _encode(value) -> bytes:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
+    if isinstance(value, tuple):
+        return b"(" + b",".join(map(_encode, value)) + b")"
+    if isinstance(value, float):
+        return value.hex().encode()
+    return repr(value).encode()
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _scan_lines(workloads, sc, name: str, seed: int, workdir: Path):
+    for op in workloads.build(name, seed, sc, workdir).ops:
+        result = op.call()
+        for item in dataclasses.fields(result):
+            yield f"{name}/seed={seed}/{op.label}/{item.name}", _encode(getattr(result, item.name))
+
+
+def _cli_lines(cli, config: Path, label: str, out: Path):
+    code = cli.main([str(config), "--out", str(out), "--quiet"])
+    yield f"{label}/exit", str(code).encode()
+    for path in sorted(out.iterdir()):
+        yield f"{label}/{path.name}", path.read_bytes()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the spinchannel package")
+    parser.add_argument("--seed", type=int, nargs="*", default=[3, 5, 101], help="sweep_small seeds")
+    parser.add_argument("--dh-seed", type=int, nargs="*", default=[3, 31], help="dh_large seeds")
+    parser.add_argument("--cli-seed", type=int, nargs="*", default=[3], help="cli_mix seeds")
+    parser.add_argument("--config", type=Path, nargs="*", default=[], help="further CLI config files")
+    args = parser.parse_args(argv)
+
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    import spinchannel as sc
+    import spinchannel.cli as cli
+    import workloads
+
+    print(f"# spinchannel from {Path(sc.__file__).parent}", flush=True)
+    with tempfile.TemporaryDirectory() as temporary:
+        temporary = Path(temporary)
+        items = []
+        for name, seeds in (("sweep_small", args.seed), ("dh_large", args.dh_seed)):
+            items += [_scan_lines(workloads, sc, name, seed, temporary / f"{name}-{seed}") for seed in seeds]
+        for seed in args.cli_seed:
+            workdir = temporary / f"cli_mix-{seed}"
+            workloads.build("cli_mix", seed, sc, workdir)
+            items += [
+                _cli_lines(cli, workdir / f"{label}.conf", f"cli_mix/seed={seed}/{label}", workdir / f"out-{label}")
+                for label in workloads.CLI_CONFIGS
+            ]
+        for i, config in enumerate(args.config):
+            items.append(_cli_lines(cli, config.resolve(), f"config={config}", temporary / f"config-{i}"))
+        for lines in items:
+            for label, data in lines:
+                print(f"{_digest(data)}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
