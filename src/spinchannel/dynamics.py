@@ -362,7 +362,8 @@ def _progression_amplitudes(
     coarse = _exp_phases(np.multiply.outer(t0 + (fine_rows * dt) * np.arange(coarse_rows), rates), bound)
     columns = targets.reshape(-1, n).T
     width = columns.shape[1]
-    chunk = min(width, max(1, coarse_rows * n // (n + coarse_rows)))
+    # at least one column, so no targets make an empty loop
+    chunk = max(1, min(width, coarse_rows * n // (n + coarse_rows)))
     operands = np.empty(n * fine_rows * chunk, dtype=np.complex128)
     amplitudes = np.empty((count, width), dtype=np.complex128)
     for lo in range(0, width, chunk):

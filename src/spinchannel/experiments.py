@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -112,10 +113,11 @@ def _refined_peaks(
     after the steps bisection needs to bring the widest bracket within
     ``tol_width``.  Its best starts at its grid point; each probe no worse replaces it.
 
-    Per series the last grid point is one more, unrefined, candidate.  The
-    earliest candidate within _REFINED_TIE_ULPS * eps * max(1, |v|) of the
-    best value v wins, so crests equal up to rounding go to the earliest
-    lobe, and the edge wins only by more than that band.
+    A series' candidates are its lobes' bests in time order, then its last
+    grid point, unrefined.  The earliest candidate within _REFINED_TIE_ULPS
+    * eps * max(1, |v|) of the best value v wins, so crests equal up to
+    rounding go to the earliest lobe, and the edge wins only by more than
+    that band.
     """
     values = np.array(series)
     last = len(times) - 1
@@ -127,55 +129,44 @@ def _refined_peaks(
     # the flat index's quotient is the series, the remainder the crest's index in inner
     which, k = np.divmod(crest.ravel().nonzero()[0], last - 1)
     k += 1
-    # the candidates, rows t and value: each series' lobes, then its last grid point
-    edges = np.arange(len(series))
-    edges += np.searchsorted(which, edges, side="right")
-    refined = np.empty((2, k.size + len(series)))
-    refined[0, edges], refined[1, edges] = times[-1], values[:, -1]
-    if k.size:
-        a, b = times[k - 1], times[k + 1]
-        steps = 1 + max(0, math.ceil(math.log2(float((b - a).max()) / tol_width)))
-        slot = np.arange(k.size) + which
-        # per lobe still refining: bracket ends a, b, probe t, last step, best t and value, and its index
-        rows = np.array((a, b, 0.5 * (a + b), np.full(k.size, np.inf), times[k], values[which, k]))
-        lobes = [[*row, i] for i, row in enumerate(rows.T.tolist())]
-        for _ in range(steps):
-            probes = np.array([lobe[2] for lobe in lobes])
-            scores = np.asarray(evaluate(probes, which[[lobe[6] for lobe in lobes]]))
-            if not np.isfinite(scores).all():
-                i = int(np.argmin(np.isfinite(scores).all(axis=0)))
-                raise NumericsError(f"series evaluator returned {tuple(scores[:, i])!r} at t={probes[i]!r}")
-            running = []
-            # a few lobes per step: Python floats cost less here than NumPy calls on tiny arrays
-            for lobe, value, slope, curvature in zip(lobes, *scores.tolist()):
-                a, b, t, step, best_t, best_v, i = lobe
-                if value >= best_v:
-                    best_t, best_v = t, value
-                # the slope's sign tells which side of t the crest lies on
-                if slope > 0.0:
-                    a = t
-                elif slope < 0.0:
-                    b = t
-                newton = t - slope / curvature if curvature < 0.0 else math.nan
-                following = newton if a <= newton <= b else 0.5 * (a + b)
-                if following == t or step <= tol_width or b - a <= tol_width:
-                    refined[:, slot[i]] = best_t, best_v
-                else:
-                    lobe[:6] = a, b, following, abs(following - t), best_t, best_v
-                    running.append(lobe)
-            lobes = running
-            if not lobes:
-                break
-        for *_, best_t, best_v, i in lobes:
-            refined[:, slot[i]] = best_t, best_v
+    a, b = times[k - 1], times[k + 1]
+    # per lobe: bracket ends a, b, probe t, last step, best t and value, and its series
+    rows = np.array((a, b, 0.5 * (a + b), np.full(k.size, np.inf), times[k], values[which, k]))
+    lobes = [[*row, i] for row, i in zip(rows.T.tolist(), which.tolist())]
+    steps = 1 + max(0, math.ceil(math.log2(float((b - a).max()) / tol_width))) if lobes else 0
+    running = lobes
+    for _ in range(steps):
+        probes = np.array([lobe[2] for lobe in running])
+        scores = np.asarray(evaluate(probes, np.array([lobe[6] for lobe in running])))
+        if not np.isfinite(scores).all():
+            i = int(np.argmin(np.isfinite(scores).all(axis=0)))
+            raise NumericsError(f"series evaluator returned {tuple(scores[:, i])!r} at t={probes[i]!r}")
+        still = []
+        # a few lobes per step: Python floats cost less here than NumPy calls on tiny arrays
+        for lobe, value, slope, curvature in zip(running, *scores.tolist()):
+            a, b, t, step, best_t, best_v, _ = lobe
+            if value >= best_v:
+                best_t, best_v = t, value
+            # the slope's sign tells which side of t the crest lies on
+            if slope > 0.0:
+                a = t
+            elif slope < 0.0:
+                b = t
+            newton = t - slope / curvature if curvature < 0.0 else math.nan
+            following = newton if a <= newton <= b else 0.5 * (a + b)
+            lobe[:6] = a, b, following, abs(following - t), best_t, best_v
+            if following != t and step > tol_width and b - a > tol_width:
+                still.append(lobe)
+        running = still
+        if not running:
+            break
 
-    peaks, start = [], 0
-    for edge in edges.tolist():
-        v = refined[1, start : edge + 1]
-        top = float(v.max())
-        first = start + int(np.argmax(v >= top - _REFINED_TIE_ULPS * _EPS * max(1.0, abs(top))))
-        peaks.append(Peak(float(refined[0, first]), float(refined[1, first])))
-        start = edge + 1
+    peaks = []
+    for i, edge in enumerate(values[:, -1].tolist()):
+        candidates = [(best_t, best_v) for *_, best_t, best_v, j in lobes if j == i] + [(float(times[-1]), edge)]
+        top = max(v for _, v in candidates)
+        least = top - _REFINED_TIE_ULPS * _EPS * max(1.0, abs(top))
+        peaks.append(Peak(*next(c for c in candidates if c[1] >= least)))
     return peaks
 
 
@@ -208,12 +199,10 @@ def _score_grid(
 
 def _probe_scores(
     decomp: SpectralDecomposition,
-    sender_index: int,
-    receiver_index: int,
+    terms: tuple[np.ndarray, np.ndarray],
     params: InitialStateParams,
     t: np.ndarray,
     which: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Value, slope and curvature (rows) of fidelity (which 0) or concurrence (which 1) at each t.
 
@@ -221,9 +210,8 @@ def _probe_scores(
     and m'' = 2 Re(g* g'') + 2 |g'|^2.  F is m at the receiver.  With
     l = m'/m and q = m''/m, C = k sqrt(m_ss m_sr) has C' = C u, where
     u = (l_ss + l_sr) / 2, and C'' = C ((q_ss + q_sr) / 2 + l_ss l_sr - u^2).
-    ``terms``, ``_derivative_terms`` for these sites, is built unless a scan passes its own.
+    ``terms`` is ``_derivative_terms(decomp, s, (s, r))`` for sender s and receiver r.
     """
-    terms = terms or _derivative_terms(decomp, sender_index, (sender_index, receiver_index))
     g, slope_g, curvature_g = _amplitude_derivatives(decomp, terms, t)
     conjugate = g.conjugate()
     m = g.real**2 + g.imag**2
@@ -246,6 +234,14 @@ def _probe_scores(
     )
 
 
+def _integer(value, message: str) -> int:
+    """``operator.index(value)``, or a ValueError of ``message`` naming the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message} (got {value!r})") from None
+
+
 def time_scan(
     geometry: ChainGeometry,
     model: CouplingModel,
@@ -262,6 +258,7 @@ def time_scan(
     transfer time is known exactly).  A best value sitting on the right
     window edge triggers a single rescan over the doubled window.
     """
+    grid_points = _integer(grid_points, "grid_points must be an integer")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2 (got {grid_points})")
     if t_max is not None and not (0.0 < t_max < math.inf):
@@ -290,15 +287,13 @@ def time_scan(
         else:
             t_max = _WINDOW_PERIODS * (math.pi / delta_eff)
 
-    terms = _derivative_terms(decomp, s, (s, r))
+    evaluate = partial(_probe_scores, decomp, _derivative_terms(decomp, s, (s, r)), params)
     extended = False
     while True:
         times = np.linspace(0.0, t_max, grid_points)
         columns = _score_grid(decomp, s, r, params, times)
         series = (columns["fidelity"], columns["concurrence"])
-        peak_f, peak_c = _refined_peaks(
-            times, series, lambda t, which: _probe_scores(decomp, s, r, params, t, which, terms), 1e-9 * t_max
-        )
+        peak_f, peak_c = _refined_peaks(times, series, evaluate, 1e-9 * t_max)
         if extended or times[-1] not in (peak_f.t, peak_c.t):
             break
         extended = True
@@ -355,10 +350,7 @@ def size_scan(
     ordered = [c for c in CONFIGURATIONS if c in chosen]
     sizes = []
     for n in n_values:
-        try:
-            sizes.append(operator.index(n))
-        except TypeError:
-            raise ValueError(f"every scanned size must be an integer (got {n!r})") from None
+        sizes.append(_integer(n, "every scanned size must be an integer"))
         if sizes[-1] < 2:
             raise ValueError(f"every scanned size must be >= 2 (got {n})")
     if not sizes:

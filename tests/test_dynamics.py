@@ -530,6 +530,14 @@ def test_progression_grid_never_builds_the_phase_block():
     assert peak < 16 * times.size * decomp.n / 10
 
 
+@pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 0.9])], ids=["progression", "other"])
+def test_propagate_to_no_targets_gives_an_empty_column_per_time(scan_chains, times):
+    decomp, s, _ = scan_chains["dh10"]
+    amplitudes = sc.propagate(decomp, s, times, to=np.array([], dtype=int))
+    assert amplitudes.shape == (times.size, 0)
+    assert amplitudes.dtype == np.complex128
+
+
 @pytest.mark.parametrize("chain", ["random8", "dh202"])
 def test_amplitude_derivatives_match_differences_of_propagate(chain):
     rng = np.random.default_rng(41)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
-from spinchannel import experiments
+from spinchannel import dynamics, experiments
 from spinchannel.experiments import _refined_peaks
 from support import (
     count_certifications,
@@ -56,8 +56,10 @@ def test_refine_peak_two_site_concurrence():
     decomp = sc.eigendecompose(sc.sector_hamiltonian(coupl, True))
     params = sc.InitialStateParams()
 
+    terms = dynamics._derivative_terms(decomp, 0, (0, 1))
+
     def concurrence_at(t):
-        return experiments._probe_scores(decomp, 0, 1, params, t, np.ones(t.shape, dtype=int))
+        return experiments._probe_scores(decomp, terms, params, t, np.ones(t.shape, dtype=int))
 
     half_period = math.pi / (2.0 * 2.0 * J)  # T/2 with T = pi/(2J)
     times = [half_period - 0.4, half_period + 0.1, half_period + 0.4]
@@ -75,17 +77,52 @@ def test_refine_peak_rejects_bad_input():
             _refined_peaks(times, (values,), lambda t, which: scores, 1e-6)
 
 
+def test_refined_peaks_of_two_series_with_interleaved_lobes():
+    # each series is the upper envelope of parabolas h - (t - p)^2 / 32 on a
+    # grid of step 1/2, so every probe, Newton point and crest value is exact
+    alpha = 1.0 / 32.0
+    h = 0.8
+    tied = np.nextafter(np.nextafter(np.nextafter(h, 1.0), 1.0), 1.0)
+    pieces = (
+        # lobes at 4.625 and on the grid point 8.5, then a rise to 0.9 at the last grid point
+        ((4.625, 0.8999), (8.5, 0.8998), (11.0, 0.9 + alpha)),
+        # crests at 2.125 and on the grid point 7.0, the later one 3 ulps higher
+        ((2.125, h), (7.0, tied)),
+    )
+    calls = []
+
+    def evaluate(t, which):
+        calls.append(list(zip(t.tolist(), which.tolist())))
+        rows = []
+        for time, series in zip(t.tolist(), which.tolist()):
+            p, top = max(pieces[series], key=lambda piece: piece[1] - alpha * (time - piece[0]) ** 2)
+            rows.append((top - alpha * (time - p) ** 2, -2.0 * alpha * (time - p), -2.0 * alpha))
+        return np.array(rows).T
+
+    times = np.linspace(0.0, 10.0, 21)
+    series = [evaluate(times, np.full(times.size, i))[0] for i in (0, 1)]
+    calls.clear()
+    peak_f, peak_c = _refined_peaks(times, series, evaluate, 1e-9 * 10.0)
+    # the grid-point crests stop after one step, the others after two
+    assert calls == [[(4.5, 0), (8.5, 0), (2.0, 1), (7.0, 1)], [(4.625, 0), (2.125, 1)]]
+    # series 0: both lobes stay below its last grid point
+    assert peak_f == (10.0, series[0][-1])
+    # series 1: the later crest is higher, but within the tie band, so the earlier one wins
+    assert peak_c == (2.125, h)
+
+
 def test_probe_scores_slope_and_curvature_match_differences():
     rng = np.random.default_rng(5)
     decomp = sc.eigendecompose(sc.sector_hamiltonian(random_couplings(8, rng)))
     params = sc.InitialStateParams(theta=2.0, phi=0.3)
     t = rng.uniform(0.5, 20.0, size=6)
     h = 1e-3
+    terms = dynamics._derivative_terms(decomp, 0, (0, 7))
     for which in (0, 1):
         pick = np.full(t.shape, which)
-        value, slope, curvature = experiments._probe_scores(decomp, 0, 7, params, t, pick)
+        value, slope, curvature = experiments._probe_scores(decomp, terms, params, t, pick)
         far_below, below, above, far_above = (
-            experiments._probe_scores(decomp, 0, 7, params, t + k * h, pick)[0] for k in (-2, -1, 1, 2)
+            experiments._probe_scores(decomp, terms, params, t + k * h, pick)[0] for k in (-2, -1, 1, 2)
         )
         # fourth-order central differences
         d1 = (far_below - 8.0 * below + 8.0 * above - far_above) / (12.0 * h)
@@ -354,8 +391,9 @@ def test_probe_values_are_the_public_metrics_of_propagated_amplitudes():
         # not a progression, so propagate evaluates each time directly
         t = (2.0 * math.pi / decomp._half_width) * np.array([3.7, 0.4, 11.2, 5.05, 0.0])
         f_ss, f_sr = sc.propagate(decomp, s, t, to=(s, r)).T
+        terms = dynamics._derivative_terms(decomp, s, (s, r))
         for which, expected in ((0, sc.transfer_fidelity(f_sr)), (1, sc.concurrence_closed_form(params, f_ss, f_sr))):
-            value = experiments._probe_scores(decomp, s, r, params, t, np.full(t.size, which))[0]
+            value = experiments._probe_scores(decomp, terms, params, t, np.full(t.size, which))[0]
             assert np.max(np.abs(value - expected)) <= 1e-15, (label, which)
 
 
@@ -474,6 +512,24 @@ def test_time_scan_checks_theta_before_diagonalizing(monkeypatch):
     with pytest.raises(ValueError, match="theta"):
         sc.time_scan(sc.build_chain_geometry(4), sc.CouplingModel.power_law(), theta=9.0)
     assert calls == []
+
+
+def test_time_scan_checks_grid_points_before_diagonalizing(monkeypatch):
+    calls = []
+    decompose = experiments.eigendecompose
+
+    def counting(hamiltonian):
+        calls.append(hamiltonian)
+        return decompose(hamiltonian)
+
+    monkeypatch.setattr(experiments, "eigendecompose", counting)
+    geo, model = sc.build_chain_geometry(4), sc.CouplingModel.power_law()
+    for bad in (2.5, 5.0, np.float64(5), "5"):
+        with pytest.raises(ValueError, match=f"grid_points must be an integer \\(got {re.escape(repr(bad))}\\)"):
+            sc.time_scan(geo, model, grid_points=bad)
+    assert calls == []
+    assert sc.time_scan(geo, model, grid_points=np.int64(5)).times.shape == (5,)
+    assert len(calls) == 1
 
 
 def test_time_scan_rejects_an_infinite_window():
