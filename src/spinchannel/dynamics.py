@@ -276,9 +276,17 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
         amplitudes = _phase_block(decomp, decomp._rows(from_index), times) @ targets.T
     else:
         amplitudes = _progression_amplitudes(decomp, decomp._rows(from_index), targets, *progression)
-    shift = np.exp(-1j * decomp._midpoint * times)
-    amplitudes *= np.expand_dims(shift, tuple(range(times.ndim, amplitudes.ndim)))
+    amplitudes *= np.expand_dims(_common_phase(decomp, times), tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
+
+
+def _common_phase(decomp: SpectralDecomposition, times: np.ndarray) -> np.ndarray:
+    """exp(-i Ebar t) bit for bit as ``np.exp(-1j * Ebar * times)`` makes it: cos + i sin, a -0 angle taken as +0."""
+    angles = 0.0 - decomp._midpoint * times
+    phase = np.empty(times.shape, dtype=np.complex128)
+    np.cos(angles, out=phase.real)
+    np.sin(angles, out=phase.imag)
+    return phase
 
 
 def _phase_block(decomp: SpectralDecomposition, weights: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, _derivative_terms, eigendecompose
 from .dynamics import propagate
 from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
-from .metrics import spectral_overlaps, two_qubit_effective
+from .metrics import _real, spectral_overlaps, two_qubit_effective
 from .model import ChainGeometry, CouplingModel, build_chain_geometry, build_couplings, sector_hamiltonian
 
 DEFAULT_GRID_POINTS = 2000
@@ -212,26 +212,28 @@ def _probe_scores(
     u = (l_ss + l_sr) / 2, and C'' = C ((q_ss + q_sr) / 2 + l_ss l_sr - u^2).
     ``terms`` is ``_derivative_terms(decomp, s, (s, r))`` for sender s and receiver r.
     """
-    g, slope_g, curvature_g = _amplitude_derivatives(decomp, terms, t)
-    conjugate = g.conjugate()
-    m = g.real**2 + g.imag**2
-    slope = 2.0 * (conjugate * slope_g).real
-    curvature = 2.0 * ((conjugate * curvature_g).real + slope_g.real**2 + slope_g.imag**2)
-    # where m = 0 so is C, and its derivatives are taken as 0
-    positive = m > 0.0
-    l_ss, l_sr = np.divide(slope, m, out=np.zeros(m.shape), where=positive).T
-    q_ss, q_sr = np.divide(curvature, m, out=np.zeros(m.shape), where=positive).T
-    u = 0.5 * (l_ss + l_sr)
+    g, dg, _ = derivatives = _amplitude_derivatives(decomp, terms, t)
+    # Re(g* g') and Re(g* g''): NumPy's complex product rounds unlike its formula on Python floats
+    re_dg, re_d2g = (g.conjugate() * derivatives[1:]).real.tolist()
     mod_ss, mod_sr = np.abs(g).T
-    c = _concurrence(params, _checked(mod_ss, "|f_ss|"), _checked(mod_sr))
-    fidelity = which == 0
-    return np.array(
-        (
-            np.where(fidelity, _fidelity(mod_sr), c),
-            np.where(fidelity, slope[:, 1], c * u),
-            np.where(fidelity, curvature[:, 1], c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)),
-        )
-    )
+    concurrence = _concurrence(params, _checked(mod_ss, "|f_ss|"), _checked(mod_sr))
+    columns = which.tolist(), g.tolist(), dg.tolist(), re_dg, re_d2g, _fidelity(mod_sr).tolist(), concurrence.tolist()
+    scores = []
+    # Python floats cost less than NumPy calls on a step's few probes; x * x, as x ** 2 rounds through pow
+    for i, (g_ss, g_sr), (d_ss, d_sr), (p_ss, p_sr), (r_ss, r_sr), f, c in zip(*columns, strict=True):
+        curvature_sr = 2.0 * (r_sr + d_sr.real * d_sr.real + d_sr.imag * d_sr.imag)
+        if i == 0:
+            scores.append((f, 2.0 * p_sr, curvature_sr))
+            continue
+        curvature_ss = 2.0 * (r_ss + d_ss.real * d_ss.real + d_ss.imag * d_ss.imag)
+        m_ss = g_ss.real * g_ss.real + g_ss.imag * g_ss.imag
+        m_sr = g_sr.real * g_sr.real + g_sr.imag * g_sr.imag
+        # where m = 0 so is C, and its derivatives are taken as 0
+        l_ss, q_ss = (2.0 * p_ss / m_ss, curvature_ss / m_ss) if m_ss > 0.0 else (0.0, 0.0)
+        l_sr, q_sr = (2.0 * p_sr / m_sr, curvature_sr / m_sr) if m_sr > 0.0 else (0.0, 0.0)
+        u = 0.5 * (l_ss + l_sr)
+        scores.append((c, c * u, c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)))
+    return np.array(scores).reshape(-1, 3).T
 
 
 def _integer(value, message: str) -> int:
@@ -261,7 +263,7 @@ def time_scan(
     grid_points = _integer(grid_points, "grid_points must be an integer")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2 (got {grid_points})")
-    if t_max is not None and not (0.0 < t_max < math.inf):
+    if t_max is not None and not (0.0 < _real("t_max", t_max) < math.inf):
         raise ValueError(f"t_max must be > 0 and finite (got {t_max})")
     params = InitialStateParams(theta=theta, phi=phi)
 

@@ -27,6 +27,15 @@ _YY = np.array(
 )
 
 
+def _real(name: str, value):
+    """``value``; ValueError naming ``name`` and the value if it does not compare with floats, as a str or complex."""
+    try:
+        value < 0.0
+    except TypeError:
+        raise ValueError(f"{name} must be a real number (got {value!r})") from None
+    return value
+
+
 @dataclass(frozen=True)
 class InitialStateParams:
     """Bloch angles of the sender qubit: cos(theta/2)|0> + e^{-i phi} sin(theta/2)|1>."""
@@ -35,9 +44,9 @@ class InitialStateParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.theta <= math.pi):
+        if not (0.0 <= _real("theta", self.theta) <= math.pi):
             raise ValueError(f"theta must lie in [0, pi] (got {self.theta})")
-        if not (0.0 <= self.phi < 2.0 * math.pi):
+        if not (0.0 <= _real("phi", self.phi) < 2.0 * math.pi):
             raise ValueError(f"phi must lie in [0, 2*pi) (got {self.phi})")
 
 

@@ -302,6 +302,13 @@ class SectorHamiltonian:
         object.__setattr__(self, "matrix", matrix)
 
 
+def _zz_flag(include_zz_diagonal) -> bool:
+    """``include_zz_diagonal`` as a bool; ValueError naming it unless it is True, False or a NumPy boolean."""
+    if not isinstance(include_zz_diagonal, (bool, np.bool_)):
+        raise ValueError(f"include_zz_diagonal must be True or False (got {include_zz_diagonal!r})")
+    return bool(include_zz_diagonal)
+
+
 def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> SectorHamiltonian:
     """Restrict the interaction to states with exactly one excitation.
 
@@ -317,6 +324,7 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     S^z S^z part the sector matrix is the bare hopping matrix of an XY chain.
     Couplings whose sums overflow the diagonal are a ValueError.
     """
+    include_zz_diagonal = _zz_flag(include_zz_diagonal)
     J = couplings.entries
     # a write since J's check: eigendecompose sees it unless it is on the diagonal, so that is checked here
     _check_diagonal(J)
@@ -345,6 +353,7 @@ def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True
     capped at FULL_SPACE_MAX_SITES sites.  J is checked again here, whole,
     as CouplingMatrix checks it: its array may have been written since.
     """
+    include_zz_diagonal = _zz_flag(include_zz_diagonal)
     n = couplings.n_sites
     if n > FULL_SPACE_MAX_SITES:
         raise ValueError(

@@ -43,6 +43,19 @@ def count_certifications(monkeypatch) -> list:
     return certified
 
 
+def count_scan_decompositions(monkeypatch) -> list:
+    """Record every matrix the scans of ``experiments`` pass to ``eigendecompose`` from now on."""
+    calls = []
+    decompose = sc.experiments.eigendecompose
+
+    def counting(hamiltonian):
+        calls.append(hamiltonian)
+        return decompose(hamiltonian)
+
+    monkeypatch.setattr(sc.experiments, "eigendecompose", counting)
+    return calls
+
+
 def traced_peak(fn):
     """Call fn() under tracemalloc: its result, the peak bytes traced during the call, the bytes held after it."""
     tracemalloc.start()
@@ -117,3 +130,32 @@ def transposed_mirror_test(matrix: np.ndarray) -> bool:
     scale = max(float(matrix.max()), -float(matrix.min()))
     tolerance = sc.dynamics._MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
     return bool(np.abs(reversed_columns - reversed_columns.T).max() <= tolerance)
+
+
+def array_probe_scores(decomp, terms, params, t, which) -> np.ndarray:
+    """The probe scores ``_probe_scores`` gave before it worked on Python floats.
+
+    The same formulas, each evaluated over the probes as one NumPy array
+    expression: squares as ``**2``, the products Re(g* g') and Re(g* g'')
+    one complex product each, and the rows chosen by ``np.where``.
+    """
+    metrics = sc.metrics
+    g, slope_g, curvature_g = sc.dynamics._amplitude_derivatives(decomp, terms, t)
+    conjugate = g.conjugate()
+    m = g.real**2 + g.imag**2
+    slope = 2.0 * (conjugate * slope_g).real
+    curvature = 2.0 * ((conjugate * curvature_g).real + slope_g.real**2 + slope_g.imag**2)
+    positive = m > 0.0
+    l_ss, l_sr = np.divide(slope, m, out=np.zeros(m.shape), where=positive).T
+    q_ss, q_sr = np.divide(curvature, m, out=np.zeros(m.shape), where=positive).T
+    u = 0.5 * (l_ss + l_sr)
+    mod_ss, mod_sr = np.abs(g).T
+    c = metrics._concurrence(params, metrics._checked(mod_ss, "|f_ss|"), metrics._checked(mod_sr))
+    fidelity = which == 0
+    return np.array(
+        (
+            np.where(fidelity, metrics._fidelity(mod_sr), c),
+            np.where(fidelity, slope[:, 1], c * u),
+            np.where(fidelity, curvature[:, 1], c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)),
+        )
+    )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinchannel as sc
-from spinchannel import dynamics
+from spinchannel import dynamics, experiments
 from support import (
     dh_geometry,
     masked_sign_fix,
@@ -517,6 +517,20 @@ def test_progression_grid_matches_direct_phases(scan_chains, chain):
             grid = sc.propagate(decomp, s, times, to=to)
             assert grid.shape == (count,) + targets.shape[:-1]
             assert np.max(np.abs(grid[rows] - direct)) <= 1e-12, (count, to)
+
+
+@pytest.mark.parametrize("span", [12, 202, 1000], ids=["dh12", "dh202", "dh1000"])
+def test_common_phase_is_bit_for_bit_exp_of_its_argument(span):
+    # on the chain's default scan window, which starts at t = 0, and at -0, so that
+    # the sign of a zero angle shows in the bytes whatever the sign of Ebar
+    geo = dh_geometry(span - 2)
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, sc.CouplingModel.power_law())))
+    overlaps = sc.spectral_overlaps(decomp, geo.sender_index, geo.receiver_index)
+    delta, _pair, _mass = sc.two_qubit_effective(decomp, overlaps)
+    window = np.linspace(0.0, experiments._WINDOW_PERIODS * math.pi / delta, experiments.DEFAULT_GRID_POINTS)
+    for times in (window, np.array([0.0, -0.0]), np.array(-0.0)):
+        expected = np.exp(-1j * decomp._midpoint * times)
+        assert dynamics._common_phase(decomp, times).tobytes() == expected.tobytes()
 
 
 def test_progression_grid_never_builds_the_phase_block():

@@ -10,7 +10,9 @@ import spinchannel as sc
 from spinchannel import dynamics, experiments
 from spinchannel.experiments import _refined_peaks
 from support import (
+    array_probe_scores,
     count_certifications,
+    count_scan_decompositions,
     dh_geometry,
     random_couplings,
     reference_amplitudes,
@@ -129,6 +131,31 @@ def test_probe_scores_slope_and_curvature_match_differences():
         d2 = (-far_below + 16.0 * below - 30.0 * value + 16.0 * above - far_above) / (12.0 * h * h)
         assert np.max(np.abs(slope - d1)) <= 1e-6 * np.max(np.abs(slope))
         assert np.max(np.abs(curvature - d2)) <= 1e-6 * np.max(np.abs(curvature))
+
+
+def test_probe_scores_are_bit_for_bit_those_of_the_array_formulas():
+    # squares as x ** 2 or Re(g* g') as a sum of float products each differ in
+    # the last bit on a few of these probe sets
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(400):
+        n = int(rng.integers(6, 15))
+        s, r = rng.choice(n, size=2, replace=False).tolist()
+        cases.append((sc.eigendecompose(sc.sector_hamiltonian(random_couplings(n, rng))), s, r, 30.0))
+    geo = dh_geometry(200)
+    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, sc.CouplingModel.power_law())))
+    s, r = geo.sender_index, geo.receiver_index
+    delta, _pair, _mass = sc.two_qubit_effective(decomp, sc.spectral_overlaps(decomp, s, r))
+    cases += [(decomp, s, r, experiments._WINDOW_PERIODS * math.pi / delta)] * 100
+    for decomp, s, r, t_max in cases:
+        terms = dynamics._derivative_terms(decomp, s, (s, r))
+        params = sc.InitialStateParams(theta=float(rng.uniform(0.0, math.pi)))
+        t = rng.uniform(0.0, t_max, size=5)
+        which = rng.integers(0, 2, size=5)
+        expected = array_probe_scores(decomp, terms, params, t, which)
+        scores = experiments._probe_scores(decomp, terms, params, t, which)
+        assert scores.shape == expected.shape
+        assert scores.tobytes() == expected.tobytes(), (decomp.n, s, r, t, which)
 
 
 # ---------------------------------------------------------------- time_scan
@@ -511,6 +538,28 @@ def test_time_scan_checks_theta_before_diagonalizing(monkeypatch):
     monkeypatch.setattr(experiments, "eigendecompose", counting)
     with pytest.raises(ValueError, match="theta"):
         sc.time_scan(sc.build_chain_geometry(4), sc.CouplingModel.power_law(), theta=9.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize(("name", "value"), [("t_max", "1"), ("phi", "0"), ("theta", "3"), ("theta", 1j)])
+def test_time_scan_rejects_angles_and_windows_that_are_not_real_before_diagonalizing(monkeypatch, name, value):
+    calls = count_scan_decompositions(monkeypatch)
+    with pytest.raises(ValueError, match=f"{name} must be a real number \\(got {re.escape(repr(value))}\\)"):
+        sc.time_scan(sc.build_chain_geometry(4), sc.CouplingModel.power_law(), **{name: value})
+    assert calls == []
+
+
+@pytest.mark.parametrize("scan", ["time_scan", "size_scan"])
+def test_scans_reject_a_zz_flag_that_is_not_a_boolean_before_diagonalizing(monkeypatch, scan):
+    calls = count_scan_decompositions(monkeypatch)
+    model = sc.CouplingModel.power_law()
+    for bad in ("no", 1, 0, None):
+        message = f"include_zz_diagonal must be True or False \\(got {re.escape(repr(bad))}\\)"
+        with pytest.raises(ValueError, match=message):
+            if scan == "time_scan":
+                sc.time_scan(sc.build_chain_geometry(4), model, include_zz_diagonal=bad)
+            else:
+                sc.size_scan([4, 5], model, include_zz_diagonal=bad)
     assert calls == []
 
 

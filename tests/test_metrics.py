@@ -1,6 +1,7 @@
 """Fidelities, concurrence (both routes), dispersion, and spectral overlaps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ def test_initial_state_params_validation():
         sc.InitialStateParams(theta=3.2)
     with pytest.raises(ValueError):
         sc.InitialStateParams(theta=1.0, phi=2.0 * math.pi)
+
+
+@pytest.mark.parametrize(("name", "value"), [("theta", "1"), ("theta", None), ("phi", "0"), ("phi", 1j)])
+def test_initial_state_params_reject_angles_that_are_not_real(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number \\(got {re.escape(repr(value))}\\)"):
+        sc.InitialStateParams(**{name: value})
 
 
 # ---------------------------------------------------------------- concurrence

@@ -327,6 +327,22 @@ def test_sector_hamiltonian_rejects_a_diagonal_written_after_the_check(include_z
         sc.sector_hamiltonian(couplings, include_zz)
 
 
+@pytest.mark.parametrize("build", [sc.sector_hamiltonian, sc.full_hamiltonian], ids=["sector", "full"])
+def test_hamiltonians_take_the_zz_flag_only_as_a_boolean(build):
+    couplings = sc.build_couplings(sc.build_chain_geometry(4), sc.CouplingModel.power_law())
+
+    def matrix(flag):
+        built = build(couplings, flag)
+        return getattr(built, "matrix", built)
+
+    for flag in (False, True):
+        assert np.array_equal(matrix(np.bool_(flag)), matrix(flag))
+    for bad in ("no", "False", 0, 1, None, np.array([True])):
+        message = f"include_zz_diagonal must be True or False \\(got {re.escape(repr(bad))}\\)"
+        with pytest.raises(ValueError, match=message):
+            build(couplings, bad)
+
+
 def test_constructors_freeze_a_float64_array_and_copy_any_other():
     # the checked array itself is held read-only, so it cannot be written after its check
     couplings = random_couplings(4, np.random.default_rng(2)).entries.copy()

@@ -1,7 +1,9 @@
-"""The repository's tools: the line counter of tools/src_lines.py."""
+"""The repository's tools: the line counter of tools/src_lines.py and the summary of tools/ab_pairs.py."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -28,11 +30,15 @@ class Thing:
 '''
 
 
-def _src_lines():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _src_lines():
+    return _tool("src_lines")
 
 
 def test_src_lines_counts_each_kind(tmp_path):
@@ -51,3 +57,41 @@ def test_src_lines_totals_a_directory(tmp_path, capsys):
     assert lines[0].split() == ["module", "all", "code", "docstring", "comment", "blank"]
     assert [line.split()[0] for line in lines[1:]] == [str(tmp_path / "a.py"), str(tmp_path / "b.py"), "total"]
     assert lines[-1].split()[1:] == ["34", "8", "14", "4", "8"]
+
+
+def test_ab_pairs_summary_counts_wins_and_applies_the_claim_rule():
+    parent = [0.036, 0.035, 0.037, 0.036, 0.038, 0.035, 0.036, 0.037, 0.036, 0.035]
+    change = [0.034, 0.033, 0.034, 0.036, 0.035, 0.033, 0.034, 0.034, 0.033, 0.033]
+    summary = _tool("ab_pairs").summarize(parent, change, "lower", 0.25)
+    # the fourth pair ties, so the change wins 9 of 10 and loses none
+    assert (summary["pairs"], summary["wins"], summary["losses"]) == (10, 9, 0)
+    assert summary["parent"] == pytest.approx({"median": 0.036, "q1": 0.03525, "q3": 0.03675})
+    assert summary["change"]["median"] == pytest.approx(0.034)
+    # the medians differ by 0.002, more than the parent's quartile distance of 0.0015
+    assert summary["gain"]
+    assert summary["worse_fraction"] == pytest.approx(-0.002 / 0.036)
+    assert summary["within_bound"]
+
+
+def test_ab_pairs_summary_needs_nine_tenths_of_the_pairs_and_reads_the_direction():
+    ab_pairs = _tool("ab_pairs")
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    # far lower medians but only 8 wins of 10: no gain claimed
+    lower = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 9.5, 10.5]
+    assert not ab_pairs.summarize(parent, lower, "lower", 0.25)["gain"]
+    # every value higher, and higher is better, but by less than the parent's quartile distance
+    higher = [p + 1.0 for p in parent]
+    summary = ab_pairs.summarize(parent, higher, "higher", 0.25)
+    assert summary["wins"] == 10
+    assert not summary["gain"]
+    # read as lower-is-better the same values are 18 % worse, within a 0.25 bound but not a 0.1 one
+    assert ab_pairs.summarize(parent, higher, "lower", 0.25)["worse_fraction"] == pytest.approx(1.0 / 5.5)
+    assert not ab_pairs.summarize(parent, higher, "lower", 0.1)["within_bound"]
+
+
+def test_ab_pairs_refuses_trees_of_which_one_holds_a_bytecode_cache(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "src" / "__pycache__").mkdir(parents=True)
+    (change / "src").mkdir(parents=True)
+    with pytest.raises(SystemExit, match="only the parent tree holds __pycache__"):
+        _tool("ab_pairs").main([str(parent), str(change), "--workload", "sweep_small"])
