@@ -226,10 +226,8 @@ def _csv(header: str, columns) -> str:
     """The header, then one line per row of ``columns`` (lists), each value written as ``_text`` writes it.
 
     Every row goes through one %-format built from the kinds of the columns'
-    first values: ``%.17g`` for numbers, ``%s`` for strings and booleans
-    (made true/false first).
+    first values: ``%.17g`` for numbers, ``%s`` for strings.
     """
-    columns = [[_text(v) for v in c] if c and isinstance(c[0], bool) else c for c in columns]
     form = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
     return header + "\n" + "".join(form % row for row in zip(*columns))
 

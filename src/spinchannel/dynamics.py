@@ -131,11 +131,10 @@ class SpectralDecomposition:
 def eigendecompose(hamiltonian) -> SpectralDecomposition:
     """Diagonalize a real symmetric Hamiltonian: an ndarray or an object with a ``matrix``.
 
-    Eigenvalues come out ascending, and each eigenvector's first
-    largest-magnitude entry is positive.  The matrix must be non-empty,
-    square, finite and symmetric to 1e-12 (else ValueError); it is checked
-    on every call, since an array the caller holds may have been written
-    since any earlier check.
+    Eigenvalues come out ascending; column signs are those ``eigh``
+    returns, and no output depends on them.  The matrix must be non-empty,
+    square, finite and symmetric to 1e-12 (else ValueError), checked on
+    every call: an array the caller holds may have been written since.
 
     A matrix of at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
     reversing the site order is diagonalized as its even and odd blocks,
@@ -159,7 +158,6 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from None
-    _fix_signs(eigenvectors)
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
@@ -214,8 +212,7 @@ def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
 
     An even-block eigenvector (u, c) is (u, c, Pu) / sqrt(2) on the chain,
     the middle entry c unscaled, and an odd one (u, -Pu) / sqrt(2), Pu being
-    u reversed.  A column's first largest-magnitude entry lies in its first
-    ceil(n/2) rows, so ``_fix_signs`` needs only those.
+    u reversed.
     """
     m = blocks[1].shape[0]
     n = m + blocks[0].shape[0]
@@ -233,24 +230,7 @@ def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
         half[m, ~odd] = even_vectors[m]
         half[m, odd] = 0.0
     del even_vectors, odd_vectors
-    _fix_signs(half)
     return SpectralDecomposition(eigenvalues[order], half, _signs=np.where(odd, -1.0, 1.0))
-
-
-def _fix_signs(vectors: np.ndarray) -> None:
-    """Negate, in place, each column whose first largest-magnitude entry is negative.
-
-    Only the columns whose two extremes tie in magnitude are copied.
-    """
-    top = vectors.max(axis=0)
-    bottom = -vectors.min(axis=0)
-    negative = bottom > top
-    tied = np.flatnonzero(bottom == top)
-    if tied.size:
-        columns = vectors[:, tied]
-        negative[tied] = columns.argmin(axis=0) < columns.argmax(axis=0)
-    # a product by a row of signs: the masked np.negative is several times slower
-    vectors *= np.where(negative, -1.0, 1.0)
 
 
 def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):

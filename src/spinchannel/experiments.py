@@ -10,7 +10,6 @@ in the complete and double-hole layouts, the data that separates the two.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -21,7 +20,7 @@ from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivativ
 from .dynamics import propagate
 from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
 from .metrics import _real, spectral_overlaps, two_qubit_effective
-from .model import ChainGeometry, CouplingModel, build_chain_geometry, build_couplings, sector_hamiltonian
+from .model import ChainGeometry, CouplingModel, _integer, build_chain_geometry, build_couplings, sector_hamiltonian
 
 DEFAULT_GRID_POINTS = 2000
 
@@ -234,14 +233,6 @@ def _probe_scores(
         u = 0.5 * (l_ss + l_sr)
         scores.append((c, c * u, c * (0.5 * (q_ss + q_sr) + l_ss * l_sr - u * u)))
     return np.array(scores).reshape(-1, 3).T
-
-
-def _integer(value, message: str) -> int:
-    """``operator.index(value)``, or a ValueError of ``message`` naming the value."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{message} (got {value!r})") from None
 
 
 def time_scan(

@@ -15,6 +15,7 @@ cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -36,7 +37,8 @@ class ChainGeometry:
     """Occupied lattice positions plus the sender/receiver assignment.
 
     Positions are 1-based integers on a regular lattice of unit spacing.
-    Holes (removed sites) are simply absent from ``positions``.
+    Holes (removed sites) are simply absent from ``positions``.  Positions,
+    sender and receiver pass ``operator.index`` and are held as ints.
     """
 
     positions: tuple[int, ...]
@@ -44,6 +46,9 @@ class ChainGeometry:
     receiver_pos: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "positions", tuple(_integer(p, "positions must be integers") for p in self.positions))
+        for name in ("sender_pos", "receiver_pos"):
+            object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
         if len(self.positions) < 2:
             raise ValueError(
                 f"a chain needs at least 2 occupied sites (got {len(self.positions)})"
@@ -87,10 +92,11 @@ def build_chain_geometry(
     (sender_pos + 1 and receiver_pos - 1) are removed, which suppresses the
     dominant nearest-neighbour leakage channels at both ends.  When sender
     and receiver sit 2 apart the two holes coincide and a single site is
-    removed.
+    removed.  Span, sender and receiver must be integers (``operator.index``).
     """
-    if receiver_pos is None:
-        receiver_pos = span
+    span = _integer(span, "span must be an integer")
+    sender_pos = _integer(sender_pos, "sender_pos must be an integer")
+    receiver_pos = span if receiver_pos is None else _integer(receiver_pos, "receiver_pos must be an integer")
     if not (1 <= sender_pos < receiver_pos <= span):
         raise ValueError(
             f"need 1 <= sender < receiver <= span "
@@ -108,6 +114,14 @@ def build_chain_geometry(
     return ChainGeometry(positions, sender_pos, receiver_pos)
 
 
+def _integer(value, message: str) -> int:
+    """``operator.index(value)``, or a ValueError of ``message`` naming the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message} (got {value!r})") from None
+
+
 @dataclass(frozen=True)
 class CouplingModel:
     """How pairwise couplings J_ij are generated from the geometry.
@@ -117,8 +131,8 @@ class CouplingModel:
     kind = "custom":          entries taken verbatim from ``custom_matrix``
 
     A custom model holds a CouplingMatrix, checked here once if an array is
-    given.  Every kind checks nu, strength_c, spacing_a and lam as
-    ``not x > 0``, so NaN fails too.
+    given; any other kind takes none.  Every kind checks nu, strength_c,
+    spacing_a and lam as ``not x > 0``, so NaN fails too.
     """
 
     kind: str
@@ -139,6 +153,8 @@ class CouplingModel:
                 raise ValueError("custom coupling model needs a custom_matrix")
             if not isinstance(self.custom_matrix, CouplingMatrix):
                 object.__setattr__(self, "custom_matrix", CouplingMatrix(self.custom_matrix))
+        elif self.custom_matrix is not None:
+            raise ValueError(f"a {self.kind} coupling model takes no custom_matrix")
 
     @classmethod
     def power_law(cls, nu: float = 3.0, strength_c: float = 1.0, spacing_a: float = 1.0) -> "CouplingModel":

@@ -104,21 +104,6 @@ def reference_amplitudes(decomp: sc.SpectralDecomposition, from_index: int, time
     return np.array(rows)
 
 
-def masked_sign_fix(vectors: np.ndarray) -> None:
-    """The sign fix ``eigendecompose`` used before its product by a row of signs.
-
-    Negates, in place, each column whose first largest-magnitude entry is
-    negative, through a masked ``np.negative``.
-    """
-    columns = np.arange(vectors.shape[1])
-    hi = vectors.argmax(axis=0)
-    lo = vectors.argmin(axis=0)
-    top = vectors[hi, columns]
-    bottom = -vectors[lo, columns]
-    negative = (bottom > top) | ((bottom == top) & (lo < hi))
-    np.negative(vectors, out=vectors, where=negative)
-
-
 def transposed_mirror_test(matrix: np.ndarray) -> bool:
     """The mirror test ``eigendecompose`` used before its row-pair form.
 

@@ -197,7 +197,6 @@ def test_csv_writes_each_value_as_a_summary_field_does():
         list(range(-4, 5)),
         [2**60, -(2**53) - 1, 0, 7, 8, 1, 2, 3, 4],
         ["a", "b c", "", "x", "y", "z", "1", "2", "3"],
-        [True, False] * 4 + [True],
     ]
     expected = "h\n" + "".join(",".join(map(cli._text, row)) + "\n" for row in zip(*columns))
     assert cli._csv("h", columns) == expected
@@ -222,6 +221,10 @@ def test_run_time_scan_writes_csv_and_summary(tmp_path):
     assert "delta_eff" in summary
     assert "gamma_m" in summary
     assert "dominant_pair_mass" in summary
+    # booleans are written true/false
+    summary_lines = summary.splitlines()
+    assert "zz_diagonal = true" in summary_lines
+    assert ("window_extended = true" in summary_lines) != ("window_extended = false" in summary_lines)
 
 
 def test_run_time_scan_concurrence_column_peaks_high(tmp_path):

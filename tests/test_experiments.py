@@ -1,5 +1,6 @@
 """Time scans, peak refinement, and size scans."""
 
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
-from spinchannel import dynamics, experiments
+from spinchannel import cli, dynamics, experiments
 from spinchannel.experiments import _refined_peaks
 from support import (
     array_probe_scores,
@@ -406,6 +407,34 @@ def test_time_scan_columns_are_the_public_metrics_of_their_amplitudes():
         assert _same_bits(result.averaged_fidelity, sc.averaged_fidelity(f_sr)), label
         assert _same_bits(result.concurrence, sc.concurrence_closed_form(params, f_ss, f_sr)), label
         assert _same_bits(result.dispersion, sc.leaked_weight(f_ss, f_sr)), label
+
+
+@pytest.mark.parametrize(("positions", "dh"), [(10, False), (202, True)], ids=["complete10_dense", "dh202_split"])
+def test_no_output_reads_an_eigenvector_sign(monkeypatch, tmp_path, positions, dh):
+    # a column of V keeps the sign eigh gave it, so flipping any set of columns may change no output
+    geo = sc.build_chain_geometry(positions, double_hole=dh)
+    config = cli.parse_config(f"mode = diagnostics\npositions = {positions}\ndh = {str(dh).lower()}\nout = diag\n")
+    flipped = []
+
+    def flipping(hamiltonian):
+        d = sc.eigendecompose(hamiltonian)
+        flip = np.random.default_rng(positions).choice([-1.0, 1.0], size=d.n)
+        flip[0] = -1.0
+        flipped.append(d._signs is not None)
+        return sc.SpectralDecomposition(d.eigenvalues, d._held * flip, _signs=d._signs)
+
+    def outputs():
+        result = sc.time_scan(geo, sc.CouplingModel.power_law(), theta=2.0)
+        fields = [getattr(result, field.name) for field in dataclasses.fields(result)]
+        # arrays bit for bit, every other value by its repr, which is exact for floats
+        scan = [value.tobytes() if isinstance(value, np.ndarray) else repr(value) for value in fields]
+        return scan, cli.run(config, out_dir=tmp_path, quiet=True)[0].read_bytes()
+
+    expected = outputs()
+    monkeypatch.setattr(experiments, "eigendecompose", flipping)
+    monkeypatch.setattr(cli, "eigendecompose", flipping)
+    assert outputs() == expected
+    assert flipped == [dh, dh]  # both runs read the flipped decomposition, split only on the long chain
 
 
 def test_probe_values_are_the_public_metrics_of_propagated_amplitudes():

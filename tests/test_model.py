@@ -71,6 +71,48 @@ def test_geometry_type_rejects_inconsistent_sites():
         sc.ChainGeometry((0, 1), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "model", [sc.CouplingModel.power_law(), sc.CouplingModel.mirror_periodic()], ids=["power_law", "mirror"]
+)
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (((1.5, 2.5, 4), 1.5, 4), "positions must be integers (got 1.5)"),
+        (((1, 2, 4.0), 1, 4), "positions must be integers (got 4.0)"),
+        (((1, 2, 4), "1", 4), "sender_pos must be an integer (got '1')"),
+        (((1, 2, 4), 1, 4.0), "receiver_pos must be an integer (got 4.0)"),
+    ],
+    ids=["positions", "float_position", "sender", "receiver"],
+)
+def test_geometry_type_rejects_sites_that_are_not_integers(model, args, message):
+    # before the integer check a float chain was accepted, and scanned or failed inside build_couplings
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sc.time_scan(sc.ChainGeometry(*args), model)
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("12",), "span must be an integer (got '12')"),
+        ((12.5,), "span must be an integer (got 12.5)"),
+        ((12, 1.0), "sender_pos must be an integer (got 1.0)"),
+        ((12, 1, "12"), "receiver_pos must be an integer (got '12')"),
+    ],
+    ids=["str_span", "float_span", "sender", "receiver"],
+)
+def test_build_chain_geometry_rejects_values_that_are_not_integers(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sc.build_chain_geometry(*args)
+
+
+def test_geometry_holds_numpy_integers_as_ints():
+    geo = sc.ChainGeometry(np.array([1, 3, 4]), np.int64(1), np.int32(4))
+    assert geo.positions == (1, 3, 4) and geo == sc.ChainGeometry((1, 3, 4), 1, 4)
+    assert all(type(value) is int for value in (*geo.positions, geo.sender_pos, geo.receiver_pos))
+    built = sc.build_chain_geometry(np.int64(6), np.int16(1), double_hole=True)
+    assert built == dh_geometry(4) and type(built.receiver_pos) is int
+
+
 # ---------------------------------------------------------------- couplings
 
 
@@ -154,6 +196,13 @@ def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
     matrix = np.zeros((2, 2)) if kind == "custom" else None
     with pytest.raises(ValueError, match=f"{name} must be > 0"):
         sc.CouplingModel(kind=kind, custom_matrix=matrix, **{name: -1.0})
+
+
+@pytest.mark.parametrize("kind", ["power_law", "mirror_periodic"])
+def test_generative_model_rejects_a_custom_matrix(kind):
+    # build_couplings would ignore the matrix
+    with pytest.raises(ValueError, match=f"^a {kind} coupling model takes no custom_matrix$"):
+        sc.CouplingModel(kind, custom_matrix=np.zeros((2, 2)))
 
 
 def test_custom_model_holds_its_checked_matrix():

@@ -1,8 +1,11 @@
-"""The repository's tools: the line counter of tools/src_lines.py and the summary of tools/ab_pairs.py."""
+"""The repository's tools: the line counter of tools/src_lines.py, the summary of tools/ab_pairs.py and the
+encoding of tools/output_digest.py."""
 
 import importlib.util
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -95,3 +98,23 @@ def test_ab_pairs_refuses_trees_of_which_one_holds_a_bytecode_cache(tmp_path):
     (change / "src").mkdir(parents=True)
     with pytest.raises(SystemExit, match="only the parent tree holds __pycache__"):
         _tool("ab_pairs").main([str(parent), str(change), "--workload", "sweep_small"])
+
+
+def test_output_digest_encodes_signed_zeros_shapes_and_dtypes(monkeypatch):
+    # loading the tool pins BLAS to one thread in os.environ; setenv records each variable, so it is restored
+    # (or unset) after the test
+    blas_threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in blas_threads:
+        monkeypatch.setenv(name, "0")
+    encode = _tool("output_digest")._encode
+    assert all(os.environ[name] == "1" for name in blas_threads)
+    assert encode(0.0) != encode(-0.0)
+    assert encode((1.0, 0.0)) != encode((1.0, -0.0))
+    assert encode(np.array([0.0])) != encode(np.array([-0.0]))
+    # equal bytes, different shape or dtype
+    values = np.arange(4.0)
+    assert encode(values) != encode(values.reshape(2, 2))
+    assert np.zeros(2).tobytes() == np.zeros(2, dtype=np.int64).tobytes()
+    assert encode(np.zeros(2)) != encode(np.zeros(2, dtype=np.int64))
+    # a strided view encodes as its contiguous copy
+    assert encode(values[::2]) == encode(values[::2].copy())
