@@ -16,6 +16,9 @@ cross-check.
 from __future__ import annotations
 
 import operator
+import re
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -30,6 +33,9 @@ from .dynamics import _PANEL_ROWS, _symmetric_within
 FULL_SPACE_MAX_SITES = 12
 
 COUPLING_KINDS = ("power_law", "mirror_periodic", "custom")
+
+# whether a coupling-file line holds a token before any "#", as str.split() finds tokens
+_HOLDS_A_TOKEN = re.compile(r"\s*[^\s#]").match
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,14 @@ class ChainGeometry:
     receiver_pos: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(_integer(p, "positions must be integers") for p in self.positions))
+        # read once, so the fallback loop sees the same values
+        positions = tuple(self.positions)
+        try:
+            positions = tuple(map(operator.index, positions))
+        except TypeError:
+            # the slow loop only to name the value at fault
+            positions = tuple(_integer(p, "positions must be integers") for p in positions)
+        object.__setattr__(self, "positions", positions)
         for name in ("sender_pos", "receiver_pos"):
             object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
         if len(self.positions) < 2:
@@ -252,25 +265,90 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
     Entries may deviate from exact symmetry by at most 1e-12 (they are
     symmetrized); the diagonal must be zero to the same tolerance.
 
-    The file is read line by line and each good row kept as N floats, so
-    memory grows with the rows read, not with the N a header claims, and
-    peaks at two N x N arrays.  A wrong row count is reported before a bad
-    row, wherever the two lie.
+    ``np.loadtxt`` reads the rows of a well-formed file.  Any file it does
+    not read as N rows of N reals is read again by the line reader, which
+    accepts every token ``float`` does and names the line at fault, so the
+    result, matrix or error, is the line reader's.  Memory grows with the
+    rows read, not with the N a header claims: about one N x N array, two
+    when the line reader runs.
     """
-    n, rows, found, error = None, [], 0, None
     with open(path) as file:
-        # str.splitlines per line, so the lines and their numbers are those of the whole text's splitlines
-        for line_no, line in enumerate(chain.from_iterable(map(str.splitlines, file)), start=1):
+        lines = _lines(file)
+        n, _ = _header(path, lines)
+        with warnings.catch_warnings():
+            # a file with no rows warns "input contained no data"; the line reader reports it
+            warnings.simplefilter("error", UserWarning)
+            try:
+                # N + 1 rows at most: more are as wrong as one more, and the line reader counts them unheld
+                entries = np.loadtxt(_rows_up_to(lines, n + 1), comments="#", ndmin=2)
+            except (ValueError, UserWarning):
+                entries = None
+    if entries is None or entries.shape != (n, n):
+        entries = _read_rows(path)
+    if not _symmetric_within(entries, 1e-12):
+        if not np.isfinite(entries).all():
+            raise ValueError(f"{path}: matrix entries must be finite")
+        # a panel of rows at a time, so no n x n difference is made
+        asym = max(
+            np.abs(entries[lo : lo + _PANEL_ROWS] - entries[:, lo : lo + _PANEL_ROWS].T).max()
+            for lo in range(0, n, _PANEL_ROWS)
+        )
+        raise ValueError(f"{path}: matrix asymmetry {asym:.3e} exceeds 1e-12")
+    diag = np.max(np.abs(np.diagonal(entries)))
+    if diag > 1e-12:
+        raise ValueError(f"{path}: matrix diagonal magnitude {diag:.3e} exceeds 1e-12")
+    # halved before the sum, so entries near the float maximum do not overflow; summed in place, a panel's
+    # rows and columns from its first row on, which no later panel reads, so no second n x n array is made
+    entries *= 0.5
+    for lo in range(0, n, _PANEL_ROWS):
+        panel = entries[lo : lo + _PANEL_ROWS, lo:] + entries[lo:, lo : lo + _PANEL_ROWS].T
+        entries[lo : lo + _PANEL_ROWS, lo:] = panel
+        entries[lo:, lo : lo + _PANEL_ROWS] = panel.T
+    np.fill_diagonal(entries, 0.0)
+    return CouplingMatrix(entries)
+
+
+def _lines(file) -> Iterator[str]:
+    # str.splitlines per line, so the lines and their numbers are those of the whole text's splitlines
+    return chain.from_iterable(map(str.splitlines, file))
+
+
+def _rows_up_to(lines: Iterator[str], count: int) -> Iterator[str]:
+    """``lines`` up to and with the ``count``-th that holds a token."""
+    for line in lines:
+        yield line
+        if _HOLDS_A_TOKEN(line):
+            count -= 1
+            if not count:
+                return
+
+
+def _header(path: str | Path, lines: Iterator[str]) -> tuple[int, int]:
+    """N and its line number, taken from ``lines`` up to the first line that holds a token; ValueError unless N >= 2."""
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            break
+    else:
+        raise ValueError(f"{path}: empty coupling file")
+    try:
+        (n,) = map(int, tokens)
+    except ValueError:
+        raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
+    if n < 2:
+        raise ValueError(f"{path}:{line_no}: N must be >= 2 (got {n})")
+    return n, line_no
+
+
+def _read_rows(path: str | Path) -> np.ndarray:
+    """The N x N rows of a coupling file by ``float``; a wrong row count is reported before a bad row."""
+    rows, found, error = [], 0, None
+    with open(path) as file:
+        lines = _lines(file)
+        n, header_no = _header(path, lines)
+        for line_no, line in enumerate(lines, start=header_no + 1):
             tokens = line.split("#", 1)[0].split()
             if not tokens:
-                continue
-            if n is None:
-                try:
-                    (n,) = map(int, tokens)
-                except ValueError:
-                    raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
-                if n < 2:
-                    raise ValueError(f"{path}:{line_no}: N must be >= 2 (got {n})")
                 continue
             found += 1
             if error is not None or found > n:
@@ -282,28 +360,11 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
                 rows.append(np.array(list(map(float, tokens))))
             except ValueError:
                 error = f"{path}:{line_no}: entries must be real numbers"
-    if n is None:
-        raise ValueError(f"{path}: empty coupling file")
     if found != n:
         raise ValueError(f"{path}: expected {n} matrix rows, found {found}")
     if error is not None:
         raise ValueError(error)
-    entries = np.array(rows)
-    # freed before the symmetrized sum is made, so no more than two n x n arrays coexist
-    del rows
-    if not _symmetric_within(entries, 1e-12):
-        if not np.isfinite(entries).all():
-            raise ValueError(f"{path}: matrix entries must be finite")
-        asym = np.max(np.abs(entries - entries.T))
-        raise ValueError(f"{path}: matrix asymmetry {asym:.3e} exceeds 1e-12")
-    diag = np.max(np.abs(np.diagonal(entries)))
-    if diag > 1e-12:
-        raise ValueError(f"{path}: matrix diagonal magnitude {diag:.3e} exceeds 1e-12")
-    # halved before the sum, so entries near the float maximum do not overflow
-    entries *= 0.5
-    entries = entries + entries.T
-    np.fill_diagonal(entries, 0.0)
-    return CouplingMatrix(entries)
+    return np.array(rows)
 
 
 @dataclass(frozen=True, eq=False)
