@@ -146,7 +146,7 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
-    if not _symmetric_within(matrix, 1e-12):
+    if not _asymmetry(matrix) <= 1e-12:
         if not np.isfinite(matrix).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric")
@@ -161,15 +161,18 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
-def _symmetric_within(matrix: np.ndarray, tolerance: float) -> bool:
-    """Whether every |M[i, k] - M[k, i]| <= tolerance; False, without a warning, when an entry is not finite."""
-    n = matrix.shape[0]
+def _asymmetry(matrix: np.ndarray) -> float:
+    """max |M[i, k] - M[k, i]|, a panel of rows at a time; inf or NaN, without a warning, if an entry is not finite."""
+    largest = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, n, _PANEL_ROWS):
-            hi = min(lo + _PANEL_ROWS, n)
-            if not np.abs(matrix[lo:hi, lo:] - matrix[lo:, lo:hi].T).max() <= tolerance:
-                return False
-    return True
+        for lo in range(0, matrix.shape[0], _PANEL_ROWS):
+            panel = np.abs(matrix[lo : lo + _PANEL_ROWS, lo:] - matrix[lo:, lo : lo + _PANEL_ROWS].T).max()
+            if not panel <= largest:
+                largest = panel
+                # a NaN ends the scan: no later comparison would keep it
+                if np.isnan(largest):
+                    break
+    return float(largest)
 
 
 def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
@@ -250,7 +253,12 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     about 3e-16 (``_exp_phases``).
     """
     times = np.asarray(t, dtype=np.float64)
-    targets = decomp.eigenvectors if to is None else decomp._rows(np.asarray(to))
+    if to is None:
+        targets = decomp.eigenvectors
+    else:
+        # np.asarray makes an empty sequence float, which indexes nothing
+        index = np.asarray(to)
+        targets = decomp._rows(index if index.size else index.astype(np.intp))
     progression = _progression(times)
     if progression is None:
         amplitudes = _phase_block(decomp, decomp._rows(from_index), times) @ targets.T

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import re
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _PANEL_ROWS, _symmetric_within
+from .dynamics import _PANEL_ROWS, _asymmetry
 
 # Full-space construction is exponential in the number of sites; past this
 # size the 2^N x 2^N matrix is no longer a practical cross-check (at the cap
@@ -211,7 +210,7 @@ def _check_couplings(entries: np.ndarray) -> None:
     """Raise ValueError unless ``entries`` is square, finite, exactly symmetric and zero on the diagonal."""
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"coupling matrix must be square (got shape {entries.shape})")
-    if not _symmetric_within(entries, 0.0):
+    if not _asymmetry(entries) <= 0.0:
         if not np.isfinite(entries).all():
             raise ValueError("coupling matrix has non-finite entries")
         raise ValueError("coupling matrix must be exactly symmetric")
@@ -265,35 +264,57 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
     Entries may deviate from exact symmetry by at most 1e-12 (they are
     symmetrized); the diagonal must be zero to the same tolerance.
 
-    ``np.loadtxt`` reads the rows of a well-formed file.  Any file it does
-    not read as N rows of N reals is read again by the line reader, which
-    accepts every token ``float`` does and names the line at fault, so the
-    result, matrix or error, is the line reader's.  Memory grows with the
-    rows read, not with the N a header claims: about one N x N array, two
-    when the line reader runs.
+    The file is read once, and ``np.loadtxt`` reads the rows, so an entry
+    is a real as NumPy reads it.  A wrong row count is reported before a
+    bad row, and a bad row names its line.  Memory grows with the rows
+    read, not with the N a header claims: about one N x N array.
     """
     with open(path) as file:
-        lines = _lines(file)
-        n, _ = _header(path, lines)
-        with warnings.catch_warnings():
-            # a file with no rows warns "input contained no data"; the line reader reports it
-            warnings.simplefilter("error", UserWarning)
+        # str.splitlines per line, so the lines and their numbers are those of the whole text's splitlines
+        lines = enumerate(chain.from_iterable(map(str.splitlines, file)), start=1)
+        rows = (numbered for numbered in lines if _HOLDS_A_TOKEN(numbered[1]))
+        line_no, line = next(rows, (0, ""))
+        if not line:
+            raise ValueError(f"{path}: empty coupling file")
+        try:
+            (n,) = map(int, _tokens(line))
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
+        if n < 2:
+            raise ValueError(f"{path}:{line_no}: N must be >= 2 (got {n})")
+        found, last, entries = 0, None, None
+
+        def handed() -> Iterator[str]:
+            # np.loadtxt takes one line at a time, so the last line handed over is the one it failed on
+            nonlocal found, last
+            for last in rows:
+                found += 1
+                yield last[1]
+                if found == n:
+                    return
+
+        matrix_rows = handed()
+        first = next(matrix_rows, None)
+        if first is not None and len(_tokens(first)) == n:
             try:
-                # N + 1 rows at most: more are as wrong as one more, and the line reader counts them unheld
-                entries = np.loadtxt(_rows_up_to(lines, n + 1), comments="#", ndmin=2)
-            except (ValueError, UserWarning):
-                entries = None
-    if entries is None or entries.shape != (n, n):
-        entries = _read_rows(path)
-    if not _symmetric_within(entries, 1e-12):
+                entries = np.loadtxt(chain((first,), matrix_rows), comments="#", ndmin=2)
+            except ValueError:
+                pass
+        # the rows past those handed over are counted, not held
+        found += sum(1 for _ in rows)
+    if found != n:
+        raise ValueError(f"{path}: expected {n} matrix rows, found {found}")
+    if entries is None:
+        line_no, line = last
+        width = len(_tokens(line))
+        if width != n:
+            raise ValueError(f"{path}:{line_no}: expected {n} entries, found {width}")
+        raise ValueError(f"{path}:{line_no}: entries must be real numbers")
+    asymmetry = _asymmetry(entries)
+    if not asymmetry <= 1e-12:
         if not np.isfinite(entries).all():
             raise ValueError(f"{path}: matrix entries must be finite")
-        # a panel of rows at a time, so no n x n difference is made
-        asym = max(
-            np.abs(entries[lo : lo + _PANEL_ROWS] - entries[:, lo : lo + _PANEL_ROWS].T).max()
-            for lo in range(0, n, _PANEL_ROWS)
-        )
-        raise ValueError(f"{path}: matrix asymmetry {asym:.3e} exceeds 1e-12")
+        raise ValueError(f"{path}: matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
     diag = np.max(np.abs(np.diagonal(entries)))
     if diag > 1e-12:
         raise ValueError(f"{path}: matrix diagonal magnitude {diag:.3e} exceeds 1e-12")
@@ -308,63 +329,9 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
     return CouplingMatrix(entries)
 
 
-def _lines(file) -> Iterator[str]:
-    # str.splitlines per line, so the lines and their numbers are those of the whole text's splitlines
-    return chain.from_iterable(map(str.splitlines, file))
-
-
-def _rows_up_to(lines: Iterator[str], count: int) -> Iterator[str]:
-    """``lines`` up to and with the ``count``-th that holds a token."""
-    for line in lines:
-        yield line
-        if _HOLDS_A_TOKEN(line):
-            count -= 1
-            if not count:
-                return
-
-
-def _header(path: str | Path, lines: Iterator[str]) -> tuple[int, int]:
-    """N and its line number, taken from ``lines`` up to the first line that holds a token; ValueError unless N >= 2."""
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split("#", 1)[0].split()
-        if tokens:
-            break
-    else:
-        raise ValueError(f"{path}: empty coupling file")
-    try:
-        (n,) = map(int, tokens)
-    except ValueError:
-        raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
-    if n < 2:
-        raise ValueError(f"{path}:{line_no}: N must be >= 2 (got {n})")
-    return n, line_no
-
-
-def _read_rows(path: str | Path) -> np.ndarray:
-    """The N x N rows of a coupling file by ``float``; a wrong row count is reported before a bad row."""
-    rows, found, error = [], 0, None
-    with open(path) as file:
-        lines = _lines(file)
-        n, header_no = _header(path, lines)
-        for line_no, line in enumerate(lines, start=header_no + 1):
-            tokens = line.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            found += 1
-            if error is not None or found > n:
-                continue
-            if len(tokens) != n:
-                error = f"{path}:{line_no}: expected {n} entries, found {len(tokens)}"
-                continue
-            try:
-                rows.append(np.array(list(map(float, tokens))))
-            except ValueError:
-                error = f"{path}:{line_no}: entries must be real numbers"
-    if found != n:
-        raise ValueError(f"{path}: expected {n} matrix rows, found {found}")
-    if error is not None:
-        raise ValueError(error)
-    return np.array(rows)
+def _tokens(line: str) -> list[str]:
+    """The tokens of a coupling-file line before any "#", as ``str.split`` finds them."""
+    return line.split("#", 1)[0].split()
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,13 +122,13 @@ def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
 def entry_checks(monkeypatch):
     """The matrices whose entries eigendecompose checks for finiteness and symmetry."""
     checked = []
-    check = dynamics._symmetric_within
+    check = dynamics._asymmetry
 
-    def recording(matrix, tolerance):
+    def recording(matrix):
         checked.append(matrix)
-        return check(matrix, tolerance)
+        return check(matrix)
 
-    monkeypatch.setattr(dynamics, "_symmetric_within", recording)
+    monkeypatch.setattr(dynamics, "_asymmetry", recording)
     return checked
 
 
@@ -488,12 +488,16 @@ def test_progression_grid_never_builds_the_phase_block():
     assert peak < 16 * times.size * decomp.n / 10
 
 
+@pytest.mark.parametrize("to", [np.array([], dtype=int), [], ()], ids=["int_array", "list", "tuple"])
 @pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 0.9])], ids=["progression", "other"])
-def test_propagate_to_no_targets_gives_an_empty_column_per_time(scan_chains, times):
+def test_propagate_to_no_targets_gives_an_empty_column_per_time(scan_chains, times, to):
     decomp, s, _ = scan_chains["dh10"]
-    amplitudes = sc.propagate(decomp, s, times, to=np.array([], dtype=int))
+    amplitudes = sc.propagate(decomp, s, times, to=to)
     assert amplitudes.shape == (times.size, 0)
     assert amplitudes.dtype == np.complex128
+    # only an empty index is made integer
+    with pytest.raises(IndexError):
+        sc.propagate(decomp, s, times, to=[1.5])
 
 
 @pytest.mark.parametrize("chain", ["random8", "dh202"])
