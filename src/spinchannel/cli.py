@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import NumericsError, eigendecompose
-from .experiments import CONFIGURATIONS, DEFAULT_GRID_POINTS, size_scan, time_scan
+from .experiments import CONFIGURATIONS, DEFAULT_GRID_POINTS, SizeScanRow, size_scan, time_scan
 from .metrics import leakage_bound, spectral_overlaps, structure_residuals
 from .model import (
     COUPLING_KINDS,
@@ -222,14 +222,14 @@ def _text(value) -> str:
     return f"{value:.17g}"
 
 
-def _csv(header: str, columns) -> str:
-    """The header, then one line per row of ``columns`` (lists), each value written as ``_text`` writes it.
+def _csv(columns: dict) -> str:
+    """A header of the names of ``columns`` (name -> list), then one line per row, each value as ``_text`` writes it.
 
     Every row goes through one %-format built from the kinds of the columns'
     first values: ``%.17g`` for numbers, ``%s`` for strings.
     """
-    form = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
-    return header + "\n" + "".join(form % row for row in zip(*columns))
+    form = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns.values()) + "\n"
+    return ",".join(columns) + "\n" + "".join(form % row for row in zip(*columns.values()))
 
 
 def _summary(fields) -> str:
@@ -246,21 +246,18 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
         t_max=config.t_max,
         grid_points=config.grid_points,
     )
-    columns = (
-        result.times,
-        result.f_ss.real,
-        result.f_ss.imag,
-        result.f_sr.real,
-        result.f_sr.imag,
-        result.fidelity,
-        result.averaged_fidelity,
-        result.concurrence,
-        result.dispersion,
-    )
-    csv_text = _csv(
-        "t,re_f_ss,im_f_ss,re_f_sr,im_f_sr,fidelity,avg_fidelity,concurrence,dispersion",
-        [column.tolist() for column in columns],
-    )
+    columns = {
+        "t": result.times,
+        "re_f_ss": result.f_ss.real,
+        "im_f_ss": result.f_ss.imag,
+        "re_f_sr": result.f_sr.real,
+        "im_f_sr": result.f_sr.imag,
+        "fidelity": result.fidelity,
+        "avg_fidelity": result.averaged_fidelity,
+        "concurrence": result.concurrence,
+        "dispersion": result.dispersion,
+    }
+    csv_text = _csv({name: column.tolist() for name, column in columns.items()})
 
     fields = [
         ("mode", "time_scan"),
@@ -298,13 +295,8 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
         phi=config.phi,
         grid_points=config.grid_points,
     )
-    csv_text = _csv(
-        "n_spins,configuration,max_concurrence,t_at_max,max_fidelity,t_at_max_f",
-        [
-            [getattr(row, name) for row in rows]
-            for name in ("n_spins", "configuration", "max_concurrence", "t_at_max", "max_fidelity", "t_at_max_f")
-        ],
-    )
+    names = [field.name for field in dataclasses.fields(SizeScanRow)]
+    csv_text = _csv({name: [getattr(row, name) for row in rows] for name in names})
     fields = [("mode", "size_scan"), ("rows", len(rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
     return [(f"{config.out}.csv", csv_text)], _summary(fields)
 
@@ -317,15 +309,14 @@ def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> t
     gamma_m, bound = leakage_bound(overlaps)
     # square entry by entry: squaring the arrays can round the last bit differently
     csv_text = _csv(
-        "j,E_j,sigma_sq,rho_sq,gamma_sq,residual",
-        [
-            range(1, overlaps.n + 1),
-            decomp.eigenvalues.tolist(),
-            [x**2 for x in overlaps.sigma.tolist()],
-            [x**2 for x in overlaps.rho.tolist()],
-            overlaps.gamma_sq.tolist(),
-            residuals.tolist(),
-        ],
+        {
+            "j": range(1, overlaps.n + 1),
+            "E_j": decomp.eigenvalues.tolist(),
+            "sigma_sq": [x**2 for x in overlaps.sigma.tolist()],
+            "rho_sq": [x**2 for x in overlaps.rho.tolist()],
+            "gamma_sq": overlaps.gamma_sq.tolist(),
+            "residual": residuals.tolist(),
+        }
     )
     fields = [("mode", "diagnostics"), ("n_sites", geometry.n_sites), ("gamma_m", gamma_m)]
     fields.append(("dispersion_bound", bound))

@@ -19,8 +19,9 @@ import numpy as np
 from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, _derivative_terms, eigendecompose
 from .dynamics import propagate
 from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
-from .metrics import _real, spectral_overlaps, two_qubit_effective
-from .model import ChainGeometry, CouplingModel, _integer, build_chain_geometry, build_couplings, sector_hamiltonian
+from .metrics import spectral_overlaps, two_qubit_effective
+from .model import ChainGeometry, CouplingModel, _integer, _real, build_chain_geometry, build_couplings
+from .model import sector_hamiltonian
 
 DEFAULT_GRID_POINTS = 2000
 
@@ -179,16 +180,16 @@ def _score_grid(
     """The TimeScanResult columns for one grid, as read-only arrays."""
     f_ss, f_sr = propagate(decomp, sender_index, times, to=(sender_index, receiver_index)).T
     mod_ss, mod_sr = np.abs(f_ss), np.abs(f_sr)
-    # conservation first: a broken decomposition is a NumericsError, not a
-    # metric's out-of-range ValueError
+    # conservation first, a NumericsError for a broken decomposition: it
+    # bounds each modulus by sqrt(1 + 1e-10), so the moduli need no other check
     leak = _leak(mod_ss, mod_sr)
     columns = {
         "times": times,
         "f_ss": f_ss,
         "f_sr": f_sr,
-        "fidelity": _fidelity(_checked(mod_sr)),
+        "fidelity": _fidelity(mod_sr),
         "averaged_fidelity": _averaged_fidelity(mod_sr),
-        "concurrence": _concurrence(params, _checked(mod_ss, "|f_ss|"), mod_sr),
+        "concurrence": _concurrence(params, mod_ss, mod_sr),
         "dispersion": leak,
     }
     for column in columns.values():
@@ -307,13 +308,6 @@ def time_scan(
     )
 
 
-def _layout_geometry(n_spins: int, configuration: str) -> ChainGeometry:
-    if configuration == "complete":
-        return build_chain_geometry(n_spins, 1, n_spins, double_hole=False)
-    # double_hole: n_spins occupied sites on a span of n_spins + 2 positions
-    return build_chain_geometry(n_spins + 2, 1, n_spins + 2, double_hole=True)
-
-
 def size_scan(
     n_values: Iterable[int],
     model: CouplingModel,
@@ -351,9 +345,9 @@ def size_scan(
     rows = []
     for n in sizes:
         for configuration in ordered:
-            geometry = _layout_geometry(n, configuration)
+            double_hole = configuration == "double_hole"
             result = time_scan(
-                geometry,
+                build_chain_geometry(n + 2 if double_hole else n, double_hole=double_hole),
                 model,
                 include_zz_diagonal=include_zz_diagonal,
                 theta=theta,

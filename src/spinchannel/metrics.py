@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NumericsError, SpectralDecomposition
+from .model import _real
 
 _YY = np.array(
     [
@@ -25,15 +26,6 @@ _YY = np.array(
         [-1.0, 0.0, 0.0, 0.0],
     ]
 )
-
-
-def _real(name: str, value):
-    """``value``; ValueError naming ``name`` and the value if it does not compare with floats, as a str or complex."""
-    try:
-        value < 0.0
-    except TypeError:
-        raise ValueError(f"{name} must be a real number (got {value!r})") from None
-    return value
 
 
 @dataclass(frozen=True)
@@ -55,6 +47,15 @@ def _checked(modulus, label: str = "|f_sr|"):
     if (modulus > 1.0 + 1e-10).any():
         raise ValueError(f"{label} = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
     return modulus
+
+
+def _check_pair(sender_index: int, receiver_index: int, n: int) -> None:
+    """ValueError unless both indices lie in [0, n), then unless they differ."""
+    for label, idx in (("sender_index", sender_index), ("receiver_index", receiver_index)):
+        if not (0 <= idx < n):
+            raise ValueError(f"{label}={idx} out of range for {n} sites")
+    if sender_index == receiver_index:
+        raise ValueError("sender and receiver indices must differ")
 
 
 def _fidelity(mod_sr):
@@ -119,11 +120,7 @@ def wootters_concurrence_oracle(
     n = amps.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 sites (got {n})")
-    if sender_index == receiver_index:
-        raise ValueError("sender and receiver indices must differ")
-    for label, idx in (("sender_index", sender_index), ("receiver_index", receiver_index)):
-        if not (0 <= idx < n):
-            raise ValueError(f"{label}={idx} out of range for {n} sites")
+    _check_pair(sender_index, receiver_index, n)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     if abs(norm_sq - 1.0) > 1e-8:
         raise ValueError(f"amplitude vector norm^2 = {norm_sq!r} deviates from 1 beyond 1e-8")
@@ -227,12 +224,7 @@ def spectral_overlaps(
     The weights of an orthonormal decomposition always sum as SpectralOverlaps
     requires, so a sum that fails is a NumericsError, not a rejected input.
     """
-    n = decomp.n
-    for label, idx in (("sender_index", sender_index), ("receiver_index", receiver_index)):
-        if not (0 <= idx < n):
-            raise ValueError(f"{label}={idx} out of range for {n} sites")
-    if sender_index == receiver_index:
-        raise ValueError("sender and receiver indices must differ")
+    _check_pair(sender_index, receiver_index, decomp.n)
     sigma = np.array(decomp._rows(sender_index))
     rho = np.array(decomp._rows(receiver_index))
     gamma_sq = decomp._channel_weight((sender_index, receiver_index))

@@ -134,6 +134,15 @@ def _integer(value, message: str) -> int:
         raise ValueError(f"{message} (got {value!r})") from None
 
 
+def _real(name: str, value):
+    """``value``; ValueError naming ``name`` and the value if it does not compare with floats, as a str or complex."""
+    try:
+        value < 0.0
+    except TypeError:
+        raise ValueError(f"{name} must be a real number (got {value!r})") from None
+    return value
+
+
 @dataclass(frozen=True)
 class CouplingModel:
     """How pairwise couplings J_ij are generated from the geometry.
@@ -143,8 +152,8 @@ class CouplingModel:
     kind = "custom":          entries taken verbatim from ``custom_matrix``
 
     A custom model holds a CouplingMatrix, checked here once if an array is
-    given; any other kind takes none.  Every kind checks nu, strength_c,
-    spacing_a and lam as ``not x > 0``, so NaN fails too.
+    given; any other kind takes none.  Every kind checks that nu, strength_c,
+    spacing_a and lam are real numbers, then ``not x > 0``, so NaN fails too.
     """
 
     kind: str
@@ -158,7 +167,7 @@ class CouplingModel:
         if self.kind not in COUPLING_KINDS:
             raise ValueError(f"unknown coupling kind {self.kind!r}; expected one of {COUPLING_KINDS}")
         for name in ("nu", "strength_c", "spacing_a", "lam"):
-            if not getattr(self, name) > 0:
+            if not _real(name, getattr(self, name)) > 0:
                 raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
         if self.kind == "custom":
             if self.custom_matrix is None:
@@ -277,7 +286,11 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
         if not line:
             raise ValueError(f"{path}: empty coupling file")
         try:
-            (n,) = map(int, _tokens(line))
+            (token,) = _tokens(line)
+            # int alone would also read 0_2 and non-ASCII digits, which the rows reject
+            if not token.isascii() or "_" in token:
+                raise ValueError(token)
+            n = int(token)
         except ValueError:
             raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
         if n < 2:

@@ -1,6 +1,7 @@
 """Config parsing, run outputs, and exit codes."""
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -187,20 +188,47 @@ def test_config_round_trips_through_text(data):
     assert parse_config("\n".join(lines) + "\n") == config
 
 
+def test_run_config_defaults_are_the_library_defaults():
+    # a library default that changed would otherwise leave the CLI behind silently
+    def signature_defaults(function):
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+    model = {f.name: f.default for f in dataclasses.fields(sc.CouplingModel)}
+    geometry = signature_defaults(sc.build_chain_geometry)
+    scan = signature_defaults(sc.time_scan)
+    sizes = signature_defaults(sc.size_scan)
+    library = {
+        "nu": model["nu"],
+        "c": model["strength_c"],
+        "a": model["spacing_a"],
+        "lam": model["lam"],
+        "sender": geometry["sender_pos"],
+        "dh": geometry["double_hole"],
+        "zz": scan["include_zz_diagonal"],
+        "theta": scan["theta"],
+        "phi": scan["phi"],
+        "t_max": scan["t_max"],
+        "grid_points": scan["grid_points"],
+        "configurations": sizes["configurations"],
+    }
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert {name: defaults[name] for name in library} == library
+
+
 # ---------------------------------------------------------------- run outputs
 
 
 def test_csv_writes_each_value_as_a_summary_field_does():
     floats = [0.0, -0.0, 1.0 / 3.0, -2.5e-300, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
-    columns = [
-        floats,
-        list(range(-4, 5)),
-        [2**60, -(2**53) - 1, 0, 7, 8, 1, 2, 3, 4],
-        ["a", "b c", "", "x", "y", "z", "1", "2", "3"],
-    ]
-    expected = "h\n" + "".join(",".join(map(cli._text, row)) + "\n" for row in zip(*columns))
-    assert cli._csv("h", columns) == expected
-    assert cli._csv("h", [[], []]) == "h\n"
+    columns = {
+        "f": floats,
+        "i": list(range(-4, 5)),
+        "big": [2**60, -(2**53) - 1, 0, 7, 8, 1, 2, 3, 4],
+        "s": ["a", "b c", "", "x", "y", "z", "1", "2", "3"],
+    }
+    expected = "f,i,big,s\n" + "".join(",".join(map(cli._text, row)) + "\n" for row in zip(*columns.values()))
+    assert cli._csv(columns) == expected
+    assert cli._csv({"h": [], "g": []}) == "h,g\n"
 
 
 def test_run_time_scan_writes_csv_and_summary(tmp_path):

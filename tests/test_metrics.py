@@ -275,6 +275,38 @@ def test_spectral_overlaps_type_rejects_inconsistent_weights():
         sc.SpectralOverlaps(np.array([1.0, 0.5]), np.array([0.0, 0.5]), np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    ("sigma", "rho", "gamma_sq", "pattern"),
+    [
+        ([1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0], r"^sigma, rho, gamma_sq must have equal length$"),
+        # each eigenvector's weights sum to 1, but the sender's add up to 2
+        ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], r"^sum of sigma weights = \S*2\.0\)?, expected 1\.0 within 1e-10$"),
+    ],
+)
+def test_spectral_overlaps_type_rejects_mismatched_lengths_and_totals(sigma, rho, gamma_sq, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        sc.SpectralOverlaps(np.array(sigma), np.array(rho), np.array(gamma_sq))
+
+
+@pytest.mark.parametrize(
+    ("sender", "receiver", "message"),
+    [
+        (0, 3, "receiver_index=3 out of range for 3 sites"),
+        (-1, 2, "sender_index=-1 out of range for 3 sites"),
+        # one rule for both: the range first, then that the two differ
+        (3, 3, "sender_index=3 out of range for 3 sites"),
+        (1, 1, "sender and receiver indices must differ"),
+    ],
+)
+def test_spectral_overlaps_and_wootters_oracle_reject_an_index_pair_alike(sender, receiver, message):
+    decomp = _decomp_for(sc.build_chain_geometry(3), sc.CouplingModel.power_law())
+    amps = np.array([1.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sc.spectral_overlaps(decomp, sender, receiver)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sc.wootters_concurrence_oracle(sc.InitialStateParams(), amps, sender, receiver)
+
+
 def test_spectral_overlaps_of_non_orthonormal_vectors_is_a_numerical_failure():
     # the weights of orthonormal columns always sum right, so a failed sum is
     # a broken decomposition, not a rejected input

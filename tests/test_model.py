@@ -198,6 +198,14 @@ def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
         sc.CouplingModel(kind=kind, custom_matrix=matrix, **{name: -1.0})
 
 
+@pytest.mark.parametrize("value", ["3", 1 + 0j, None, [2.0]])
+@pytest.mark.parametrize("name", ["nu", "strength_c", "spacing_a", "lam"])
+def test_coupling_model_rejects_parameters_that_are_not_real(name, value):
+    # a ValueError naming the parameter, as for theta, phi and t_max, not a TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a real number \\(got {re.escape(repr(value))}\\)$"):
+        sc.CouplingModel("power_law", **{name: value})
+
+
 @pytest.mark.parametrize("kind", ["power_law", "mirror_periodic"])
 def test_generative_model_rejects_a_custom_matrix(kind):
     # build_couplings would ignore the matrix
@@ -567,6 +575,9 @@ _BAD_FILES = {
     # float reads these and np.loadtxt does not
     "underscore": ("2\n0.0 1_000\n1_000 0.0\n", ":2: entries must be real numbers"),
     "arabic_indic_digits": ("2\n0 \u0661\u0662\n\u0661\u0662 0\n", ":2: entries must be real numbers"),
+    # int reads these as 2; the header takes a number only as the rows do
+    "underscore_header": ("0_2\n0.0 1.0\n1.0 0.0\n", ":1: first line must hold a single integer N"),
+    "arabic_indic_header": ("\u0662\n0.0 1.0\n1.0 0.0\n", ":1: first line must hold a single integer N"),
 }
 
 
@@ -620,6 +631,13 @@ def test_load_coupling_matrix_reads_unusual_tokens_and_spaces_as_float_and_str_s
     path.write_bytes(text.encode())
     J = sc.load_coupling_matrix(path)
     assert J.entries.tobytes() == _symmetrized_by_float(text).tobytes()
+
+
+@pytest.mark.parametrize("header", ["2", "+2", " 2 ", "02"])
+def test_load_coupling_matrix_reads_a_signed_or_padded_ascii_header(tmp_path, header):
+    path = tmp_path / "couplings.txt"
+    path.write_text(f"{header}\n0.0 1.0\n1.0 0.0\n")
+    assert sc.load_coupling_matrix(path).entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_load_coupling_matrix_holds_no_rows_past_one_more_than_the_header_claims(tmp_path):
