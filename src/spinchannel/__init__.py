@@ -9,7 +9,6 @@ from .dynamics import (
     NumericsError,
     SpectralDecomposition,
     eigendecompose,
-    full_space_amplitude,
     propagate,
 )
 from .experiments import (
@@ -34,14 +33,12 @@ from .metrics import (
     wootters_concurrence_oracle,
 )
 from .model import (
-    FULL_SPACE_MAX_SITES,
     ChainGeometry,
     CouplingMatrix,
     CouplingModel,
     SectorHamiltonian,
     build_chain_geometry,
     build_couplings,
-    full_hamiltonian,
     load_coupling_matrix,
     sector_hamiltonian,
 )

@@ -4,8 +4,7 @@ With H = V diag(E) V^T the transition amplitude from site s to site n is
 
     f_sn(t) = <n| exp(-i H t) |s> = sum_j V[n, j] V[s, j] exp(-i E_j t)
 
-(units with hbar = 1).  ``propagate`` evaluates it; ``full_space_amplitude``
-maps sites to basis states of the full 2^n space on top of it.
+(units with hbar = 1).  ``propagate`` evaluates it.
 """
 
 from __future__ import annotations
@@ -370,20 +369,3 @@ def _progression_amplitudes(
         # one statement, so each chunk's GEMM product is freed before the next one is made
         amplitudes[:, lo : lo + size] = (coarse @ operand.reshape(n, -1)).reshape(-1, size)[:count]
     return amplitudes.reshape((count,) + targets.shape[:-1])
-
-
-def full_space_amplitude(decomp: SpectralDecomposition, from_site: int, to_site: int, t):
-    """Transition amplitude between one-excitation basis states of the full space.
-
-    ``decomp`` must come from a full 2^n Hamiltonian; sites map to basis
-    indices as site k <-> bit k, so the one-excitation state of site k is
-    basis index 2**k.
-    """
-    dim = decomp.n
-    n_sites = dim.bit_length() - 1
-    if (1 << n_sites) != dim:
-        raise ValueError(f"decomposition dimension {dim} is not a power of two")
-    for label, site in (("from_site", from_site), ("to_site", to_site)):
-        if not (0 <= site < n_sites):
-            raise ValueError(f"{label}={site} out of range for {n_sites} sites")
-    return propagate(decomp, 1 << from_site, t, to=1 << to_site)

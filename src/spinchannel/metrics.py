@@ -158,6 +158,7 @@ def wootters_concurrence_oracle(
 def dispersion(amplitudes: np.ndarray, sender_index: int, receiver_index: int) -> float:
     """Gamma^2(t) = sum over channel sites (all but sender/receiver) of |f_i|^2."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
+    _check_pair(sender_index, receiver_index, amps.shape[0])
     mask = np.ones(amps.shape[0], dtype=bool)
     mask[sender_index] = False
     mask[receiver_index] = False
@@ -203,7 +204,7 @@ class SpectralOverlaps:
         ):
             if abs(total - target) > 1e-10:
                 raise ValueError(
-                    f"sum of {label} weights = {total!r}, expected {target} within 1e-10"
+                    f"sum of {label} weights = {float(total)!r}, expected {target} within 1e-10"
                 )
         for arr in (sigma, rho, gamma_sq):
             arr.setflags(write=False)

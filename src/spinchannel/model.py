@@ -9,8 +9,8 @@ sites act as sender and receiver of a quantum state.  Every pair of spins
 whose restriction to the single-excitation sector is an N x N matrix: the
 hopping part moves the excitation between sites with amplitude J_ij, while
 the S^z S^z part contributes a site-dependent diagonal.  The module builds
-both the sector matrix and, for small N, the full 2^N Hamiltonian used as a
-cross-check.
+that sector matrix; the full 2^N Hamiltonian it reduces is built only by
+the tests, as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import _PANEL_ROWS, _asymmetry
-
-# Full-space construction is exponential in the number of sites; past this
-# size the 2^N x 2^N matrix is no longer a practical cross-check (at the cap
-# the dense matrix takes 128 MiB, at 14 sites it would take 2 GiB).
-FULL_SPACE_MAX_SITES = 12
 
 COUPLING_KINDS = ("power_law", "mirror_periodic", "custom")
 
@@ -135,11 +130,14 @@ def _integer(value, message: str) -> int:
 
 
 def _real(name: str, value):
-    """``value``; ValueError naming ``name`` and the value if it does not compare with floats, as a str or complex."""
+    """``value``; ValueError naming ``name`` and the value unless it is a scalar that compares with floats."""
     try:
         value < 0.0
+        scalar = np.ndim(value) == 0
     except TypeError:
-        raise ValueError(f"{name} must be a real number (got {value!r})") from None
+        scalar = False
+    if not scalar:
+        raise ValueError(f"{name} must be a real number (got {value!r})")
     return value
 
 
@@ -202,7 +200,13 @@ class CouplingMatrix:
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.float64)
-        _check_couplings(entries)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"coupling matrix must be square (got shape {entries.shape})")
+        if not _asymmetry(entries) <= 0.0:
+            if not np.isfinite(entries).all():
+                raise ValueError("coupling matrix has non-finite entries")
+            raise ValueError("coupling matrix must be exactly symmetric")
+        _check_diagonal(entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -213,17 +217,6 @@ class CouplingMatrix:
     @property
     def n_sites(self) -> int:
         return self.entries.shape[0]
-
-
-def _check_couplings(entries: np.ndarray) -> None:
-    """Raise ValueError unless ``entries`` is square, finite, exactly symmetric and zero on the diagonal."""
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"coupling matrix must be square (got shape {entries.shape})")
-    if not _asymmetry(entries) <= 0.0:
-        if not np.isfinite(entries).all():
-            raise ValueError("coupling matrix has non-finite entries")
-        raise ValueError("coupling matrix must be exactly symmetric")
-    _check_diagonal(entries)
 
 
 def _check_diagonal(entries: np.ndarray) -> None:
@@ -359,13 +352,6 @@ class SectorHamiltonian:
         object.__setattr__(self, "matrix", matrix)
 
 
-def _zz_flag(include_zz_diagonal) -> bool:
-    """``include_zz_diagonal`` as a bool; ValueError naming it unless it is True, False or a NumPy boolean."""
-    if not isinstance(include_zz_diagonal, (bool, np.bool_)):
-        raise ValueError(f"include_zz_diagonal must be True or False (got {include_zz_diagonal!r})")
-    return bool(include_zz_diagonal)
-
-
 def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> SectorHamiltonian:
     """Restrict the interaction to states with exactly one excitation.
 
@@ -375,13 +361,14 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
         H_nn = 2 sum_{j != n} J_nj - sum_{i<j} J_ij
 
     This is an absolute energy, not one measured from the zero-excitation
-    state: in full_hamiltonian that vacuum sits at -sum_{i<j} J_ij, and the
-    one-excitation block of the full matrix equals this matrix.  Measured
-    from the vacuum the diagonal would be 2 sum_{j != n} J_nj.  Without the
-    S^z S^z part the sector matrix is the bare hopping matrix of an XY chain.
+    state: in the full 2^N matrix that vacuum sits at -sum_{i<j} J_ij, and
+    its one-excitation block equals this matrix.  Measured from the vacuum
+    the diagonal would be 2 sum_{j != n} J_nj.  Without the S^z S^z part
+    the sector matrix is the bare hopping matrix of an XY chain.
     Couplings whose sums overflow the diagonal are a ValueError.
     """
-    include_zz_diagonal = _zz_flag(include_zz_diagonal)
+    if not isinstance(include_zz_diagonal, (bool, np.bool_)):
+        raise ValueError(f"include_zz_diagonal must be True or False (got {include_zz_diagonal!r})")
     J = couplings.entries
     # a write since J's check: eigendecompose sees it unless it is on the diagonal, so that is checked here
     _check_diagonal(J)
@@ -397,41 +384,3 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
             )
         np.fill_diagonal(matrix, diagonal)
     return SectorHamiltonian(matrix)
-
-
-def full_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> np.ndarray:
-    """The full 2^N matrix of sum_{i<j} J_ij (flip-flop - 4 S_i^z S_j^z), read-only.
-
-    Basis states are bit strings; bit k set means site k carries an
-    excitation.  The flip-flop term hops excitations between sites with
-    amplitude J_ij, and the S^z S^z term (when kept) adds +J_ij for pairs
-    with differing occupation and -J_ij for pairs with equal occupation.
-    Intended for cross-checks against the sector matrix, so the size is
-    capped at FULL_SPACE_MAX_SITES sites.  J is checked again here, whole,
-    as CouplingMatrix checks it: its array may have been written since.
-    """
-    include_zz_diagonal = _zz_flag(include_zz_diagonal)
-    n = couplings.n_sites
-    if n > FULL_SPACE_MAX_SITES:
-        raise ValueError(
-            f"full-space build is capped at {FULL_SPACE_MAX_SITES} sites (got {n})"
-        )
-    J = couplings.entries
-    _check_couplings(J)
-    dim = 1 << n
-    matrix = np.zeros((dim, dim))
-    basis = np.arange(dim)
-    diagonal = np.zeros(dim)
-    for i in range(n):
-        for j in range(i + 1, n):
-            differ = ((basis >> i) & 1) != ((basis >> j) & 1)
-            if J[i, j] != 0.0:
-                flipped = basis[differ] ^ ((1 << i) | (1 << j))
-                matrix[basis[differ], flipped] += J[i, j]
-            if include_zz_diagonal:
-                # -4 S^z S^z = -J_ij for aligned pair, +J_ij for anti-aligned
-                diagonal += np.where(differ, J[i, j], -J[i, j])
-    if include_zz_diagonal:
-        matrix[basis, basis] = diagonal
-    matrix.setflags(write=False)
-    return matrix

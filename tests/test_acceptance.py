@@ -12,6 +12,7 @@ import pytest
 import spinchannel as sc
 from spinchannel.cli import main as cli_main
 
+from oracles import full_hamiltonian, full_space_amplitude
 from support import dh_geometry, two_site_model
 
 _DIPOLAR = sc.CouplingModel.power_law()
@@ -81,11 +82,11 @@ def test_criterion_2_sector_reduction_oracle():
         s, r = geometry.sender_index, geometry.receiver_index
         for zz in (True, False):
             sector = sc.eigendecompose(sc.sector_hamiltonian(couplings, zz))
-            full = sc.eigendecompose(sc.full_hamiltonian(couplings, zz))
+            full = sc.eigendecompose(full_hamiltonian(couplings, zz))
             for t in ts:
                 amps = sc.propagate(sector, s, float(t))
                 for target in (s, r):
-                    full_amp = sc.full_space_amplitude(full, s, target, float(t))
+                    full_amp = full_space_amplitude(full, s, target, float(t))
                     worst = max(worst, abs(amps[target] - full_amp))
     ok = worst <= 1e-9
     _report(

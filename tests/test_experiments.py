@@ -570,7 +570,9 @@ def test_time_scan_checks_theta_before_diagonalizing(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize(("name", "value"), [("t_max", "1"), ("phi", "0"), ("theta", "3"), ("theta", 1j)])
+@pytest.mark.parametrize(
+    ("name", "value"), [("t_max", "1"), ("t_max", np.array([5.0])), ("phi", "0"), ("theta", "3"), ("theta", 1j)]
+)
 def test_time_scan_rejects_angles_and_windows_that_are_not_real_before_diagonalizing(monkeypatch, name, value):
     calls = count_scan_decompositions(monkeypatch)
     with pytest.raises(ValueError, match=f"{name} must be a real number \\(got {re.escape(repr(value))}\\)"):

@@ -99,7 +99,9 @@ def test_initial_state_params_validation():
         sc.InitialStateParams(theta=1.0, phi=2.0 * math.pi)
 
 
-@pytest.mark.parametrize(("name", "value"), [("theta", "1"), ("theta", None), ("phi", "0"), ("phi", 1j)])
+@pytest.mark.parametrize(
+    ("name", "value"), [("theta", "1"), ("theta", None), ("theta", np.array([1.0])), ("phi", "0"), ("phi", 1j)]
+)
 def test_initial_state_params_reject_angles_that_are_not_real(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a real number \\(got {re.escape(repr(value))}\\)"):
         sc.InitialStateParams(**{name: value})
@@ -280,7 +282,7 @@ def test_spectral_overlaps_type_rejects_inconsistent_weights():
     [
         ([1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0], r"^sigma, rho, gamma_sq must have equal length$"),
         # each eigenvector's weights sum to 1, but the sender's add up to 2
-        ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], r"^sum of sigma weights = \S*2\.0\)?, expected 1\.0 within 1e-10$"),
+        ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], r"^sum of sigma weights = 2\.0, expected 1\.0 within 1e-10$"),
     ],
 )
 def test_spectral_overlaps_type_rejects_mismatched_lengths_and_totals(sigma, rho, gamma_sq, pattern):
@@ -305,6 +307,8 @@ def test_spectral_overlaps_and_wootters_oracle_reject_an_index_pair_alike(sender
         sc.spectral_overlaps(decomp, sender, receiver)
     with pytest.raises(ValueError, match=f"^{message}$"):
         sc.wootters_concurrence_oracle(sc.InitialStateParams(), amps, sender, receiver)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sc.dispersion(amps, sender, receiver)
 
 
 def test_spectral_overlaps_of_non_orthonormal_vectors_is_a_numerical_failure():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
+from oracles import full_hamiltonian
 from support import count_certifications, dh_geometry, random_couplings, random_symmetric, traced_peak
 
 
@@ -198,7 +199,7 @@ def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
         sc.CouplingModel(kind=kind, custom_matrix=matrix, **{name: -1.0})
 
 
-@pytest.mark.parametrize("value", ["3", 1 + 0j, None, [2.0]])
+@pytest.mark.parametrize("value", ["3", 1 + 0j, None, [2.0], np.array([3.0]), np.array([3.0, 4.0])])
 @pytest.mark.parametrize("name", ["nu", "strength_c", "spacing_a", "lam"])
 def test_coupling_model_rejects_parameters_that_are_not_real(name, value):
     # a ValueError naming the parameter, as for theta, phi and t_max, not a TypeError from the comparison
@@ -384,20 +385,15 @@ def test_sector_hamiltonian_rejects_a_diagonal_written_after_the_check(include_z
         sc.sector_hamiltonian(couplings, include_zz)
 
 
-@pytest.mark.parametrize("build", [sc.sector_hamiltonian, sc.full_hamiltonian], ids=["sector", "full"])
-def test_hamiltonians_take_the_zz_flag_only_as_a_boolean(build):
+def test_sector_hamiltonian_takes_the_zz_flag_only_as_a_boolean():
     couplings = sc.build_couplings(sc.build_chain_geometry(4), sc.CouplingModel.power_law())
-
-    def matrix(flag):
-        built = build(couplings, flag)
-        return getattr(built, "matrix", built)
-
     for flag in (False, True):
-        assert np.array_equal(matrix(np.bool_(flag)), matrix(flag))
+        expected = sc.sector_hamiltonian(couplings, flag).matrix
+        assert np.array_equal(sc.sector_hamiltonian(couplings, np.bool_(flag)).matrix, expected)
     for bad in ("no", "False", 0, 1, None, np.array([True])):
         message = f"include_zz_diagonal must be True or False \\(got {re.escape(repr(bad))}\\)"
         with pytest.raises(ValueError, match=message):
-            build(couplings, bad)
+            sc.sector_hamiltonian(couplings, bad)
 
 
 def test_constructors_freeze_a_float64_array_and_copy_any_other():
@@ -432,7 +428,7 @@ def test_sector_matrix_is_read_only():
 def test_full_two_site_matrix():
     J = 0.3
     coupl = sc.CouplingMatrix(np.array([[0.0, J], [J, 0.0]]))
-    full = sc.full_hamiltonian(coupl, include_zz_diagonal=True)
+    full = full_hamiltonian(coupl, include_zz_diagonal=True)
     expected = np.array(
         [
             [-J, 0.0, 0.0, 0.0],
@@ -444,7 +440,7 @@ def test_full_two_site_matrix():
     assert np.array_equal(full, expected)
     with pytest.raises(ValueError):
         full[0, 0] = 9.0
-    bare = sc.full_hamiltonian(coupl, include_zz_diagonal=False)
+    bare = full_hamiltonian(coupl, include_zz_diagonal=False)
     assert bare[0, 0] == 0.0 and bare[3, 3] == 0.0
     assert bare[1, 2] == J
 
@@ -452,7 +448,7 @@ def test_full_two_site_matrix():
 def test_full_hamiltonian_conserves_excitation_number():
     rng = np.random.default_rng(3)
     coupl = random_couplings(5, rng)
-    full = sc.full_hamiltonian(coupl, include_zz_diagonal=True)
+    full = full_hamiltonian(coupl, include_zz_diagonal=True)
     dim = full.shape[0]
     pop = np.array([bin(b).count("1") for b in range(dim)])
     rows, cols = np.nonzero(full)
@@ -463,9 +459,9 @@ def test_full_vacuum_energy():
     rng = np.random.default_rng(5)
     coupl = random_couplings(4, rng)
     total = sum(coupl.entries[i, j] for i in range(4) for j in range(i + 1, 4))
-    full = sc.full_hamiltonian(coupl, include_zz_diagonal=True)
+    full = full_hamiltonian(coupl, include_zz_diagonal=True)
     assert full[0, 0] == pytest.approx(-total, rel=1e-14)
-    bare = sc.full_hamiltonian(coupl, include_zz_diagonal=False)
+    bare = full_hamiltonian(coupl, include_zz_diagonal=False)
     assert bare[0, 0] == 0.0
 
 
@@ -474,34 +470,10 @@ def test_full_one_excitation_block_matches_sector(include_zz):
     rng = np.random.default_rng(17)
     coupl = random_couplings(6, rng)
     sector = sc.sector_hamiltonian(coupl, include_zz)
-    full = sc.full_hamiltonian(coupl, include_zz)
+    full = full_hamiltonian(coupl, include_zz)
     idx = [1 << k for k in range(6)]
     block = full[np.ix_(idx, idx)]
     assert np.allclose(block, sector.matrix, rtol=0.0, atol=1e-13)
-
-
-@pytest.mark.parametrize(
-    ("writes", "message"),
-    [({(2, 0): 5.0, (1, 1): 3.0}, "must be exactly symmetric"), ({(1, 1): 3.0}, "diagonal must be exactly zero")],
-    ids=["lower_triangle_and_diagonal", "diagonal"],
-)
-def test_full_hamiltonian_reads_all_of_couplings_written_after_their_check(writes, message):
-    # entries written through the writable base of a view: the whole matrix is checked again,
-    # lower triangle and diagonal included, with CouplingMatrix's messages
-    big = np.zeros((6, 6))
-    big[:4, :4] = sc.build_couplings(sc.build_chain_geometry(4), sc.CouplingModel.power_law()).entries
-    couplings = sc.CouplingMatrix(big[:4, :4])
-    for index, value in writes.items():
-        big[index] = value
-    with pytest.raises(ValueError, match=message):
-        sc.full_hamiltonian(couplings)
-
-
-def test_full_hamiltonian_size_guard():
-    n = sc.FULL_SPACE_MAX_SITES + 1
-    coupl = sc.CouplingMatrix(np.zeros((n, n)))
-    with pytest.raises(ValueError):
-        sc.full_hamiltonian(coupl)
 
 
 # ---------------------------------------------------------------- coupling files
