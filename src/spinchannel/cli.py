@@ -17,17 +17,18 @@ import math
 import os
 import sys
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import NumericsError, eigendecompose
-from .experiments import CONFIGURATIONS, DEFAULT_GRID_POINTS, SizeScanRow, size_scan, time_scan
+from .experiments import CONFIGURATIONS, SizeScanRow, size_scan, time_scan
 from .metrics import leakage_bound, spectral_overlaps, structure_residuals
 from .model import (
     COUPLING_KINDS,
     CouplingModel,
+    _plain,
     build_chain_geometry,
     build_couplings,
     load_coupling_matrix,
@@ -46,44 +47,39 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run description with all defaults applied; ``run`` has the library check its values."""
+    """A parsed run: the CLI's own values, and the keyword arguments the file sets for each library call.
+
+    ``chain`` goes to build_chain_geometry, ``model`` to CouplingModel and
+    ``scan`` to the mode's scan: time_scan, size_scan, or sector_hamiltonian
+    for diagnostics.  A key the file omits is absent from its group, so the
+    library's default applies; ``run`` has the library check every value.
+    """
 
     mode: str
-    coupling: str = "power_law"
-    nu: float = 3.0
-    c: float = 1.0
-    a: float = 1.0
-    lam: float = 2.0
+    out: str
     coupling_file: str | None = None
-    zz: bool = True
-    out: str = "run"
-    positions: int | None = None
-    sender: int = 1
-    receiver: int | None = None
-    dh: bool = False
-    theta: float = math.pi
-    phi: float = 0.0
-    t_max: float | None = None
-    grid_points: int = DEFAULT_GRID_POINTS
     n_min: int | None = None
     n_max: int | None = None
-    configurations: tuple[str, ...] = CONFIGURATIONS
+    chain: dict = field(default_factory=dict)
+    model: dict = field(default_factory=dict)
+    scan: dict = field(default_factory=dict)
 
 
 # Value parsers: each turns the text after '=' into a field value or raises
-# ValueError saying what the value must be.
+# ValueError saying what the value must be.  Numbers are spelled as in a
+# coupling file: ASCII, without '_'.
 
 
 def _integer(text: str) -> int:
     try:
-        return int(text)
+        return int(_plain(text))
     except ValueError:
         raise ValueError("must be an integer") from None
 
 
 def _real(text: str) -> float:
     try:
-        value = float(text)
+        value = float(_plain(text))
     except ValueError:
         raise ValueError("must be a real number") from None
     if not math.isfinite(value):
@@ -113,29 +109,29 @@ def _layouts(text: str) -> tuple[str, ...]:
     return tuple(name for name in CONFIGURATIONS if name in names)
 
 
-# config key -> (RunConfig field, value parser, modes the key applies to);
-# a key left out of the file keeps the field's default
+# config key -> (RunConfig keyword group, or None for a field of the CLI's own;
+# the library argument or field it sets; value parser; modes it applies to)
 _KEYS = {
-    "mode": ("mode", _one_of(MODES), MODES),
-    "coupling": ("coupling", _one_of(COUPLING_KINDS), MODES),
-    "nu": ("nu", _real, MODES),
-    "c": ("c", _real, MODES),
-    "a": ("a", _real, MODES),
-    "lambda": ("lam", _real, MODES),
-    "coupling_file": ("coupling_file", str, MODES),
-    "zz": ("zz", _flag, MODES),
-    "out": ("out", str, MODES),
-    "positions": ("positions", _integer, _CHAIN_MODES),
-    "sender": ("sender", _integer, _CHAIN_MODES),
-    "receiver": ("receiver", _integer, _CHAIN_MODES),
-    "dh": ("dh", _flag, _CHAIN_MODES),
-    "theta": ("theta", _real, _SCAN_MODES),
-    "phi": ("phi", _real, _SCAN_MODES),
-    "t_max": ("t_max", _real, ("time_scan",)),
-    "grid_points": ("grid_points", _integer, _SCAN_MODES),
-    "n_min": ("n_min", _integer, ("size_scan",)),
-    "n_max": ("n_max", _integer, ("size_scan",)),
-    "configurations": ("configurations", _layouts, ("size_scan",)),
+    "mode": (None, "mode", _one_of(MODES), MODES),
+    "out": (None, "out", str, MODES),
+    "coupling_file": (None, "coupling_file", str, MODES),
+    "n_min": (None, "n_min", _integer, ("size_scan",)),
+    "n_max": (None, "n_max", _integer, ("size_scan",)),
+    "positions": ("chain", "span", _integer, _CHAIN_MODES),
+    "sender": ("chain", "sender_pos", _integer, _CHAIN_MODES),
+    "receiver": ("chain", "receiver_pos", _integer, _CHAIN_MODES),
+    "dh": ("chain", "double_hole", _flag, _CHAIN_MODES),
+    "coupling": ("model", "kind", _one_of(COUPLING_KINDS), MODES),
+    "nu": ("model", "nu", _real, MODES),
+    "c": ("model", "strength_c", _real, MODES),
+    "a": ("model", "spacing_a", _real, MODES),
+    "lambda": ("model", "lam", _real, MODES),
+    "zz": ("scan", "include_zz_diagonal", _flag, MODES),
+    "theta": ("scan", "theta", _real, _SCAN_MODES),
+    "phi": ("scan", "phi", _real, _SCAN_MODES),
+    "t_max": ("scan", "t_max", _real, ("time_scan",)),
+    "grid_points": ("scan", "grid_points", _integer, _SCAN_MODES),
+    "configurations": ("scan", "configurations", _layouts, ("size_scan",)),
 }
 
 
@@ -161,7 +157,7 @@ def _read_pairs(text: str) -> dict[str, tuple[int, str]]:
 
 def _parse_value(key: str, line_no: int, value: str):
     try:
-        return _KEYS[key][1](value)
+        return _KEYS[key][2](value)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: {key} {exc} (got {value!r})") from None
 
@@ -178,31 +174,29 @@ def parse_config(text: str) -> RunConfig:
     if "mode" not in pairs:
         raise ConfigError(f"missing required key 'mode' (one of {', '.join(MODES)})")
     mode = _parse_value("mode", *pairs["mode"])
-    values = {}
+    groups: dict = {None: {"out": mode}, "chain": {}, "model": {}, "scan": {}}
     problems = []
     for key, (line_no, value) in pairs.items():
         if key not in _KEYS:
             problems.append(f"line {line_no}: unknown key {key!r}")
-        elif mode not in _KEYS[key][2]:
+        elif mode not in _KEYS[key][3]:
             problems.append(f"line {line_no}: key {key!r} does not apply to mode {mode!r}")
         else:
-            values[_KEYS[key][0]] = _parse_value(key, line_no, value)
+            groups[_KEYS[key][0]][_KEYS[key][1]] = _parse_value(key, line_no, value)
     if problems:
         raise ConfigError("; ".join(problems))
 
-    values.setdefault("out", mode)
-    if mode in _CHAIN_MODES:
-        if "positions" not in values:
-            raise ConfigError(f"mode {mode} requires the key 'positions'")
-        values.setdefault("receiver", values["positions"])
-    if mode == "size_scan" and not ("n_min" in values and "n_max" in values):
+    if mode in _CHAIN_MODES and "positions" not in pairs:
+        raise ConfigError(f"mode {mode} requires the key 'positions'")
+    if mode == "size_scan" and not ("n_min" in pairs and "n_max" in pairs):
         raise ConfigError("mode size_scan requires the keys 'n_min' and 'n_max'")
-    config = RunConfig(**values)
+    config = RunConfig(**groups.pop(None), **groups)
 
     # constraints that only the CLI has
-    if config.coupling == "custom" and config.coupling_file is None:
+    custom = config.model.get("kind") == "custom"
+    if custom and config.coupling_file is None:
         raise ConfigError("coupling_file is required when coupling = custom")
-    if config.coupling != "custom" and config.coupling_file is not None:
+    if not custom and config.coupling_file is not None:
         raise ConfigError("coupling_file only applies when coupling = custom")
     if "/" in config.out or "\\" in config.out:
         raise ConfigError(f"out must be a bare file stem without path separators (got {config.out!r})")
@@ -237,15 +231,7 @@ def _summary(fields) -> str:
 
 
 def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
-    result = time_scan(
-        geometry,
-        model,
-        include_zz_diagonal=config.zz,
-        theta=config.theta,
-        phi=config.phi,
-        t_max=config.t_max,
-        grid_points=config.grid_points,
-    )
+    result = time_scan(geometry, model, **config.scan)
     columns = {
         "t": result.times,
         "re_f_ss": result.f_ss.real,
@@ -262,7 +248,7 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
     fields = [
         ("mode", "time_scan"),
         ("n_sites", result.n_sites),
-        ("zz_diagonal", config.zz),
+        ("zz_diagonal", result.include_zz_diagonal),
         ("peak_fidelity", result.peak_fidelity.value),
         ("peak_fidelity_t", result.peak_fidelity.t),
         ("peak_concurrence", result.peak_concurrence.value),
@@ -286,15 +272,7 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
 
 
 def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tuple[str, str]], str]:
-    rows = size_scan(
-        range(config.n_min, config.n_max + 1),
-        model,
-        include_zz_diagonal=config.zz,
-        configurations=config.configurations,
-        theta=config.theta,
-        phi=config.phi,
-        grid_points=config.grid_points,
-    )
+    rows = size_scan(range(config.n_min, config.n_max + 1), model, **config.scan)
     names = [field.name for field in dataclasses.fields(SizeScanRow)]
     csv_text = _csv({name: [getattr(row, name) for row in rows] for name in names})
     fields = [("mode", "size_scan"), ("rows", len(rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
@@ -303,7 +281,7 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
 
 def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
     # J goes out of scope once H is built, so it is freed before eigh runs
-    decomp = eigendecompose(sector_hamiltonian(build_couplings(geometry, model), config.zz))
+    decomp = eigendecompose(sector_hamiltonian(build_couplings(geometry, model), **config.scan))
     overlaps = spectral_overlaps(decomp, geometry.sender_index, geometry.receiver_index)
     residuals = structure_residuals(overlaps)
     gamma_m, bound = leakage_bound(overlaps)
@@ -337,11 +315,9 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
     """
     try:
         if config.mode in _CHAIN_MODES:
-            geometry = build_chain_geometry(config.positions, config.sender, config.receiver, double_hole=config.dh)
-        matrix = load_coupling_matrix(config.coupling_file) if config.coupling == "custom" else None
-        model = CouplingModel(
-            config.coupling, nu=config.nu, strength_c=config.c, spacing_a=config.a, lam=config.lam, custom_matrix=matrix
-        )
+            geometry = build_chain_geometry(**config.chain)
+        matrix = None if config.coupling_file is None else load_coupling_matrix(config.coupling_file)
+        model = CouplingModel(**config.model, custom_matrix=matrix)
         if config.mode == "time_scan":
             files, report = _time_scan_payload(config, model, geometry)
         elif config.mode == "size_scan":

@@ -79,6 +79,7 @@ class TimeScanResult:
     dominant_pair_mass: float | None
     gamma_m: float
     dispersion_bound: float
+    include_zz_diagonal: bool
 
 
 @dataclass(frozen=True)
@@ -305,6 +306,7 @@ def time_scan(
         dominant_pair_mass=dominant_pair_mass,
         gamma_m=gamma_m,
         dispersion_bound=dispersion_bound,
+        include_zz_diagonal=bool(include_zz_diagonal),
     )
 
 

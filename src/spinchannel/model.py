@@ -154,7 +154,7 @@ class CouplingModel:
     spacing_a and lam are real numbers, then ``not x > 0``, so NaN fails too.
     """
 
-    kind: str
+    kind: str = "power_law"
     nu: float = 3.0
     strength_c: float = 1.0
     spacing_a: float = 1.0
@@ -280,10 +280,7 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
             raise ValueError(f"{path}: empty coupling file")
         try:
             (token,) = _tokens(line)
-            # int alone would also read 0_2 and non-ASCII digits, which the rows reject
-            if not token.isascii() or "_" in token:
-                raise ValueError(token)
-            n = int(token)
+            n = int(_plain(token))
         except ValueError:
             raise ValueError(f"{path}:{line_no}: first line must hold a single integer N") from None
         if n < 2:
@@ -333,6 +330,16 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
         entries[lo:, lo : lo + _PANEL_ROWS] = panel.T
     np.fill_diagonal(entries, 0.0)
     return CouplingMatrix(entries)
+
+
+def _plain(token: str) -> str:
+    """``token``, or a ValueError unless it is ASCII without "_", as ``np.loadtxt`` reads numbers.
+
+    ``int`` and ``float`` alone would also read ``1_0`` and non-ASCII digits.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return token
 
 
 def _tokens(line: str) -> list[str]:

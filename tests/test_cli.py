@@ -1,7 +1,5 @@
 """Config parsing, run outputs, and exit codes."""
 
-import dataclasses
-import inspect
 import math
 import os
 import subprocess
@@ -25,22 +23,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parse_minimal_time_scan_defaults():
+    # only the keys the file sets reach the library; out defaults to the mode
     config = parse_config("mode = time_scan\npositions = 10\ndh = true\n")
-    assert config.mode == "time_scan"
-    assert config.positions == 10
-    assert config.sender == 1
-    assert config.receiver == 10
-    assert config.dh is True
-    assert config.coupling == "power_law"
-    assert config.nu == 3.0
-    assert config.c == 1.0
-    assert config.a == 1.0
-    assert config.zz is True
-    assert config.theta == math.pi
-    assert config.phi == 0.0
-    assert config.t_max is None
-    assert config.grid_points == 2000
-    assert config.out == "time_scan"
+    assert config == RunConfig(mode="time_scan", out="time_scan", chain={"span": 10, "double_hole": True})
 
 
 def test_parse_comments_and_spacing():
@@ -53,8 +38,8 @@ def test_parse_comments_and_spacing():
         "theta = 1.5\n"
         "out = fig2d\n"
     )
-    assert config.positions == 12
-    assert config.theta == 1.5
+    assert config.chain == {"span": 12, "double_hole": True}
+    assert config.scan == {"theta": 1.5}
     assert config.out == "fig2d"
 
 
@@ -87,7 +72,7 @@ def test_parse_size_scan_keys():
     )
     assert config.n_min == 6
     assert config.n_max == 12
-    assert config.configurations == ("double_hole",)
+    assert config.scan == {"configurations": ("double_hole",)}
     with pytest.raises(ConfigError, match="n_min"):
         parse_config("mode = size_scan\nn_max = 8\n")
     with pytest.raises(ConfigError, match="n_max"):
@@ -112,21 +97,18 @@ def test_parse_rejects_out_with_separators():
         parse_config("mode = time_scan\npositions = 4\nout = a/b\n")
 
 
-# RunConfig fields each mode reads; the config key is the field name except lam
-_COMMON_FIELDS = ("mode", "coupling", "nu", "c", "a", "lam", "coupling_file", "zz", "out")
-_MODE_FIELDS = {
-    "time_scan": ("positions", "sender", "receiver", "dh", "theta", "phi", "t_max", "grid_points"),
-    "size_scan": ("n_min", "n_max", "configurations", "theta", "phi", "grid_points"),
-    "diagnostics": ("positions", "sender", "receiver", "dh"),
-}
 _STEMS = st.text(alphabet="abcxyz_019", min_size=1, max_size=8)
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+# keys every drawn config sets: those its mode requires, and out, whose default
+# test_parse_minimal_time_scan_defaults checks
+_REQUIRED = {"mode", "out", "positions", "n_min", "n_max"}
 
 
 def _render(config: RunConfig) -> list[str]:
+    """One line per value the config holds, each under the config key that ``cli._KEYS`` maps to it."""
     lines = []
-    for name in _COMMON_FIELDS + _MODE_FIELDS[config.mode]:
-        value = getattr(config, name)
+    for key, (group, name, *_) in cli._KEYS.items():
+        value = getattr(config, name) if group is None else getattr(config, group).get(name)
         if value is None:
             continue
         if isinstance(value, bool):
@@ -135,7 +117,7 @@ def _render(config: RunConfig) -> list[str]:
             text = ",".join(value)
         else:
             text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{'lambda' if name == 'lam' else name} = {text}")
+        lines.append(f"{key} = {text}")
     return lines
 
 
@@ -144,75 +126,131 @@ def _valid_configs(draw) -> RunConfig:
     mode = draw(st.sampled_from(MODES))
     kinds = ("power_law", "mirror_periodic") if mode == "size_scan" else ("power_law", "mirror_periodic", "custom")
     coupling = draw(st.sampled_from(kinds))
-    fields = dict(
-        mode=mode,
-        coupling=coupling,
-        nu=draw(_POSITIVE),
-        c=draw(_POSITIVE),
-        a=draw(_POSITIVE),
-        lam=draw(_POSITIVE),
-        coupling_file=draw(_STEMS) + ".txt" if coupling == "custom" else None,
-        zz=draw(st.booleans()),
-        out=draw(_STEMS),
-    )
+    values = {
+        "mode": mode,
+        "coupling": coupling,
+        "nu": draw(_POSITIVE),
+        "c": draw(_POSITIVE),
+        "a": draw(_POSITIVE),
+        "lambda": draw(_POSITIVE),
+        "zz": draw(st.booleans()),
+        "out": draw(_STEMS),
+    }
+    if coupling == "custom":
+        values["coupling_file"] = draw(_STEMS) + ".txt"
     if mode != "size_scan":
         positions = draw(st.integers(2, 40))
         dh = positions >= 3 and draw(st.booleans())
         gap = 2 if dh else 1
         sender = draw(st.integers(1, positions - gap))
         receiver = draw(st.integers(sender + gap, positions))
-        fields.update(positions=positions, sender=sender, receiver=receiver, dh=dh)
+        values.update(positions=positions, sender=sender, receiver=receiver, dh=dh)
     if mode != "diagnostics":
-        fields.update(
+        values.update(
             theta=draw(st.floats(0.0, math.pi)),
             phi=draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
             grid_points=draw(st.integers(2, 5000)),
         )
     if mode == "time_scan":
-        fields["t_max"] = draw(st.none() | _POSITIVE)
+        values["t_max"] = draw(_POSITIVE)
     if mode == "size_scan":
         n_min = draw(st.integers(2, 20))
         layouts = draw(st.sampled_from([("complete",), ("double_hole",), ("complete", "double_hole")]))
-        fields.update(n_min=n_min, n_max=draw(st.integers(n_min, 30)), configurations=layouts)
+        values.update(n_min=n_min, n_max=draw(st.integers(n_min, 30)), configurations=layouts)
+    # every key of the mode is drawn, so a new key cannot go unchecked
+    applies = {key for key, entry in cli._KEYS.items() if mode in entry[3]}
+    assert set(values) == applies - ({"coupling_file"} if coupling != "custom" else set())
+    # and any key the file need not set may be left out
+    kept = _REQUIRED | ({"coupling", "coupling_file"} if coupling == "custom" else set())
+    values = {key: value for key, value in values.items() if key in kept or draw(st.booleans())}
+    fields = {"chain": {}, "model": {}, "scan": {}}
+    for key, value in values.items():
+        group, name = cli._KEYS[key][:2]
+        (fields if group is None else fields[group])[name] = value
     return RunConfig(**fields)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_config_round_trips_through_text(data):
-    # the rendering names every RunConfig field, so a new field cannot go unchecked
-    names = {field.name for field in dataclasses.fields(RunConfig)}
-    assert set(_COMMON_FIELDS).union(*_MODE_FIELDS.values()) == names
     config = data.draw(_valid_configs())
     lines = data.draw(st.permutations(_render(config)))
     assert parse_config("\n".join(lines) + "\n") == config
 
 
-def test_run_config_defaults_are_the_library_defaults():
-    # a library default that changed would otherwise leave the CLI behind silently
-    def signature_defaults(function):
-        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+# a file of each mode, and a value other than the library's default for each key that sets a library argument
+_BASES = {
+    "time_scan": "mode = time_scan\npositions = 9\n",
+    "size_scan": "mode = size_scan\nn_min = 4\nn_max = 5\n",
+    "diagnostics": "mode = diagnostics\npositions = 9\n",
+}
+_SET = {
+    "positions": "7",
+    "sender": "2",
+    "receiver": "8",
+    "dh": "true",
+    "coupling": "mirror_periodic",
+    "nu": "2.5",
+    "c": "0.5",
+    "a": "2",
+    "lambda": "3",
+    "zz": "false",
+    "theta": "2",
+    "phi": "1",
+    "t_max": "4",
+    "grid_points": "50",
+    "configurations": "double_hole",
+}
+# the library call each keyword group of RunConfig goes to, by mode
+_CALLS = {
+    "time_scan": {"chain": "build_chain_geometry", "model": "CouplingModel", "scan": "time_scan"},
+    "size_scan": {"model": "CouplingModel", "scan": "size_scan"},
+    "diagnostics": {"chain": "build_chain_geometry", "model": "CouplingModel", "scan": "sector_hamiltonian"},
+}
 
-    model = {f.name: f.default for f in dataclasses.fields(sc.CouplingModel)}
-    geometry = signature_defaults(sc.build_chain_geometry)
-    scan = signature_defaults(sc.time_scan)
-    sizes = signature_defaults(sc.size_scan)
-    library = {
-        "nu": model["nu"],
-        "c": model["strength_c"],
-        "a": model["spacing_a"],
-        "lam": model["lam"],
-        "sender": geometry["sender_pos"],
-        "dh": geometry["double_hole"],
-        "zz": scan["include_zz_diagonal"],
-        "theta": scan["theta"],
-        "phi": scan["phi"],
-        "t_max": scan["t_max"],
-        "grid_points": scan["grid_points"],
-        "configurations": sizes["configurations"],
-    }
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    assert {name: defaults[name] for name in library} == library
+
+class _Scanned(Exception):
+    """Raised in place of the scan, once every library call of a run has its arguments."""
+
+
+def _library_calls(monkeypatch, tmp_path, text) -> dict[str, dict]:
+    """The keyword arguments ``run`` hands each library call for a config text; the scan itself does not run."""
+    calls = {}
+
+    def recording(name):
+        def record(*args, **kwargs):
+            calls[name] = kwargs
+            if name in ("time_scan", "size_scan", "sector_hamiltonian"):
+                raise _Scanned
+            return getattr(sc, name)(*args, **kwargs)
+
+        return record
+
+    for name in ("build_chain_geometry", "CouplingModel", "time_scan", "size_scan", "sector_hamiltonian"):
+        monkeypatch.setattr(cli, name, recording(name))
+    with pytest.raises(_Scanned):
+        run(parse_config(text), out_dir=tmp_path, quiet=True)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_set_key_reaches_its_library_argument_and_an_omitted_key_passes_nothing(monkeypatch, tmp_path, mode):
+    checked = 0
+    for key, (group, name, parse, modes) in cli._KEYS.items():
+        if group is None or mode not in modes:
+            continue
+        function = _CALLS[mode][group]
+        omitted = "".join(line + "\n" for line in _BASES[mode].splitlines() if not line.startswith(f"{key} ="))
+        calls = _library_calls(monkeypatch, tmp_path, omitted + f"{key} = {_SET[key]}\n")
+        assert calls[function][name] == parse(_SET[key]), key
+        if key == "positions":
+            # the one library argument without a default is a key the mode requires
+            with pytest.raises(ConfigError, match="requires the key 'positions'"):
+                parse_config(omitted)
+        else:
+            assert name not in _library_calls(monkeypatch, tmp_path, omitted)[function], key
+        checked += 1
+    assert checked == {"time_scan": 14, "size_scan": 10, "diagnostics": 10}[mode]
 
 
 # ---------------------------------------------------------------- run outputs
@@ -380,7 +418,7 @@ def test_run_replaces_earlier_outputs_and_leaves_no_temporaries(tmp_path):
 
 def test_run_maps_a_value_the_library_rejects_to_config_error(tmp_path):
     # parse_config does not check theta; the scan does, before any output
-    config = RunConfig(mode="time_scan", positions=4, receiver=4, theta=9.0)
+    config = RunConfig(mode="time_scan", out="time_scan", chain={"span": 4}, scan={"theta": 9.0})
     with pytest.raises(ConfigError, match="theta"):
         run(config, out_dir=tmp_path / "results", quiet=True)
     assert not (tmp_path / "results").exists()
@@ -468,6 +506,11 @@ _SIZE = "mode = size_scan\nn_min = 4\nn_max = 6\n"
     ("text", "fragments"),
     [
         ("mode = time_scan\npositions = 1.5\n", ("line 2", "positions", "integer")),
+        # numbers are spelled as in a coupling file: int and float alone read these
+        ("mode = time_scan\npositions = 1_000\n", ("line 2", "positions", "integer")),
+        ("mode = time_scan\npositions = \u0662\u0660\n", ("line 2", "positions", "integer")),
+        (_TIME + "theta = 1_0e-1\n", ("line 3", "theta", "real number")),
+        (_TIME + "t_max = \u0661\u0660\n", ("line 3", "t_max", "real number")),
         (_TIME + "nu = inf\n", ("line 3", "nu", "finite")),
         (_TIME + "coupling = ring\n", ("line 3", "coupling", "one of")),
         (_TIME + "coupling = mirror_periodic\nlambda = 0\n", ("lam", "must be > 0")),

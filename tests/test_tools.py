@@ -3,6 +3,7 @@ encoding of tools/output_digest.py."""
 
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,14 +101,20 @@ def test_ab_pairs_refuses_trees_of_which_one_holds_a_bytecode_cache(tmp_path):
         _tool("ab_pairs").main([str(parent), str(change), "--workload", "sweep_small"])
 
 
-def test_output_digest_encodes_signed_zeros_shapes_and_dtypes(monkeypatch):
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _output_digest(monkeypatch):
     # loading the tool pins BLAS to one thread in os.environ; setenv records each variable, so it is restored
     # (or unset) after the test
-    blas_threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    for name in blas_threads:
+    for name in BLAS_THREADS:
         monkeypatch.setenv(name, "0")
-    encode = _tool("output_digest")._encode
-    assert all(os.environ[name] == "1" for name in blas_threads)
+    return _tool("output_digest")
+
+
+def test_output_digest_encodes_signed_zeros_shapes_and_dtypes(monkeypatch):
+    encode = _output_digest(monkeypatch)._encode
+    assert all(os.environ[name] == "1" for name in BLAS_THREADS)
     assert encode(0.0) != encode(-0.0)
     assert encode((1.0, 0.0)) != encode((1.0, -0.0))
     assert encode(np.array([0.0])) != encode(np.array([-0.0]))
@@ -118,3 +125,22 @@ def test_output_digest_encodes_signed_zeros_shapes_and_dtypes(monkeypatch):
     assert encode(np.zeros(2)) != encode(np.zeros(2, dtype=np.int64))
     # a strided view encodes as its contiguous copy
     assert encode(values[::2]) == encode(values[::2].copy())
+
+
+def test_output_digest_built_in_configs_run_and_set_every_key_the_benchmark_leaves_out(monkeypatch, tmp_path):
+    from spinchannel import cli
+
+    digest = _output_digest(monkeypatch)
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(TOOLS.parent / "perfbench"))
+    texts = [text for text, _outputs in workloads.CLI_CONFIGS.values()] + list(digest.BUILT_IN.values())
+    keys = {line.split("=", 1)[0].strip() for text in texts for line in text.splitlines()}
+    assert keys == set(cli._KEYS)
+    for label, text in digest.BUILT_IN.items():
+        (tmp_path / f"{label}.conf").write_text(text)
+        items = dict(digest._cli_lines(cli, tmp_path / f"{label}.conf", label, tmp_path / label))
+        assert items[f"{label}/exit"] == b"0", label
+        assert f"{label}/{cli.parse_config(text).out}.csv" in items, label

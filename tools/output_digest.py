@@ -10,8 +10,8 @@ Items:
 - the same fields of the 1000-position double-hole ``dh_large`` chain at each
   ``--dh-seed`` (default 3 31);
 - every file the CLI writes for the ``cli_mix`` configs (the README example
-  ``bench`` among them) at each ``--cli-seed`` (default 3), and for each
-  ``--config`` file.
+  ``bench`` among them) at each ``--cli-seed`` (default 3), for the
+  ``BUILT_IN`` configs, and for each ``--config`` file.
 
 The chains and configs are those of ``perfbench/workloads.py`` in this
 checkout; ``spinchannel`` is imported from ``--src`` (default: this
@@ -39,6 +39,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# small runs, seconds in all, that set each config key the cli_mix configs leave out to a value other than its default
+BUILT_IN = {
+    "power_law_time_scan": (
+        "mode = time_scan\npositions = 11\nnu = 2.5\nc = 0.75\na = 1.25\nsender = 2\nreceiver = 10\n"
+        "zz = false\ntheta = 2\nphi = 1\nt_max = 12.5\ngrid_points = 500\nout = power_law\n"
+    ),
+    "mirror_time_scan": "mode = time_scan\npositions = 9\ncoupling = mirror_periodic\nlambda = 3\nout = mirror\n",
+    "mirror_size_scan": (
+        "mode = size_scan\ncoupling = mirror_periodic\nn_min = 4\nn_max = 6\nconfigurations = complete\nout = sizes\n"
+    ),
+    "diagnostics": "mode = diagnostics\npositions = 10\nsender = 2\nreceiver = 9\nzz = false\nout = diagnostics\n",
+}
 
 
 def _encode(value) -> bytes:
@@ -96,6 +109,9 @@ def main(argv: list[str] | None = None) -> int:
                 _cli_lines(cli, workdir / f"{label}.conf", f"cli_mix/seed={seed}/{label}", workdir / f"out-{label}")
                 for label in workloads.CLI_CONFIGS
             ]
+        for label, text in BUILT_IN.items():
+            (temporary / f"{label}.conf").write_text(text)
+            items.append(_cli_lines(cli, temporary / f"{label}.conf", f"built_in/{label}", temporary / label))
         for i, config in enumerate(args.config):
             items.append(_cli_lines(cli, config.resolve(), f"config={config}", temporary / f"config-{i}"))
         for lines in items:
