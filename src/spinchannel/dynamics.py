@@ -10,6 +10,7 @@ With H = V diag(E) V^T the transition amplitude from site s to site n is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,9 +150,9 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
         if not np.isfinite(matrix).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric")
+    blocks = _mirror_blocks(matrix) if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES else None
     try:
-        if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES and _is_mirror_symmetric(matrix):
-            blocks = _mirror_blocks(matrix)
+        if blocks is not None:
             del matrix, hamiltonian
             return _mirror_eigh(blocks)
         eigenvalues, eigenvectors = np.linalg.eigh(matrix)
@@ -174,39 +175,33 @@ def _asymmetry(matrix: np.ndarray) -> float:
     return float(largest)
 
 
-def _is_mirror_symmetric(matrix: np.ndarray) -> bool:
-    """max|H - P H P| <= _MIRROR_TOLERANCE_EPS * eps * max|H|, P the site reversal.
+def _mirror_blocks(matrix: np.ndarray) -> list[np.ndarray] | None:
+    """The [even, odd] blocks of H under the site reversal P; None unless max|H - P H P| is in tolerance.
 
-    Row n-1-i of H - P H P is row i reversed and negated, so its first
-    ceil(n/2) rows hold every magnitude.
-    """
-    scale = max(float(matrix.max()), -float(matrix.min()))
-    tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
-    rows = (matrix.shape[0] + 1) // 2
-    mirrored = matrix[::-1, ::-1]
-    for lo in range(0, rows, _PANEL_ROWS):
-        hi = min(lo + _PANEL_ROWS, rows)
-        if not np.abs(matrix[lo:hi] - mirrored[lo:hi]).max() <= tolerance:
-            return False
-    return True
-
-
-def _mirror_blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """[even, odd]: the blocks of a mirror-symmetric matrix under the site reversal.
-
-    With m = n // 2 and i, k < m the blocks are H[i, k] +- H[i, n-1-k]; for
-    odd n the middle site joins the even block with couplings sqrt(2) H[i, m].
+    The tolerance is _MIRROR_TOLERANCE_EPS * eps * max|H|.  Row n-1-i of
+    H - P H P is row i reversed and negated, so one walk over the first
+    ceil(n/2) rows tests a panel of them, then writes its rows of the blocks:
+    with m = n // 2 and i, k < m, H[i, k] +- H[i, n-1-k], and for odd n the
+    middle site joins the even block with couplings sqrt(2) H[i, m].
     """
     n = matrix.shape[0]
     m = n // 2
-    near = matrix[:m, :m]
-    far = matrix[:m, ::-1][:, :m]
-    even = np.empty((n - m, n - m))
-    np.add(near, far, out=even[:m, :m])
-    if n % 2:
-        even[:m, m] = even[m, :m] = np.sqrt(2.0) * matrix[:m, m]
-        even[m, m] = matrix[m, m]
-    return [even, near - far]
+    scale = max(float(matrix.max()), -float(matrix.min()))
+    tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
+    even, odd = np.empty((n - m, n - m)), np.empty((m, m))
+    # the middle entry of an odd chain; the slices m:n-m are empty for even n
+    even[m:, m:] = matrix[m : n - m, m : n - m]
+    for lo in range(0, n - m, _PANEL_ROWS):
+        hi = min(lo + _PANEL_ROWS, n - m)
+        if not np.abs(matrix[lo:hi] - matrix[::-1, ::-1][lo:hi]).max() <= tolerance:
+            return None
+        rows = slice(lo, min(hi, m))
+        near, far = matrix[rows, :m], matrix[rows, : n - m - 1 : -1]
+        np.add(near, far, out=even[rows, :m])
+        np.subtract(near, far, out=odd[rows])
+        middle = np.sqrt(2.0) * matrix[rows, m : n - m]
+        even[rows, m:], even[m:, rows] = middle, middle.T
+    return [even, odd]
 
 
 def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
@@ -214,25 +209,21 @@ def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
 
     An even-block eigenvector (u, c) is (u, c, Pu) / sqrt(2) on the chain,
     the middle entry c unscaled, and an odd one (u, -Pu) / sqrt(2), Pu being
-    u reversed.
+    u reversed.  Both blocks' eigenvectors sit side by side in one array,
+    an odd chain's middle row zero in the odd columns, and one gather puts
+    the columns in eigenvalue order.
     """
-    m = blocks[1].shape[0]
-    n = m + blocks[0].shape[0]
     even_values, even_vectors = np.linalg.eigh(blocks.pop(0))
     odd_values, odd_vectors = np.linalg.eigh(blocks.pop())
-
+    r, m = len(even_values), len(odd_values)
+    half = np.zeros((r, r + m))
+    half[:, :r] = even_vectors
+    half[:m, r:] = odd_vectors
+    del even_vectors, odd_vectors
+    half[:m] *= np.sqrt(0.5)
     eigenvalues = np.concatenate((even_values, odd_values))
     order = np.argsort(eigenvalues, kind="stable")
-    odd = order >= n - m
-    half = np.empty((n - m, n))
-    half[:m, ~odd] = even_vectors[:m]
-    half[:m, odd] = odd_vectors
-    half[:m] *= np.sqrt(0.5)
-    if n % 2:
-        half[m, ~odd] = even_vectors[m]
-        half[m, odd] = 0.0
-    del even_vectors, odd_vectors
-    return SpectralDecomposition(eigenvalues[order], half, _signs=np.where(odd, -1.0, 1.0))
+    return SpectralDecomposition(eigenvalues[order], half.take(order, axis=1), _signs=np.where(order >= r, -1.0, 1.0))
 
 
 def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
@@ -240,7 +231,8 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
 
     ``t`` is a scalar or any array of times; ``to`` is one site index, a
     sequence of them, or None for every site.  The result has shape
-    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None).
+    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None).  A site index
+    is an integer (``operator.index``) in [0, n), else ValueError.
 
     The sum runs over exp(-i (E_j - Ebar) t), Ebar = (E_min + E_max) / 2,
     and is then multiplied by exp(-i Ebar t), so a large common energy
@@ -252,19 +244,31 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     about 3e-16 (``_exp_phases``).
     """
     times = np.asarray(t, dtype=np.float64)
+    source = decomp._rows(_site_index("from_index", from_index, decomp.n))
     if to is None:
         targets = decomp.eigenvectors
     else:
-        # np.asarray makes an empty sequence float, which indexes nothing
         index = np.asarray(to)
-        targets = decomp._rows(index if index.size else index.astype(np.intp))
+        sites = [_site_index("to", site, decomp.n) for site in index.ravel().tolist()]
+        targets = decomp._rows(np.array(sites, dtype=np.intp).reshape(index.shape))
     progression = _progression(times)
     if progression is None:
-        amplitudes = _phase_block(decomp, decomp._rows(from_index), times) @ targets.T
+        amplitudes = _phase_block(decomp, source, times) @ targets.T
     else:
-        amplitudes = _progression_amplitudes(decomp, decomp._rows(from_index), targets, *progression)
+        amplitudes = _progression_amplitudes(decomp, source, targets, *progression)
     amplitudes *= np.expand_dims(_common_phase(decomp, times), tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
+
+
+def _site_index(label: str, value, n: int) -> int:
+    """``operator.index(value)``, a site of an n-site chain; else a ValueError naming ``label`` and the value."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label}={value!r} is not an integer") from None
+    if not 0 <= index < n:
+        raise ValueError(f"{label}={index} out of range for {n} sites")
+    return index
 
 
 def _common_phase(decomp: SpectralDecomposition, times: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError, SpectralDecomposition
+from .dynamics import NumericsError, SpectralDecomposition, _site_index
 from .model import _real
 
 _YY = np.array(
@@ -49,13 +49,12 @@ def _checked(modulus, label: str = "|f_sr|"):
     return modulus
 
 
-def _check_pair(sender_index: int, receiver_index: int, n: int) -> None:
-    """ValueError unless both indices lie in [0, n), then unless they differ."""
-    for label, idx in (("sender_index", sender_index), ("receiver_index", receiver_index)):
-        if not (0 <= idx < n):
-            raise ValueError(f"{label}={idx} out of range for {n} sites")
-    if sender_index == receiver_index:
+def _check_pair(sender_index: int, receiver_index: int, n: int) -> tuple[int, int]:
+    """Both indices as ``_site_index`` reads them, then ValueError unless they differ."""
+    pair = _site_index("sender_index", sender_index, n), _site_index("receiver_index", receiver_index, n)
+    if pair[0] == pair[1]:
         raise ValueError("sender and receiver indices must differ")
+    return pair
 
 
 def _fidelity(mod_sr):
@@ -120,7 +119,7 @@ def wootters_concurrence_oracle(
     n = amps.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 sites (got {n})")
-    _check_pair(sender_index, receiver_index, n)
+    sender_index, receiver_index = _check_pair(sender_index, receiver_index, n)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     if abs(norm_sq - 1.0) > 1e-8:
         raise ValueError(f"amplitude vector norm^2 = {norm_sq!r} deviates from 1 beyond 1e-8")
@@ -158,7 +157,7 @@ def wootters_concurrence_oracle(
 def dispersion(amplitudes: np.ndarray, sender_index: int, receiver_index: int) -> float:
     """Gamma^2(t) = sum over channel sites (all but sender/receiver) of |f_i|^2."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    _check_pair(sender_index, receiver_index, amps.shape[0])
+    sender_index, receiver_index = _check_pair(sender_index, receiver_index, amps.shape[0])
     mask = np.ones(amps.shape[0], dtype=bool)
     mask[sender_index] = False
     mask[receiver_index] = False
@@ -225,7 +224,7 @@ def spectral_overlaps(
     The weights of an orthonormal decomposition always sum as SpectralOverlaps
     requires, so a sum that fails is a NumericsError, not a rejected input.
     """
-    _check_pair(sender_index, receiver_index, decomp.n)
+    sender_index, receiver_index = _check_pair(sender_index, receiver_index, decomp.n)
     sigma = np.array(decomp._rows(sender_index))
     rho = np.array(decomp._rows(receiver_index))
     gamma_sq = decomp._channel_weight((sender_index, receiver_index))

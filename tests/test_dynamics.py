@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinchannel as sc
-from spinchannel import dynamics, experiments
+from spinchannel import cli, dynamics, experiments
 from oracles import full_hamiltonian, full_space_amplitude
 from support import (
     dh_geometry,
@@ -172,13 +173,13 @@ def test_mirror_decision_matches_the_transposed_test(n, size, where):
     i, k = {"upper": (3, 40), "lower": (n - 4, n - 41), "middle": (n // 2, 7), "across": (10, n - 30)}[where]
     H[i, k] += size * np.finfo(np.float64).eps * np.abs(H).max()
     H[k, i] = H[i, k]
-    assert dynamics._is_mirror_symmetric(H) == transposed_mirror_test(H) == (size < 16.0)
+    assert (dynamics._mirror_blocks(H) is not None) == transposed_mirror_test(H) == (size < 16.0)
     # both rows of an even chain's middle pair, and the diagonal middle entry of an odd one,
     # which the site reversal leaves in place
     for row in ((n - 1) // 2, n // 2):
         M = H.copy()
         M[row, row] += 100.0 * np.finfo(np.float64).eps * np.abs(H).max()
-        assert dynamics._is_mirror_symmetric(M) == transposed_mirror_test(M) == (n % 2 == 1 and size < 16.0)
+        assert (dynamics._mirror_blocks(M) is not None) == transposed_mirror_test(M) == (n % 2 == 1 and size < 16.0)
 
 
 # ------------------------------------------------- mirror-symmetric split
@@ -375,6 +376,28 @@ def test_eigh_calls_per_chain(eigh_shapes):
     assert eigh_shapes == [(10, 10)]
 
 
+@pytest.mark.parametrize(("span", "calls"), [(132, [(65, 65), (65, 65)]), (42, [(40, 40)])], ids=["odd_block", "dense"])
+def test_eigh_failure_is_a_numerical_failure(monkeypatch, tmp_path, span, calls):
+    # eigh, as dynamics sees it, fails on the chain's last call: the odd block of a split, or the one dense call
+    seen = []
+
+    def failing_eigh(matrix, *args, **kwargs):
+        seen.append(np.shape(matrix))
+        if len(seen) == len(calls):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return _DENSE_EIGH(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.np.linalg, "eigh", failing_eigh)
+    with pytest.raises(sc.NumericsError, match="^eigendecomposition failed to converge: Eigenvalues did not converge$"):
+        sc.eigendecompose(_dh_sector(span)[1])
+    assert seen == calls
+    seen.clear()
+    config = tmp_path / "chain.conf"
+    config.write_text(f"mode = diagnostics\npositions = {span}\ndh = true\nout = chain\n")
+    assert cli.main([str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert seen == calls
+
+
 # ---------------------------------------------------------------- propagation
 
 
@@ -496,9 +519,39 @@ def test_propagate_to_no_targets_gives_an_empty_column_per_time(scan_chains, tim
     amplitudes = sc.propagate(decomp, s, times, to=to)
     assert amplitudes.shape == (times.size, 0)
     assert amplitudes.dtype == np.complex128
-    # only an empty index is made integer
-    with pytest.raises(IndexError):
+    # only an empty index is made integer; a float one is rejected
+    with pytest.raises(ValueError, match=r"^to=1\.5 is not an integer$"):
         sc.propagate(decomp, s, times, to=[1.5])
+
+
+@pytest.mark.parametrize(
+    ("from_index", "to", "message"),
+    [
+        (-1, 0, "from_index=-1 out of range for 8 sites"),
+        (8, 0, "from_index=8 out of range for 8 sites"),
+        (1.5, 0, "from_index=1.5 is not an integer"),
+        (0, 8, "to=8 out of range for 8 sites"),
+        (0, -1, "to=-1 out of range for 8 sites"),
+        (0, [1.0], "to=1.0 is not an integer"),
+        (0, [[3, 2], [1, 8]], "to=8 out of range for 8 sites"),
+    ],
+)
+@pytest.mark.parametrize("times", [0.7, np.linspace(0.0, 1.0, 5)], ids=["scalar", "progression"])
+def test_propagate_rejects_a_site_index_outside_the_chain(from_index, to, message, times):
+    decomp = _dipolar_decomp(8)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sc.propagate(decomp, from_index, times, to=to)
+
+
+def test_propagate_reads_site_indices_as_operator_index_does():
+    decomp = _dipolar_decomp(8)
+    times = np.linspace(0.0, 3.0, 7)
+    expected = sc.propagate(decomp, 1, times, to=[[0, 7], [1, 2]])
+    assert np.array_equal(sc.propagate(decomp, np.int64(1), times, to=np.array([[0, 7], [1, 2]])), expected)
+    # a bool is the integer 0 or 1, not a mask
+    bools = np.array([[False, True]])
+    assert np.array_equal(sc.propagate(decomp, True, times, to=bools), sc.propagate(decomp, 1, times, to=[[0, 1]]))
+    assert np.array_equal(sc.propagate(decomp, 1, times, to=True), sc.propagate(decomp, 1, times, to=1))
 
 
 @pytest.mark.parametrize("chain", ["random8", "dh202"])

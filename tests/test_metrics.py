@@ -298,6 +298,8 @@ def test_spectral_overlaps_type_rejects_mismatched_lengths_and_totals(sigma, rho
         # one rule for both: the range first, then that the two differ
         (3, 3, "sender_index=3 out of range for 3 sites"),
         (1, 1, "sender and receiver indices must differ"),
+        (0.5, 1, "sender_index=0.5 is not an integer"),
+        (0, 2.0, "receiver_index=2.0 is not an integer"),
     ],
 )
 def test_spectral_overlaps_and_wootters_oracle_reject_an_index_pair_alike(sender, receiver, message):
@@ -309,6 +311,18 @@ def test_spectral_overlaps_and_wootters_oracle_reject_an_index_pair_alike(sender
         sc.wootters_concurrence_oracle(sc.InitialStateParams(), amps, sender, receiver)
     with pytest.raises(ValueError, match=f"^{message}$"):
         sc.dispersion(amps, sender, receiver)
+
+
+def test_spectral_overlaps_read_a_bool_index_as_its_integer():
+    # a bool is the integer 0 or 1, as operator.index reads it, not a mask of the rows
+    decomp = _decomp_for(dh_geometry(8), sc.CouplingModel.power_law())
+    expected = sc.spectral_overlaps(decomp, 1, 0)
+    for sender, receiver in ((True, 0), (True, False), (np.int64(1), np.int64(0))):
+        overlaps = sc.spectral_overlaps(decomp, sender, receiver)
+        for name in ("sigma", "rho", "gamma_sq"):
+            assert np.array_equal(getattr(overlaps, name), getattr(expected, name))
+    amps = sc.propagate(decomp, 1, 2.5)
+    assert sc.dispersion(amps, True, 0) == sc.dispersion(amps, 1, 0)
 
 
 def test_spectral_overlaps_of_non_orthonormal_vectors_is_a_numerical_failure():

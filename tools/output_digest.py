@@ -11,7 +11,8 @@ Items:
   ``--dh-seed`` (default 3 31);
 - every file the CLI writes for the ``cli_mix`` configs (the README example
   ``bench`` among them) at each ``--cli-seed`` (default 3), for the
-  ``BUILT_IN`` configs, and for each ``--config`` file.
+  ``BUILT_IN`` configs (among them an odd chain that takes the mirror
+  split), and for each ``--config`` file.
 
 The chains and configs are those of ``perfbench/workloads.py`` in this
 checkout; ``spinchannel`` is imported from ``--src`` (default: this
@@ -40,7 +41,9 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# small runs, seconds in all, that set each config key the cli_mix configs leave out to a value other than its default
+# small runs, seconds in all: the first four set each config key the cli_mix configs leave out to a value other
+# than its default; the last two split an odd chain (101 positions, dh = true: 99 spins), where the benchmark's
+# split chains are all even
 BUILT_IN = {
     "power_law_time_scan": (
         "mode = time_scan\npositions = 11\nnu = 2.5\nc = 0.75\na = 1.25\nsender = 2\nreceiver = 10\n"
@@ -51,6 +54,8 @@ BUILT_IN = {
         "mode = size_scan\ncoupling = mirror_periodic\nn_min = 4\nn_max = 6\nconfigurations = complete\nout = sizes\n"
     ),
     "diagnostics": "mode = diagnostics\npositions = 10\nsender = 2\nreceiver = 9\nzz = false\nout = diagnostics\n",
+    "odd_split_time_scan": "mode = time_scan\npositions = 101\ndh = true\nout = odd_split\n",
+    "odd_split_diagnostics": "mode = diagnostics\npositions = 101\ndh = true\nout = odd_split\n",
 }
 
 
@@ -78,7 +83,8 @@ def _scan_lines(workloads, sc, name: str, seed: int, workdir: Path):
 def _cli_lines(cli, config: Path, label: str, out: Path):
     code = cli.main([str(config), "--out", str(out), "--quiet"])
     yield f"{label}/exit", str(code).encode()
-    for path in sorted(out.iterdir()):
+    # a run that fails before writing leaves no directory, and its exit line alone
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
         yield f"{label}/{path.name}", path.read_bytes()
 
 
