@@ -25,15 +25,7 @@ import numpy as np
 from .dynamics import NumericsError, eigendecompose
 from .experiments import CONFIGURATIONS, SizeScanRow, size_scan, time_scan
 from .metrics import leakage_bound, spectral_overlaps, structure_residuals
-from .model import (
-    COUPLING_KINDS,
-    CouplingModel,
-    _plain,
-    build_chain_geometry,
-    build_couplings,
-    load_coupling_matrix,
-    sector_hamiltonian,
-)
+from .model import COUPLING_KINDS, CouplingModel, _chain_sector, _plain, build_chain_geometry, load_coupling_matrix
 
 MODES = ("time_scan", "size_scan", "diagnostics")
 
@@ -50,9 +42,10 @@ class RunConfig:
     """A parsed run: the CLI's own values, and the keyword arguments the file sets for each library call.
 
     ``chain`` goes to build_chain_geometry, ``model`` to CouplingModel and
-    ``scan`` to the mode's scan: time_scan, size_scan, or sector_hamiltonian
-    for diagnostics.  A key the file omits is absent from its group, so the
-    library's default applies; ``run`` has the library check every value.
+    ``scan`` to the mode's scan: time_scan, size_scan, or for diagnostics
+    ``model._chain_sector``, which builds the sector matrix as time_scan
+    does.  A key the file omits is absent from its group, so the library's
+    default applies; ``run`` has the library check every value.
     """
 
     mode: str
@@ -280,8 +273,8 @@ def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tu
 
 
 def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
-    # J goes out of scope once H is built, so it is freed before eigh runs
-    decomp = eigendecompose(sector_hamiltonian(build_couplings(geometry, model), **config.scan))
+    # a temporary, so what eigh does not need is freed before it runs
+    decomp = eigendecompose(_chain_sector(geometry, model, **config.scan))
     overlaps = spectral_overlaps(decomp, geometry.sender_index, geometry.receiver_index)
     residuals = structure_residuals(overlaps)
     gamma_m, bound = leakage_bound(overlaps)

@@ -25,9 +25,9 @@ MIRROR_SPLIT_MIN_SITES = 64
 # sector_hamiltonian leaves at most ~0.86 of them on mirror-symmetric chains
 _MIRROR_TOLERANCE_EPS = 16.0
 
-# rows per panel of the passes over whole matrices (the entry checks here, the
-# power-law coupling build in model), so each pass makes panel-sized
-# temporaries, not n x n ones
+# rows per panel of the passes over whole matrices (the entry checks and the
+# mirror walk here, the power-law coupling and parity-block builds in model),
+# so each pass makes panel-sized temporaries, not n x n ones
 _PANEL_ROWS = 64
 
 # a 1-D time array within this many eps * max|t| of t0 + k dt is a progression;
@@ -135,30 +135,41 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     returns, and no output depends on them.  The matrix must be non-empty,
     square, finite and symmetric to 1e-12 (else ValueError), checked on
     every call: an array the caller holds may have been written since.
+    A spectrum that overflows the float range is a NumericsError.
 
     A matrix of at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
     reversing the site order is diagonalized as its even and odd blocks,
     about a quarter of the work, and every eigenvector comes out exactly
     even or odd.  The result holds ceil(n/2) rows of V.  References to H
     are dropped before the blocks go to ``eigh``, so on CPython 3.11 and
-    later a temporary passed straight in is freed by then.
+    later a temporary passed straight in is freed by then.  A
+    ``_ParityBlocks``, which ``model`` builds for a long power-law mirror
+    chain in place of H, goes to ``eigh`` as it is.
     """
-    matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
-        raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
-    if not _asymmetry(matrix) <= 1e-12:
-        if not np.isfinite(matrix).all():
-            raise ValueError("matrix has non-finite entries")
-        raise ValueError("matrix is not symmetric")
-    blocks = _mirror_blocks(matrix) if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES else None
+    if isinstance(hamiltonian, _ParityBlocks):
+        blocks, matrix = hamiltonian, None
+    else:
+        matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+            raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
+        if not _asymmetry(matrix) <= 1e-12:
+            if not np.isfinite(matrix).all():
+                raise ValueError("matrix has non-finite entries")
+            raise ValueError("matrix is not symmetric")
+        blocks = _mirror_blocks(matrix) if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES else None
     try:
-        if blocks is not None:
+        if blocks is None:
+            decomp = SpectralDecomposition(*np.linalg.eigh(matrix))
+        else:
             del matrix, hamiltonian
-            return _mirror_eigh(blocks)
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+            decomp = _mirror_eigh(blocks)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from None
-    return SpectralDecomposition(eigenvalues, eigenvectors)
+    finite = np.isfinite(decomp.eigenvalues)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NumericsError(f"eigenvalue {j} of {decomp.n} is {float(decomp.eigenvalues[j])}: the spectrum overflows")
+    return decomp
 
 
 def _asymmetry(matrix: np.ndarray) -> float:
@@ -175,37 +186,55 @@ def _asymmetry(matrix: np.ndarray) -> float:
     return float(largest)
 
 
-def _mirror_blocks(matrix: np.ndarray) -> list[np.ndarray] | None:
-    """The [even, odd] blocks of H under the site reversal P; None unless max|H - P H P| is in tolerance.
+class _ParityBlocks(list):
+    """[even, odd]: the ceil(n/2)- and (n//2)-square blocks of a mirror-symmetric H of n rows, filled by ``fold``.
+
+    With m = n // 2 and i, k < m, the blocks hold H[i, k] +- H[i, n-1-k],
+    and for odd n the middle site joins the even block with couplings
+    sqrt(2) H[i, m] and its own H[m, m].
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__((np.empty((n - n // 2, n - n // 2)), np.empty((n // 2, n // 2))))
+
+    def fold(self, panel: np.ndarray, lo: int) -> None:
+        """Write the blocks' rows from ``panel``, rows lo.. of H (all below ceil(n/2))."""
+        even, odd = self
+        n = panel.shape[1]
+        m = n // 2
+        k = min(len(panel), m - lo)
+        rows = slice(lo, lo + k)
+        near, far = panel[:k, :m], panel[:k, : n - m - 1 : -1]
+        np.add(near, far, out=even[rows, :m])
+        np.subtract(near, far, out=odd[rows])
+        middle = np.sqrt(2.0) * panel[:k, m : n - m]
+        even[rows, m:], even[m:, rows] = middle, middle.T
+        if k < len(panel):
+            # the panel ends at an odd chain's middle row, which the reversal leaves in place
+            even[m, m] = panel[k, m]
+
+
+def _mirror_blocks(matrix: np.ndarray) -> _ParityBlocks | None:
+    """The parity blocks of H under the site reversal P; None unless max|H - P H P| is in tolerance.
 
     The tolerance is _MIRROR_TOLERANCE_EPS * eps * max|H|.  Row n-1-i of
     H - P H P is row i reversed and negated, so one walk over the first
-    ceil(n/2) rows tests a panel of them, then writes its rows of the blocks:
-    with m = n // 2 and i, k < m, H[i, k] +- H[i, n-1-k], and for odd n the
-    middle site joins the even block with couplings sqrt(2) H[i, m].
+    ceil(n/2) rows tests a panel of them, then folds it into the blocks.
     """
     n = matrix.shape[0]
-    m = n // 2
     scale = max(float(matrix.max()), -float(matrix.min()))
     tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
-    even, odd = np.empty((n - m, n - m)), np.empty((m, m))
-    # the middle entry of an odd chain; the slices m:n-m are empty for even n
-    even[m:, m:] = matrix[m : n - m, m : n - m]
-    for lo in range(0, n - m, _PANEL_ROWS):
-        hi = min(lo + _PANEL_ROWS, n - m)
-        if not np.abs(matrix[lo:hi] - matrix[::-1, ::-1][lo:hi]).max() <= tolerance:
+    blocks = _ParityBlocks(n)
+    for lo in range(0, n - n // 2, _PANEL_ROWS):
+        panel = matrix[lo : min(lo + _PANEL_ROWS, n - n // 2)]
+        if not np.abs(panel - matrix[::-1, ::-1][lo : lo + len(panel)]).max() <= tolerance:
             return None
-        rows = slice(lo, min(hi, m))
-        near, far = matrix[rows, :m], matrix[rows, : n - m - 1 : -1]
-        np.add(near, far, out=even[rows, :m])
-        np.subtract(near, far, out=odd[rows])
-        middle = np.sqrt(2.0) * matrix[rows, m : n - m]
-        even[rows, m:], even[m:, rows] = middle, middle.T
-    return [even, odd]
+        blocks.fold(panel, lo)
+    return blocks
 
 
-def _mirror_eigh(blocks: list[np.ndarray]) -> SpectralDecomposition:
-    """``eigh`` of a mirror-symmetric matrix from the [even, odd] blocks of ``_mirror_blocks``, emptying ``blocks``.
+def _mirror_eigh(blocks: _ParityBlocks) -> SpectralDecomposition:
+    """``eigh`` of a mirror-symmetric matrix from its parity blocks, emptying ``blocks``.
 
     An even-block eigenvector (u, c) is (u, c, Pu) / sqrt(2) on the chain,
     the middle entry c unscaled, and an odd one (u, -Pu) / sqrt(2), Pu being

@@ -20,8 +20,7 @@ from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivativ
 from .dynamics import propagate
 from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
 from .metrics import spectral_overlaps, two_qubit_effective
-from .model import ChainGeometry, CouplingModel, _integer, _real, build_chain_geometry, build_couplings
-from .model import sector_hamiltonian
+from .model import ChainGeometry, CouplingModel, _chain_sector, _integer, _real, build_chain_geometry
 
 DEFAULT_GRID_POINTS = 2000
 
@@ -260,8 +259,8 @@ def time_scan(
         raise ValueError(f"t_max must be > 0 and finite (got {t_max})")
     params = InitialStateParams(theta=theta, phi=phi)
 
-    # J goes out of scope once H is built, so it is freed before eigh runs
-    decomp = eigendecompose(sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal))
+    # a temporary, so what eigh does not need is freed before it runs
+    decomp = eigendecompose(_chain_sector(geometry, model, include_zz_diagonal))
     s = geometry.sender_index
     r = geometry.receiver_index
     overlaps = spectral_overlaps(decomp, s, r)

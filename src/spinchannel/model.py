@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _PANEL_ROWS, _asymmetry
+from .dynamics import _PANEL_ROWS, MIRROR_SPLIT_MIN_SITES, _asymmetry, _ParityBlocks
 
 COUPLING_KINDS = ("power_law", "mirror_periodic", "custom")
 
@@ -236,10 +236,7 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     """
     if model.kind == "power_law":
         pos = np.asarray(geometry.positions)
-        d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
-        # a table past the float range is judged by CouplingMatrix's entry check alone
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            table = np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
+        table = _power_law_table(pos, model)
         entries = np.empty((pos.size, pos.size))
         for lo in range(0, pos.size, _PANEL_ROWS):
             entries[lo : lo + _PANEL_ROWS] = table[np.abs(pos[lo : lo + _PANEL_ROWS, None] - pos)]
@@ -257,6 +254,13 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
     if n != geometry.n_sites:
         raise ValueError(f"custom coupling matrix is {n}x{n} but the geometry has {geometry.n_sites} sites")
     return model.custom_matrix
+
+
+def _power_law_table(pos: np.ndarray, model: CouplingModel) -> np.ndarray:
+    """strength_c / (spacing_a d)^nu by lattice distance d, 0 at d = 0; past the float range inf or NaN, unwarned."""
+    d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
 
 
 def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
@@ -374,20 +378,68 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     the sector matrix is the bare hopping matrix of an XY chain.
     Couplings whose sums overflow the diagonal are a ValueError.
     """
-    if not isinstance(include_zz_diagonal, (bool, np.bool_)):
-        raise ValueError(f"include_zz_diagonal must be True or False (got {include_zz_diagonal!r})")
+    _zz_flag(include_zz_diagonal)
     J = couplings.entries
     # a write since J's check: eigendecompose sees it unless it is on the diagonal, so that is checked here
     _check_diagonal(J)
     matrix = J.copy()
     if include_zz_diagonal:
-        # finite couplings can still sum past the float range; the check below judges that
-        with np.errstate(over="ignore", invalid="ignore"):
+        # finite couplings can still sum past the float range; _zz_diagonal judges that
+        with np.errstate(over="ignore"):
             row_sums = J.sum(axis=1)
-            diagonal = 2.0 * row_sums - 0.5 * row_sums.sum()
-        if not np.isfinite(diagonal).all():
-            raise ValueError(
-                "the couplings' row sums overflow: the diagonal 2 sum_j J_nj - sum_{i<j} J_ij is not finite"
-            )
-        np.fill_diagonal(matrix, diagonal)
+        np.fill_diagonal(matrix, _zz_diagonal(row_sums))
     return SectorHamiltonian(matrix)
+
+
+def _zz_flag(include_zz_diagonal) -> None:
+    if not isinstance(include_zz_diagonal, (bool, np.bool_)):
+        raise ValueError(f"include_zz_diagonal must be True or False (got {include_zz_diagonal!r})")
+
+
+def _zz_diagonal(row_sums: np.ndarray) -> np.ndarray:
+    """The S^z S^z diagonal 2 sum_j J_nj - sum_{i<j} J_ij from J's row sums; a ValueError unless it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = 2.0 * row_sums - 0.5 * row_sums.sum()
+    if not np.isfinite(diagonal).all():
+        raise ValueError("the couplings' row sums overflow: the diagonal 2 sum_j J_nj - sum_{i<j} J_ij is not finite")
+    return diagonal
+
+
+def _chain_sector(
+    geometry: ChainGeometry, model: CouplingModel, include_zz_diagonal: bool = True
+) -> SectorHamiltonian | _ParityBlocks:
+    """``sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)``, for ``eigendecompose``.
+
+    A power-law chain of at least MIRROR_SPLIT_MIN_SITES sites on
+    mirror-symmetric positions (p_i + p_{n-1-i} the same for every i) with a
+    finite distance table comes instead as the parity blocks ``eigendecompose``
+    would split that matrix into, bit for bit, folded from panels of J's first
+    ceil(n/2) rows with no n x n J or H.  Row n-1-i of J is row i reversed, so
+    its sum is taken on a reversed copy, as ``J.sum(axis=1)`` takes it.  Any
+    other chain, or input that fails a check, takes the general path.
+    """
+    pos = np.asarray(geometry.positions)
+    n, m = pos.size, pos.size // 2
+    mirror = model.kind == "power_law" and n >= MIRROR_SPLIT_MIN_SITES and (pos + pos[::-1] == pos[0] + pos[-1]).all()
+    table = _power_law_table(pos, model) if mirror else None
+    if table is None or not np.isfinite(table).all():
+        return sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)
+    _zz_flag(include_zz_diagonal)
+    blocks, row_sums = _ParityBlocks(n), np.empty(n)
+    for lo in range(0, n - m, _PANEL_ROWS):
+        panel = table[np.abs(pos[lo : min(lo + _PANEL_ROWS, n - m), None] - pos)]
+        if include_zz_diagonal:
+            k = min(len(panel), m - lo)
+            # finite couplings can still sum past the float range; _zz_diagonal judges that
+            with np.errstate(over="ignore"):
+                row_sums[lo : lo + len(panel)] = panel.sum(axis=1)
+                row_sums[n - lo - k : n - lo] = panel[:k, ::-1].copy().sum(axis=1)[::-1]
+        blocks.fold(panel, lo)
+    if include_zz_diagonal:
+        # the fold of J left J[i, n-1-i] where the fold of H adds it to H_ii (even) or subtracts it (odd)
+        even, odd = blocks
+        cross = np.diagonal(even).copy()
+        diagonal = _zz_diagonal(row_sums)
+        np.fill_diagonal(even, diagonal[: n - m] + cross)
+        np.fill_diagonal(odd, diagonal[:m] - cross[:m])
+    return blocks

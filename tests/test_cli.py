@@ -205,7 +205,7 @@ _SET = {
 _CALLS = {
     "time_scan": {"chain": "build_chain_geometry", "model": "CouplingModel", "scan": "time_scan"},
     "size_scan": {"model": "CouplingModel", "scan": "size_scan"},
-    "diagnostics": {"chain": "build_chain_geometry", "model": "CouplingModel", "scan": "sector_hamiltonian"},
+    "diagnostics": {"chain": "build_chain_geometry", "model": "CouplingModel", "scan": "_chain_sector"},
 }
 
 
@@ -220,13 +220,13 @@ def _library_calls(monkeypatch, tmp_path, text) -> dict[str, dict]:
     def recording(name):
         def record(*args, **kwargs):
             calls[name] = kwargs
-            if name in ("time_scan", "size_scan", "sector_hamiltonian"):
+            if name in ("time_scan", "size_scan", "_chain_sector"):
                 raise _Scanned
             return getattr(sc, name)(*args, **kwargs)
 
         return record
 
-    for name in ("build_chain_geometry", "CouplingModel", "time_scan", "size_scan", "sector_hamiltonian"):
+    for name in ("build_chain_geometry", "CouplingModel", "time_scan", "size_scan", "_chain_sector"):
         monkeypatch.setattr(cli, name, recording(name))
     with pytest.raises(_Scanned):
         run(parse_config(text), out_dir=tmp_path, quiet=True)
@@ -346,8 +346,8 @@ def test_run_builds_a_custom_coupling_matrix_once(tmp_path, monkeypatch, mode):
         calls.append(model.kind)
         return build(geometry, model)
 
-    for module in (sc.cli, sc.experiments):
-        monkeypatch.setattr(module, "build_couplings", counting)
+    # the one caller, model._chain_sector, which both modes go through
+    monkeypatch.setattr(sc.model, "build_couplings", counting)
     (tmp_path / "j.txt").write_text("3\n0.0 1.0 0.5\n1.0 0.0 1.0\n0.5 1.0 0.0\n")
     config = parse_config(
         f"mode = {mode}\npositions = 3\ncoupling = custom\ncoupling_file = {tmp_path / 'j.txt'}\n"
@@ -603,6 +603,23 @@ def test_module_entry_point_rejects_a_bad_config_with_exit_2(tmp_path):
             "mode = diagnostics\npositions = 6\nc = 1e308\na = 1e-10\n",
             2,
             "config error: coupling matrix has non-finite entries\n",
+        ),
+        # the same on a chain long enough for the parity blocks
+        (
+            "mode = diagnostics\npositions = 100\nc = 1e308\na = 1e-10\n",
+            2,
+            "config error: coupling matrix has non-finite entries\n",
+        ),
+        # finite couplings whose spectrum overflows: one dense eigh, then the parity blocks
+        (
+            "mode = diagnostics\npositions = 40\nc = 1.5e308\nzz = false\n",
+            3,
+            "numerical failure: eigenvalue 0 of 40 is -inf: the spectrum overflows\n",
+        ),
+        (
+            "mode = diagnostics\npositions = 70\nc = 1.5e308\nzz = false\n",
+            3,
+            "numerical failure: eigenvalue 0 of 70 is -inf: the spectrum overflows\n",
         ),
         # d^2000 overflows for d >= 2, and 1 / inf = 0 is the right coupling there
         ("mode = time_scan\npositions = 4\nnu = 2000\ngrid_points = 100\n", 0, ""),

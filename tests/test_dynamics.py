@@ -120,6 +120,23 @@ def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
             sc.eigendecompose(H)
 
 
+@pytest.mark.parametrize("route", ["dense", "split", "blocks"])
+def test_a_spectrum_past_the_float_range_is_a_numerical_failure(route):
+    # every entry is finite, yet LAPACK's eigenvalues overflow: 40 sites go to one dense eigh,
+    # 70 to the mirror split of H, or straight to the parity blocks model builds
+    geo = sc.build_chain_geometry(40 if route == "dense" else 70)
+    model = sc.CouplingModel.power_law(strength_c=1.5e308)
+    if route == "blocks":
+        hamiltonian = sc.model._chain_sector(geo, model, False)
+        assert isinstance(hamiltonian, dynamics._ParityBlocks)
+    else:
+        hamiltonian = sc.sector_hamiltonian(sc.build_couplings(geo, model), False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sc.NumericsError, match=f"^eigenvalue 0 of {geo.n_sites} is -inf: the spectrum overflows$"):
+            sc.eigendecompose(hamiltonian)
+
+
 @pytest.fixture
 def entry_checks(monkeypatch):
     """The matrices whose entries eigendecompose checks for finiteness and symmetry."""

@@ -505,15 +505,15 @@ def test_time_scan_fine_grid_memory_on_202_position_chain():
 
 
 def test_time_scan_frees_the_couplings_before_diagonalizing():
-    # the 1000-position double-hole chain: J and H take 8 n^2 bytes each, and once the two
-    # half-size blocks are built H is freed, so the blocks, their eigenvectors and the half
-    # rows of V never come on top of it
+    # the 1000-position double-hole chain is built straight into its two half-size blocks,
+    # 0.5 * 8 n^2 bytes, with no n x n J or H; each block is freed once eigh has read it
     geo = dh_geometry(998)
     n = geo.n_sites
     _, peak, _ = traced_peak(lambda: sc.time_scan(geo, sc.CouplingModel.power_law()))
-    # measured: 2.003 * 8 n^2, J and H while H is built; it was 2.51 * 8 n^2 with H held through
-    # eigh, and 3.76 * 8 n^2 with J held too
-    assert peak <= 2.05 * 8 * n * n
+    # measured: 1.006 * 8 n^2 (1.003 at 2000 positions), the blocks' eigenvectors and the half
+    # rows of V they are copied into; it was 2.003 * 8 n^2 with J and H built, 2.51 * 8 n^2 with
+    # H held through eigh, and 3.76 * 8 n^2 with J held too
+    assert peak <= 1.05 * 8 * n * n
 
 
 def test_time_scan_theta_scales_concurrence():

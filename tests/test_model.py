@@ -11,7 +11,14 @@ import pytest
 
 import spinchannel as sc
 from oracles import full_hamiltonian
-from support import count_certifications, dh_geometry, random_couplings, random_symmetric, traced_peak
+from support import (
+    count_certifications,
+    count_scan_decompositions,
+    dh_geometry,
+    random_couplings,
+    random_symmetric,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------- geometry
@@ -420,6 +427,89 @@ def test_sector_matrix_is_read_only():
     ham = sc.sector_hamiltonian(coupl)
     with pytest.raises(ValueError):
         ham.matrix[0, 0] = 9.0
+
+
+# ---------------------------------------------------------------- parity blocks
+
+# (positions, sender, receiver, double hole), zz, nu, c, a: every length on both layouts, with each flag,
+# exponent and scale in turn, then an interior placement, 10 and 91 of 100 with holes at 11 and 90
+_MIRROR_CHAINS = [
+    ((64, 1, 64, False), True, 3.0, 1.0, 1.0),
+    ((64, 1, 64, True), False, 1.0, 1.0, 1.0),
+    ((65, 1, 65, False), False, 2.5, 0.75, 1.25),
+    ((65, 1, 65, True), True, 6.0, 1.0, 1.0),
+    ((101, 1, 101, False), True, 1.0, 2.0, 0.5),
+    ((101, 1, 101, True), False, 3.0, 1.0, 1.0),
+    ((999, 1, 999, False), False, 6.0, 1.0, 1.0),
+    ((999, 1, 999, True), True, 2.5, 0.75, 1.25),
+    ((1000, 1, 1000, False), True, 2.5, 1.0, 1.0),
+    ((1000, 1, 1000, True), False, 1.0, 0.75, 1.25),
+    ((2001, 1, 2001, False), False, 3.0, 1.0, 1.0),
+    ((2001, 1, 2001, True), True, 3.0, 1.0, 1.0),
+    ((100, 10, 91, True), True, 6.0, 1.0, 1.0),
+    ((100, 10, 91, True), False, 2.5, 0.75, 1.25),
+]
+
+
+def _general_and_chain_sector(geo, model, zz):
+    general = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model), zz))
+    sector = sc.model._chain_sector(geo, model, zz)
+    return general, sector
+
+
+@pytest.mark.parametrize(
+    ("layout", "zz", "nu", "c", "a"),
+    _MIRROR_CHAINS,
+    ids=[f"{p}_{s}_{r}{'_dh' if dh else ''}-{k}" for k, ((p, s, r, dh), *_) in enumerate(_MIRROR_CHAINS)],
+)
+def test_chain_sector_decomposes_as_the_general_path_bit_for_bit(layout, zz, nu, c, a):
+    span, sender, receiver, dh = layout
+    geo = sc.build_chain_geometry(span, sender, receiver, double_hole=dh)
+    general, sector = _general_and_chain_sector(geo, sc.CouplingModel.power_law(nu, c, a), zz)
+    # double-hole chains of 64 and 65 positions hold 62 and 63 sites, too few for the blocks
+    assert isinstance(sector, sc.dynamics._ParityBlocks) == (geo.n_sites >= sc.dynamics.MIRROR_SPLIT_MIN_SITES)
+    blocks = sc.eigendecompose(sector)
+    assert np.array_equal(blocks.eigenvalues, general.eigenvalues)
+    assert np.array_equal(blocks._held, general._held)
+    assert (blocks._signs is None) == (general._signs is None)
+    if general._signs is not None:
+        assert np.array_equal(blocks._signs, general._signs)
+
+
+@pytest.mark.parametrize(
+    ("geo", "model"),
+    [
+        (sc.build_chain_geometry(100, 1, 90, double_hole=True), sc.CouplingModel.power_law()),
+        (sc.build_chain_geometry(63), sc.CouplingModel.power_law()),
+        (sc.build_chain_geometry(100), sc.CouplingModel.mirror_periodic()),
+    ],
+    ids=["off_mirror", "short", "mirror_periodic"],
+)
+def test_other_chains_take_the_general_path(geo, model):
+    general, sector = _general_and_chain_sector(geo, model, True)
+    assert isinstance(sector, sc.SectorHamiltonian)
+    decomp = sc.eigendecompose(sector)
+    assert np.array_equal(decomp.eigenvalues, general.eigenvalues)
+    assert np.array_equal(decomp._held, general._held)
+
+
+@pytest.mark.parametrize(
+    ("changes", "message"),
+    [
+        # finite couplings, the middle rows' sums past the float range
+        ({"model": sc.CouplingModel.power_law(strength_c=1e308)}, "the couplings' row sums overflow: "),
+        ({"include_zz_diagonal": "no"}, "include_zz_diagonal must be True or False (got 'no')"),
+    ],
+    ids=["row_sums", "zz_flag"],
+)
+def test_chain_sector_rejects_what_the_general_path_rejects(monkeypatch, changes, message):
+    calls = count_scan_decompositions(monkeypatch)
+    arguments = {"model": sc.CouplingModel.power_law(), "include_zz_diagonal": True, **changes}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            sc.time_scan(sc.build_chain_geometry(100), **arguments)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- full Hamiltonian

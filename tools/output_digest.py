@@ -12,7 +12,8 @@ Items:
 - every file the CLI writes for the ``cli_mix`` configs (the README example
   ``bench`` among them) at each ``--cli-seed`` (default 3), for the
   ``BUILT_IN`` configs (among them an odd chain that takes the mirror
-  split), and for each ``--config`` file.
+  split, and one chain on each side of the parity-block choice), and for
+  each ``--config`` file.
 
 The chains and configs are those of ``perfbench/workloads.py`` in this
 checkout; ``spinchannel`` is imported from ``--src`` (default: this
@@ -42,8 +43,11 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 # small runs, seconds in all: the first four set each config key the cli_mix configs leave out to a value other
-# than its default; the last two split an odd chain (101 positions, dh = true: 99 spins), where the benchmark's
-# split chains are all even
+# than its default; the next two split an odd chain (101 positions, dh = true: 99 spins), where the benchmark's
+# split chains are all even; the last two take each side of the choice between parity blocks built from the
+# distance table and the general path, on chains the benchmark does not run: a complete power-law chain with
+# zz = false and nu, c and a off their defaults (blocks), and a double-hole chain whose receiver is not at the
+# end, so its positions are not mirror-symmetric (general path)
 BUILT_IN = {
     "power_law_time_scan": (
         "mode = time_scan\npositions = 11\nnu = 2.5\nc = 0.75\na = 1.25\nsender = 2\nreceiver = 10\n"
@@ -56,6 +60,10 @@ BUILT_IN = {
     "diagnostics": "mode = diagnostics\npositions = 10\nsender = 2\nreceiver = 9\nzz = false\nout = diagnostics\n",
     "odd_split_time_scan": "mode = time_scan\npositions = 101\ndh = true\nout = odd_split\n",
     "odd_split_diagnostics": "mode = diagnostics\npositions = 101\ndh = true\nout = odd_split\n",
+    "blocks_diagnostics": (
+        "mode = diagnostics\npositions = 100\nnu = 2.5\nc = 0.75\na = 1.25\nzz = false\nout = blocks\n"
+    ),
+    "off_mirror_time_scan": "mode = time_scan\npositions = 100\ndh = true\nreceiver = 90\nout = off_mirror\n",
 }
 
 
