@@ -117,7 +117,6 @@ _KEYS = {
     "coupling": ("model", "kind", _one_of(COUPLING_KINDS), MODES),
     "nu": ("model", "nu", _real, MODES),
     "c": ("model", "strength_c", _real, MODES),
-    "a": ("model", "spacing_a", _real, MODES),
     "lambda": ("model", "lam", _real, MODES),
     "zz": ("scan", "include_zz_diagonal", _flag, MODES),
     "theta": ("scan", "theta", _real, _SCAN_MODES),

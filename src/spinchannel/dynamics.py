@@ -260,8 +260,8 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
 
     ``t`` is a scalar or any array of times; ``to`` is one site index, a
     sequence of them, or None for every site.  The result has shape
-    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None).  A site index
-    is an integer (``operator.index``) in [0, n), else ValueError.
+    ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None).  Times must be
+    finite, a site index an integer (``operator.index``) in [0, n), else ValueError.
 
     The sum runs over exp(-i (E_j - Ebar) t), Ebar = (E_min + E_max) / 2,
     and is then multiplied by exp(-i Ebar t), so a large common energy
@@ -273,6 +273,8 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     about 3e-16 (``_exp_phases``).
     """
     times = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite (got {times[~np.isfinite(times)].flat[0]})")
     source = decomp._rows(_site_index("from_index", from_index, decomp.n))
     if to is None:
         targets = decomp.eigenvectors

@@ -43,8 +43,10 @@ class InitialStateParams:
 
 
 def _checked(modulus, label: str = "|f_sr|"):
-    """``modulus``, a precomputed |f| as the formulas below take it; ValueError if it exceeds 1 by over 1e-10."""
-    if (modulus > 1.0 + 1e-10).any():
+    """``modulus``, a precomputed |f| as the formulas below take it; ValueError past 1 + 1e-10, NumericsError if NaN."""
+    if not (modulus <= 1.0 + 1e-10).all():
+        if np.isnan(modulus).any():
+            raise NumericsError(f"{label} is nan")
         raise ValueError(f"{label} = {float(np.max(modulus))!r} exceeds 1 beyond tolerance")
     return modulus
 

@@ -145,28 +145,27 @@ def _real(name: str, value):
 class CouplingModel:
     """How pairwise couplings J_ij are generated from the geometry.
 
-    kind = "power_law":       J_ij = strength_c / (spacing_a * |p_i - p_j|)**nu
+    kind = "power_law":       J_ij = strength_c / |p_i - p_j|**nu
     kind = "mirror_periodic": J_{i,i+1} = (lam / 2) * sqrt(i (N - i)), else 0
     kind = "custom":          entries taken verbatim from ``custom_matrix``
 
     A custom model holds a CouplingMatrix, checked here once if an array is
-    given; any other kind takes none.  Every kind checks that nu, strength_c,
-    spacing_a and lam are real numbers, then ``not x > 0``, so NaN fails too.
+    given; any other kind takes none.  Every kind checks that nu, strength_c
+    and lam are finite reals > 0, so every power-law coupling is finite.
     """
 
     kind: str = "power_law"
     nu: float = 3.0
     strength_c: float = 1.0
-    spacing_a: float = 1.0
     lam: float = 2.0
     custom_matrix: CouplingMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in COUPLING_KINDS:
             raise ValueError(f"unknown coupling kind {self.kind!r}; expected one of {COUPLING_KINDS}")
-        for name in ("nu", "strength_c", "spacing_a", "lam"):
-            if not _real(name, getattr(self, name)) > 0:
-                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
+        for name in ("nu", "strength_c", "lam"):
+            if not 0.0 < _real(name, getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite (got {getattr(self, name)})")
         if self.kind == "custom":
             if self.custom_matrix is None:
                 raise ValueError("custom coupling model needs a custom_matrix")
@@ -176,8 +175,8 @@ class CouplingModel:
             raise ValueError(f"a {self.kind} coupling model takes no custom_matrix")
 
     @classmethod
-    def power_law(cls, nu: float = 3.0, strength_c: float = 1.0, spacing_a: float = 1.0) -> "CouplingModel":
-        return cls(kind="power_law", nu=nu, strength_c=strength_c, spacing_a=spacing_a)
+    def power_law(cls, nu: float = 3.0, strength_c: float = 1.0) -> "CouplingModel":
+        return cls(kind="power_law", nu=nu, strength_c=strength_c)
 
     @classmethod
     def mirror_periodic(cls, lam: float = 2.0) -> "CouplingModel":
@@ -257,10 +256,10 @@ def build_couplings(geometry: ChainGeometry, model: CouplingModel) -> CouplingMa
 
 
 def _power_law_table(pos: np.ndarray, model: CouplingModel) -> np.ndarray:
-    """strength_c / (spacing_a d)^nu by lattice distance d, 0 at d = 0; past the float range inf or NaN, unwarned."""
+    """strength_c / d^nu by lattice distance d, 0 at d = 0; a d^nu past the float range gives 0, unwarned."""
     d = np.arange(1, pos[-1] - pos[0] + 1, dtype=np.float64)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.concatenate(([0.0], model.strength_c / (model.spacing_a * d) ** model.nu))
+    with np.errstate(over="ignore"):
+        return np.concatenate(([0.0], model.strength_c / d**model.nu))
 
 
 def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
@@ -411,21 +410,18 @@ def _chain_sector(
     """``sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)``, for ``eigendecompose``.
 
     A power-law chain of at least MIRROR_SPLIT_MIN_SITES sites on
-    mirror-symmetric positions (p_i + p_{n-1-i} the same for every i) with a
-    finite distance table comes instead as the parity blocks ``eigendecompose``
-    would split that matrix into, bit for bit, folded from panels of J's first
-    ceil(n/2) rows with no n x n J or H.  Row n-1-i of J is row i reversed, so
-    its sum is taken on a reversed copy, as ``J.sum(axis=1)`` takes it.  Any
-    other chain, or input that fails a check, takes the general path.
+    mirror-symmetric positions (p_i + p_{n-1-i} the same for every i) comes
+    instead as the parity blocks ``eigendecompose`` would split that matrix
+    into, bit for bit, folded from panels of J's first ceil(n/2) rows with no
+    n x n J or H.  Row n-1-i of J is row i reversed, so its sum is taken on a
+    reversed copy, as ``J.sum(axis=1)`` takes it.
     """
     pos = np.asarray(geometry.positions)
     n, m = pos.size, pos.size // 2
-    mirror = model.kind == "power_law" and n >= MIRROR_SPLIT_MIN_SITES and (pos + pos[::-1] == pos[0] + pos[-1]).all()
-    table = _power_law_table(pos, model) if mirror else None
-    if table is None or not np.isfinite(table).all():
+    if not (model.kind == "power_law" and n >= MIRROR_SPLIT_MIN_SITES and (pos + pos[::-1] == pos[0] + pos[-1]).all()):
         return sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)
     _zz_flag(include_zz_diagonal)
-    blocks, row_sums = _ParityBlocks(n), np.empty(n)
+    table, blocks, row_sums = _power_law_table(pos, model), _ParityBlocks(n), np.empty(n)
     for lo in range(0, n - m, _PANEL_ROWS):
         panel = table[np.abs(pos[lo : min(lo + _PANEL_ROWS, n - m), None] - pos)]
         if include_zz_diagonal:

@@ -131,7 +131,6 @@ def _valid_configs(draw) -> RunConfig:
         "coupling": coupling,
         "nu": draw(_POSITIVE),
         "c": draw(_POSITIVE),
-        "a": draw(_POSITIVE),
         "lambda": draw(_POSITIVE),
         "zz": draw(st.booleans()),
         "out": draw(_STEMS),
@@ -192,7 +191,6 @@ _SET = {
     "coupling": "mirror_periodic",
     "nu": "2.5",
     "c": "0.5",
-    "a": "2",
     "lambda": "3",
     "zz": "false",
     "theta": "2",
@@ -250,7 +248,7 @@ def test_a_set_key_reaches_its_library_argument_and_an_omitted_key_passes_nothin
         else:
             assert name not in _library_calls(monkeypatch, tmp_path, omitted)[function], key
         checked += 1
-    assert checked == {"time_scan": 14, "size_scan": 10, "diagnostics": 10}[mode]
+    assert checked == {"time_scan": 13, "size_scan": 9, "diagnostics": 9}[mode]
 
 
 # ---------------------------------------------------------------- run outputs
@@ -595,18 +593,27 @@ def test_module_entry_point_rejects_a_bad_config_with_exit_2(tmp_path):
     assert "unknown key 'foo'" in done.stderr
 
 
+def test_main_rejects_the_lattice_spacing_key_with_exit_2(tmp_path, capsys):
+    # a lattice spacing a is folded into the strength: c = C / a^nu
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("mode = time_scan\npositions = 4\na = 2\n")
+    assert main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: line 3: unknown key 'a'\n"
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize(
     ("text", "code", "err"),
     [
-        # C / (a d)^nu overflows to inf, which the coupling matrix rejects
+        # lambda / 2 sqrt(i (N - i)) overflows to inf, which the coupling matrix rejects
         (
-            "mode = diagnostics\npositions = 6\nc = 1e308\na = 1e-10\n",
+            "mode = diagnostics\npositions = 6\ncoupling = mirror_periodic\nlambda = 1.7e308\n",
             2,
             "config error: coupling matrix has non-finite entries\n",
         ),
-        # the same on a chain long enough for the parity blocks
+        # the same on a chain long enough for the mirror split
         (
-            "mode = diagnostics\npositions = 100\nc = 1e308\na = 1e-10\n",
+            "mode = diagnostics\npositions = 100\ncoupling = mirror_periodic\nlambda = 1.7e308\n",
             2,
             "config error: coupling matrix has non-finite entries\n",
         ),

@@ -560,6 +560,33 @@ def test_propagate_rejects_a_site_index_outside_the_chain(from_index, to, messag
         sc.propagate(decomp, from_index, times, to=to)
 
 
+def _with_entry(times, k, value):
+    times = np.array(times)
+    times.flat[k] = value
+    return times
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "times",
+    [
+        lambda value: value,
+        # grids that are a progression but for the entry at fault
+        lambda value: _with_entry(np.linspace(0.0, 1.0, 9), -1, value),
+        lambda value: _with_entry(np.linspace(0.0, 1.0, 9), 4, value),
+        # a 2-D array, never a progression
+        lambda value: _with_entry([[0.3, 2.0], [0.1, 5.0]], 2, value),
+    ],
+    ids=["scalar", "progression_end", "progression_inside", "irregular"],
+)
+def test_propagate_rejects_a_time_that_is_not_finite(times, value):
+    # a NaN time would give NaN amplitudes silently, an infinite one NaN after a warning
+    decomp = _dipolar_decomp(8)
+    for to in (None, [0, 7]):
+        with pytest.raises(ValueError, match=f"^t must be finite \\(got {value}\\)$"):
+            sc.propagate(decomp, 0, times(value), to=to)
+
+
 def test_propagate_reads_site_indices_as_operator_index_does():
     decomp = _dipolar_decomp(8)
     times = np.linspace(0.0, 3.0, 7)

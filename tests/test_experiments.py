@@ -460,6 +460,21 @@ def test_a_broken_decomposition_scores_as_a_numerics_error():
         experiments._score_grid(decomp, 0, 2, sc.InitialStateParams(), np.linspace(0.0, 1.0, 5))
 
 
+def test_a_scan_whose_probes_go_nan_is_a_numerics_error(monkeypatch, tmp_path, capsys):
+    # the grid is scored as usual; every refinement probe is NaN
+    def broken(decomp, terms, t):
+        return np.full((3, len(t), 2), complex(math.nan, math.nan))
+
+    monkeypatch.setattr(experiments, "_amplitude_derivatives", broken)
+    with pytest.raises(sc.NumericsError, match="nan"):
+        sc.time_scan(dh_geometry(10), sc.CouplingModel.power_law())
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("mode = time_scan\npositions = 12\ndh = true\n")
+    assert cli.main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (tmp_path / "results").exists()
+
+
 def test_time_scan_dispersion_column_on_long_double_hole_chain():
     # 200 positions, 198 occupied, t up to 2.1e7 where |E_j| t reaches 5e9 rad.
     # The dispersion column (the clipped leak) equals the full-vector sum on

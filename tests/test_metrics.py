@@ -227,6 +227,22 @@ def test_leaked_weight_rejects_nan_amplitudes():
         sc.leaked_weight(np.array([0.5, math.nan]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    ("metric", "label"),
+    [
+        (lambda: sc.transfer_fidelity(math.nan), "|f_sr|"),
+        (lambda: sc.averaged_fidelity(np.array([0.5, complex(math.nan, 0.0)])), "|f_sr|"),
+        (lambda: sc.concurrence_closed_form(sc.InitialStateParams(), math.nan, 0.5), "|f_ss|"),
+        (lambda: sc.concurrence_closed_form(sc.InitialStateParams(), 0.5, np.array([math.nan])), "|f_sr|"),
+    ],
+    ids=["fidelity", "averaged_fidelity", "concurrence_ss", "concurrence_sr"],
+)
+def test_metrics_take_a_nan_amplitude_as_leaked_weight_does(metric, label):
+    # a broken decomposition, not a value to report
+    with pytest.raises(sc.NumericsError, match=f"^{re.escape(label)} is nan$"):
+        metric()
+
+
 def test_dispersion_complete_positive_and_above_dh():
     # at its own concurrence peak, the complete chain leaks a strictly
     # positive weight into the channel while the double-hole chain stays low

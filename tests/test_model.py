@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinchannel as sc
 from oracles import full_hamiltonian
@@ -135,10 +137,10 @@ def test_power_law_dipolar_values():
 
 def test_power_law_general_parameters():
     geo = sc.build_chain_geometry(4)
-    model = sc.CouplingModel.power_law(nu=2.0, strength_c=3.0, spacing_a=2.0)
+    model = sc.CouplingModel.power_law(nu=2.0, strength_c=0.75)
     J = sc.build_couplings(geo, model)
-    # J = C / (a d)^nu
-    assert J.entries[0, 3] == pytest.approx(3.0 / (2.0 * 3.0) ** 2, rel=1e-15)
+    # J = C / d^nu
+    assert J.entries[0, 3] == pytest.approx(0.75 / 3.0**2, rel=1e-15)
 
 
 def test_power_law_uses_lattice_distance_across_holes():
@@ -150,11 +152,11 @@ def test_power_law_uses_lattice_distance_across_holes():
 
 def test_power_law_table_matches_direct_formula():
     geo = sc.build_chain_geometry(300, 1, 300, double_hole=True)
-    model = sc.CouplingModel.power_law(nu=2.7, strength_c=1.3, spacing_a=0.9)
+    model = sc.CouplingModel.power_law(nu=2.7, strength_c=1.3)
     pos = np.asarray(geo.positions, dtype=np.float64)
     dist = np.abs(pos[:, None] - pos[None, :])
     with np.errstate(divide="ignore"):
-        direct = model.strength_c / (model.spacing_a * dist) ** model.nu
+        direct = model.strength_c / dist**model.nu
     np.fill_diagonal(direct, 0.0)
     assert np.array_equal(sc.build_couplings(geo, model).entries, direct)
 
@@ -175,8 +177,6 @@ def test_coupling_model_validation():
         sc.CouplingModel.power_law(nu=-1.0)
     with pytest.raises(ValueError):
         sc.CouplingModel.power_law(strength_c=0.0)
-    with pytest.raises(ValueError, match="spacing_a"):
-        sc.CouplingModel.power_law(spacing_a=0.0)
     with pytest.raises(ValueError):
         sc.CouplingModel.mirror_periodic(lam=0.0)
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_coupling_model_validation():
 
 @pytest.mark.parametrize(
     ("kind", "name"),
-    [("power_law", "nu"), ("power_law", "strength_c"), ("power_law", "spacing_a"), ("mirror_periodic", "lam")],
+    [("power_law", "nu"), ("power_law", "strength_c"), ("mirror_periodic", "lam")],
 )
 def test_coupling_model_rejects_nan_parameters(kind, name):
     # NaN fails at construction with the parameter's own message, not later
@@ -198,7 +198,7 @@ def test_coupling_model_rejects_nan_parameters(kind, name):
 
 @pytest.mark.parametrize(
     ("kind", "name"),
-    [("power_law", "lam"), ("mirror_periodic", "nu"), ("mirror_periodic", "spacing_a"), ("custom", "strength_c")],
+    [("power_law", "lam"), ("mirror_periodic", "nu"), ("mirror_periodic", "strength_c"), ("custom", "strength_c")],
 )
 def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
     matrix = np.zeros((2, 2)) if kind == "custom" else None
@@ -207,7 +207,7 @@ def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
 
 
 @pytest.mark.parametrize("value", ["3", 1 + 0j, None, [2.0], np.array([3.0]), np.array([3.0, 4.0])])
-@pytest.mark.parametrize("name", ["nu", "strength_c", "spacing_a", "lam"])
+@pytest.mark.parametrize("name", ["nu", "strength_c", "lam"])
 def test_coupling_model_rejects_parameters_that_are_not_real(name, value):
     # a ValueError naming the parameter, as for theta, phi and t_max, not a TypeError from the comparison
     with pytest.raises(ValueError, match=f"^{name} must be a real number \\(got {re.escape(repr(value))}\\)$"):
@@ -233,24 +233,52 @@ def test_custom_model_holds_its_checked_matrix():
         sc.CouplingModel.custom(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        sc.CouplingModel.power_law(spacing_a=1e-200),
-        sc.CouplingModel.power_law(strength_c=1e308, spacing_a=1e-3),
-        sc.CouplingModel.mirror_periodic(lam=1.7e308),
-    ],
-    ids=["divide", "overflow", "mirror_overflow"],
-)
-def test_overflowing_coupling_parameters_fail_without_a_warning(model):
-    # the entry check of CouplingMatrix alone reports the problem
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["nu", "strength_c", "lam"])
+def test_coupling_model_rejects_infinite_parameters(name, value):
+    # so a power-law distance table is finite by construction, whatever the model's kind
+    for kind in ("power_law", "mirror_periodic"):
+        with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite \\(got {value}\\)$"):
+            sc.CouplingModel(kind, **{name: value})
+
+
+def test_overflowing_coupling_parameters_fail_without_a_warning():
+    # lam / 2 sqrt(i (N - i)) overflows; the entry check of CouplingMatrix alone reports it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite entries"):
-            sc.build_couplings(sc.build_chain_geometry(6), model)
+            sc.build_couplings(sc.build_chain_geometry(6), sc.CouplingModel.mirror_periodic(lam=1.7e308))
         # a power past the float range still gives the exact zero it stands for
         J = sc.build_couplings(sc.build_chain_geometry(6), sc.CouplingModel.power_law(nu=2000.0))
     assert J.entries[0, 1] == 1.0 and np.all(np.triu(J.entries, k=2) == 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    nu=st.floats(),
+    strength_c=st.floats(),
+    span=st.integers(2, 2000),
+    mirror_span=st.integers(sc.dynamics.MIRROR_SPLIT_MIN_SITES + 2, 300),
+    sender=st.integers(1, 5),
+    dh=st.booleans(),
+)
+@example(nu=3.0, strength_c=math.inf, span=2000, mirror_span=66, sender=1, dh=True)
+@example(nu=1e-300, strength_c=1.7976931348623157e308, span=2000, mirror_span=66, sender=1, dh=False)
+def test_every_accepted_power_law_gives_a_finite_table_and_long_mirror_chains_their_blocks(
+    nu, strength_c, span, mirror_span, sender, dh
+):
+    # any float pair the model accepts, so the parity-block build needs no detour for a non-finite table
+    try:
+        model = sc.CouplingModel.power_law(nu, strength_c)
+    except ValueError:
+        return
+    assert np.isfinite(sc.model._power_law_table(np.array([1, span]), model)).all()
+    geo = sc.build_chain_geometry(mirror_span, sender, mirror_span + 1 - sender, double_hole=dh)
+    # without the S^z S^z diagonal no row sum is judged; two couplings near the float maximum may still sum
+    # past it in the fold, and eigendecompose reports that spectrum
+    with np.errstate(over="ignore"):
+        sector = sc.model._chain_sector(geo, model, False)
+    assert isinstance(sector, sc.dynamics._ParityBlocks)
 
 
 def test_array_holding_types_compare_by_identity():
@@ -431,23 +459,23 @@ def test_sector_matrix_is_read_only():
 
 # ---------------------------------------------------------------- parity blocks
 
-# (positions, sender, receiver, double hole), zz, nu, c, a: every length on both layouts, with each flag,
+# (positions, sender, receiver, double hole), zz, nu, c: every length on both layouts, with each flag,
 # exponent and scale in turn, then an interior placement, 10 and 91 of 100 with holes at 11 and 90
 _MIRROR_CHAINS = [
-    ((64, 1, 64, False), True, 3.0, 1.0, 1.0),
-    ((64, 1, 64, True), False, 1.0, 1.0, 1.0),
-    ((65, 1, 65, False), False, 2.5, 0.75, 1.25),
-    ((65, 1, 65, True), True, 6.0, 1.0, 1.0),
-    ((101, 1, 101, False), True, 1.0, 2.0, 0.5),
-    ((101, 1, 101, True), False, 3.0, 1.0, 1.0),
-    ((999, 1, 999, False), False, 6.0, 1.0, 1.0),
-    ((999, 1, 999, True), True, 2.5, 0.75, 1.25),
-    ((1000, 1, 1000, False), True, 2.5, 1.0, 1.0),
-    ((1000, 1, 1000, True), False, 1.0, 0.75, 1.25),
-    ((2001, 1, 2001, False), False, 3.0, 1.0, 1.0),
-    ((2001, 1, 2001, True), True, 3.0, 1.0, 1.0),
-    ((100, 10, 91, True), True, 6.0, 1.0, 1.0),
-    ((100, 10, 91, True), False, 2.5, 0.75, 1.25),
+    ((64, 1, 64, False), True, 3.0, 1.0),
+    ((64, 1, 64, True), False, 1.0, 1.0),
+    ((65, 1, 65, False), False, 2.5, 0.75),
+    ((65, 1, 65, True), True, 6.0, 1.0),
+    ((101, 1, 101, False), True, 1.0, 2.0),
+    ((101, 1, 101, True), False, 3.0, 1.0),
+    ((999, 1, 999, False), False, 6.0, 1.0),
+    ((999, 1, 999, True), True, 2.5, 0.75),
+    ((1000, 1, 1000, False), True, 2.5, 1.0),
+    ((1000, 1, 1000, True), False, 1.0, 0.75),
+    ((2001, 1, 2001, False), False, 3.0, 1.0),
+    ((2001, 1, 2001, True), True, 3.0, 1.0),
+    ((100, 10, 91, True), True, 6.0, 1.0),
+    ((100, 10, 91, True), False, 2.5, 0.75),
 ]
 
 
@@ -458,14 +486,14 @@ def _general_and_chain_sector(geo, model, zz):
 
 
 @pytest.mark.parametrize(
-    ("layout", "zz", "nu", "c", "a"),
+    ("layout", "zz", "nu", "c"),
     _MIRROR_CHAINS,
     ids=[f"{p}_{s}_{r}{'_dh' if dh else ''}-{k}" for k, ((p, s, r, dh), *_) in enumerate(_MIRROR_CHAINS)],
 )
-def test_chain_sector_decomposes_as_the_general_path_bit_for_bit(layout, zz, nu, c, a):
+def test_chain_sector_decomposes_as_the_general_path_bit_for_bit(layout, zz, nu, c):
     span, sender, receiver, dh = layout
     geo = sc.build_chain_geometry(span, sender, receiver, double_hole=dh)
-    general, sector = _general_and_chain_sector(geo, sc.CouplingModel.power_law(nu, c, a), zz)
+    general, sector = _general_and_chain_sector(geo, sc.CouplingModel.power_law(nu, c), zz)
     # double-hole chains of 64 and 65 positions hold 62 and 63 sites, too few for the blocks
     assert isinstance(sector, sc.dynamics._ParityBlocks) == (geo.n_sites >= sc.dynamics.MIRROR_SPLIT_MIN_SITES)
     blocks = sc.eigendecompose(sector)

@@ -46,11 +46,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # than its default; the next two split an odd chain (101 positions, dh = true: 99 spins), where the benchmark's
 # split chains are all even; the last two take each side of the choice between parity blocks built from the
 # distance table and the general path, on chains the benchmark does not run: a complete power-law chain with
-# zz = false and nu, c and a off their defaults (blocks), and a double-hole chain whose receiver is not at the
+# zz = false and nu and c off their defaults (blocks), and a double-hole chain whose receiver is not at the
 # end, so its positions are not mirror-symmetric (general path)
 BUILT_IN = {
     "power_law_time_scan": (
-        "mode = time_scan\npositions = 11\nnu = 2.5\nc = 0.75\na = 1.25\nsender = 2\nreceiver = 10\n"
+        "mode = time_scan\npositions = 11\nnu = 2.5\nc = 0.75\nsender = 2\nreceiver = 10\n"
         "zz = false\ntheta = 2\nphi = 1\nt_max = 12.5\ngrid_points = 500\nout = power_law\n"
     ),
     "mirror_time_scan": "mode = time_scan\npositions = 9\ncoupling = mirror_periodic\nlambda = 3\nout = mirror\n",
@@ -61,7 +61,7 @@ BUILT_IN = {
     "odd_split_time_scan": "mode = time_scan\npositions = 101\ndh = true\nout = odd_split\n",
     "odd_split_diagnostics": "mode = diagnostics\npositions = 101\ndh = true\nout = odd_split\n",
     "blocks_diagnostics": (
-        "mode = diagnostics\npositions = 100\nnu = 2.5\nc = 0.75\na = 1.25\nzz = false\nout = blocks\n"
+        "mode = diagnostics\npositions = 100\nnu = 2.5\nc = 0.75\nzz = false\nout = blocks\n"
     ),
     "off_mirror_time_scan": "mode = time_scan\npositions = 100\ndh = true\nreceiver = 90\nout = off_mirror\n",
 }
