@@ -135,7 +135,7 @@ def eigendecompose(hamiltonian) -> SpectralDecomposition:
     returns, and no output depends on them.  The matrix must be non-empty,
     square, finite and symmetric to 1e-12 (else ValueError), checked on
     every call: an array the caller holds may have been written since.
-    A spectrum that overflows the float range is a NumericsError.
+    A spectrum or parity block that overflows the float range is a NumericsError.
 
     A matrix of at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
     reversing the site order is diagonalized as its even and odd blocks,
@@ -205,13 +205,23 @@ class _ParityBlocks(list):
         k = min(len(panel), m - lo)
         rows = slice(lo, lo + k)
         near, far = panel[:k, :m], panel[:k, : n - m - 1 : -1]
-        np.add(near, far, out=even[rows, :m])
-        np.subtract(near, far, out=odd[rows])
-        middle = np.sqrt(2.0) * panel[:k, m : n - m]
+        # finite entries can fold past the float range; ``checked`` reports it after the build, past any row-sum check
+        with np.errstate(over="ignore"):
+            np.add(near, far, out=even[rows, :m])
+            np.subtract(near, far, out=odd[rows])
+            middle = np.sqrt(2.0) * panel[:k, m : n - m]
         even[rows, m:], even[m:, rows] = middle, middle.T
         if k < len(panel):
             # the panel ends at an odd chain's middle row, which the reversal leaves in place
             even[m, m] = panel[k, m]
+
+    def checked(self) -> _ParityBlocks:
+        """The blocks, once ``fold`` has written every row; a NumericsError if an entry overflowed."""
+        for name, block in zip(("even", "odd"), self):
+            if not np.isfinite(block).all():
+                i, k = np.argwhere(~np.isfinite(block))[0]
+                raise NumericsError(f"the mirror fold of H overflows: {name} block entry ({i}, {k}) is {block[i, k]}")
+        return self
 
 
 def _mirror_blocks(matrix: np.ndarray) -> _ParityBlocks | None:
@@ -230,7 +240,7 @@ def _mirror_blocks(matrix: np.ndarray) -> _ParityBlocks | None:
         if not np.abs(panel - matrix[::-1, ::-1][lo : lo + len(panel)]).max() <= tolerance:
             return None
         blocks.fold(panel, lo)
-    return blocks
+    return blocks.checked()
 
 
 def _mirror_eigh(blocks: _ParityBlocks) -> SpectralDecomposition:
@@ -261,7 +271,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     ``t`` is a scalar or any array of times; ``to`` is one site index, a
     sequence of them, or None for every site.  The result has shape
     ``shape(t) + shape(to)`` (``shape(t) + (n,)`` for None).  Times must be
-    finite, a site index an integer (``operator.index``) in [0, n), else ValueError.
+    finite reals (``_times``), a site index an integer (``operator.index``) in [0, n), else ValueError.
 
     The sum runs over exp(-i (E_j - Ebar) t), Ebar = (E_min + E_max) / 2,
     and is then multiplied by exp(-i Ebar t), so a large common energy
@@ -272,9 +282,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     it.  Past max|E - Ebar| max|t| = 2^26 rad each phase factor may move by
     about 3e-16 (``_exp_phases``).
     """
-    times = np.asarray(t, dtype=np.float64)
-    if not np.isfinite(times).all():
-        raise ValueError(f"t must be finite (got {times[~np.isfinite(times)].flat[0]})")
+    times = _times(t)
     source = decomp._rows(_site_index("from_index", from_index, decomp.n))
     if to is None:
         targets = decomp.eigenvectors
@@ -287,7 +295,7 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
         amplitudes = _phase_block(decomp, source, times) @ targets.T
     else:
         amplitudes = _progression_amplitudes(decomp, source, targets, *progression)
-    amplitudes *= np.expand_dims(_common_phase(decomp, times), tuple(range(times.ndim, amplitudes.ndim)))
+    amplitudes *= np.expand_dims(np.exp(-1j * decomp._midpoint * times), tuple(range(times.ndim, amplitudes.ndim)))
     return amplitudes
 
 
@@ -302,13 +310,29 @@ def _site_index(label: str, value, n: int) -> int:
     return index
 
 
-def _common_phase(decomp: SpectralDecomposition, times: np.ndarray) -> np.ndarray:
-    """exp(-i Ebar t) bit for bit as ``np.exp(-1j * Ebar * times)`` makes it: cos + i sin, a -0 angle taken as +0."""
-    angles = 0.0 - decomp._midpoint * times
-    phase = np.empty(times.shape, dtype=np.complex128)
-    np.cos(angles, out=phase.real)
-    np.sin(angles, out=phase.imag)
-    return phase
+def _real(name: str, value):
+    """``value`` if it is a scalar that compares with floats, not a bool or complex, else ValueError naming ``name``."""
+    try:
+        value < 0.0
+        real = np.ndim(value) == 0 and np.asarray(value).dtype.kind not in "bc"
+    except TypeError:
+        real = False
+    if not real:
+        raise ValueError(f"{name} must be a real number (got {value!r})")
+    return value
+
+
+def _times(t) -> np.ndarray:
+    """``t`` as float64, a float64 array itself; ValueError naming ``t`` unless each time is finite and ``_real``."""
+    # any t but an int or float array is read entry by entry, where np.asarray would take "1", True or None
+    if not (isinstance(t, np.ndarray) and t.dtype.kind in "iuf"):
+        t = np.array(t, dtype=object)
+        for value in t.flat:
+            _real("t", value)
+    times = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite (got {times[~np.isfinite(times)].flat[0]})")
+    return times
 
 
 def _phase_block(decomp: SpectralDecomposition, weights: np.ndarray, times: np.ndarray) -> np.ndarray:

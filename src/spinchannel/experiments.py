@@ -17,10 +17,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, _derivative_terms, eigendecompose
-from .dynamics import propagate
+from .dynamics import _real, propagate
 from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
 from .metrics import spectral_overlaps, two_qubit_effective
-from .model import ChainGeometry, CouplingModel, _chain_sector, _integer, _real, build_chain_geometry
+from .model import ChainGeometry, CouplingModel, _chain_sector, _integer, build_chain_geometry
 
 DEFAULT_GRID_POINTS = 2000
 

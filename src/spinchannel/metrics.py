@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError, SpectralDecomposition, _site_index
-from .model import _real
+from .dynamics import NumericsError, SpectralDecomposition, _real, _site_index
 
 _YY = np.array(
     [
@@ -107,12 +106,12 @@ def wootters_concurrence_oracle(
 ) -> float:
     """Concurrence of the reduced sender/receiver state, computed from scratch.
 
-    Builds the global n-qubit pure state with vacuum amplitude cos(theta/2)
-    and one-excitation amplitudes e^{-i phi} sin(theta/2) f_n, traces out
-    every site except sender and receiver, and evaluates the Wootters
-    formula C = max{0, l1 - l2 - l3 - l4} from the square-rooted eigenvalues
-    of rho rho_tilde, rho_tilde = (sy x sy) rho* (sy x sy).  Deliberately
-    shares no algebra with concurrence_closed_form so the two can be used as
+    The n-qubit pure state has vacuum amplitude cos(theta/2) and one-excitation amplitudes
+    c_k = e^{-i phi} sin(theta/2) f_k.  Traced down to the pair, in the basis |b_s b_r> = 00, 01,
+    10, 11, it is rho = |p><p| + w |00><00| with p = (cos(theta/2), c_r, c_s, 0) and
+    w = sum_{k not s, r} |c_k|^2, built in O(n).  The Wootters formula C = max{0, l1 - l2 - l3 - l4}
+    takes the square-rooted eigenvalues of rho rho_tilde, rho_tilde = (sy x sy) rho* (sy x sy).
+    Deliberately shares no algebra with concurrence_closed_form so the two can be used as
     independent cross-checks.
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -127,19 +126,10 @@ def wootters_concurrence_oracle(
         raise ValueError(f"amplitude vector norm^2 = {norm_sq!r} deviates from 1 beyond 1e-8")
 
     half = params.theta / 2.0
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    psi[0] = math.cos(half)
-    site_factor = np.exp(-1j * params.phi) * math.sin(half)
-    for k in range(n):
-        psi[1 << k] = site_factor * amps[k]
-    psi /= np.linalg.norm(psi)
-
-    # reduce to the (sender, receiver) pair: site k occupies bit k, which in
-    # the (2,)*n reshape is axis n-1-k
-    tensor = psi.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, (n - 1 - sender_index, n - 1 - receiver_index), (0, 1))
-    block = tensor.reshape(4, -1)
-    rho = block @ block.conj().T
+    excited = np.exp(-1j * params.phi) * math.sin(half) * amps
+    pure = np.array([math.cos(half), excited[receiver_index], excited[sender_index], 0.0])
+    rho = np.outer(pure, pure.conj())
+    rho[0, 0] += dispersion(excited, sender_index, receiver_index)
     rho /= np.trace(rho).real
 
     # The Wootters roots are the square-rooted eigenvalues of rho rho_tilde,
@@ -159,11 +149,8 @@ def wootters_concurrence_oracle(
 def dispersion(amplitudes: np.ndarray, sender_index: int, receiver_index: int) -> float:
     """Gamma^2(t) = sum over channel sites (all but sender/receiver) of |f_i|^2."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    sender_index, receiver_index = _check_pair(sender_index, receiver_index, amps.shape[0])
-    mask = np.ones(amps.shape[0], dtype=bool)
-    mask[sender_index] = False
-    mask[receiver_index] = False
-    return float(np.sum(np.abs(amps[mask]) ** 2))
+    pair = _check_pair(sender_index, receiver_index, amps.shape[0])
+    return float(np.sum(np.abs(np.delete(amps, pair)) ** 2))
 
 
 def leaked_weight(f_ss, f_sr):

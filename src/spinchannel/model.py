@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _PANEL_ROWS, MIRROR_SPLIT_MIN_SITES, _asymmetry, _ParityBlocks
+from .dynamics import _PANEL_ROWS, MIRROR_SPLIT_MIN_SITES, _asymmetry, _ParityBlocks, _real
 
 COUPLING_KINDS = ("power_law", "mirror_periodic", "custom")
 
@@ -127,18 +127,6 @@ def _integer(value, message: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{message} (got {value!r})") from None
-
-
-def _real(name: str, value):
-    """``value``; ValueError naming ``name`` and the value unless it is a scalar that compares with floats."""
-    try:
-        value < 0.0
-        scalar = np.ndim(value) == 0
-    except TypeError:
-        scalar = False
-    if not scalar:
-        raise ValueError(f"{name} must be a real number (got {value!r})")
-    return value
 
 
 @dataclass(frozen=True)
@@ -438,4 +426,4 @@ def _chain_sector(
         diagonal = _zz_diagonal(row_sums)
         np.fill_diagonal(even, diagonal[: n - m] + cross)
         np.fill_diagonal(odd, diagonal[:m] - cross[:m])
-    return blocks
+    return blocks.checked()

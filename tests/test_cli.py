@@ -628,6 +628,12 @@ def test_main_rejects_the_lattice_spacing_key_with_exit_2(tmp_path, capsys):
             3,
             "numerical failure: eigenvalue 0 of 70 is -inf: the spectrum overflows\n",
         ),
+        # finite couplings whose sum folds past the float range
+        (
+            "mode = diagnostics\npositions = 70\nc = 1.7e308\nzz = false\n",
+            3,
+            "numerical failure: the mirror fold of H overflows: even block entry (33, 34) is inf\n",
+        ),
         # d^2000 overflows for d >= 2, and 1 / inf = 0 is the right coupling there
         ("mode = time_scan\npositions = 4\nnu = 2000\ngrid_points = 100\n", 0, ""),
     ],

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinchannel as sc
-from spinchannel import cli, dynamics, experiments
+from spinchannel import cli, dynamics
 from oracles import full_hamiltonian, full_space_amplitude
 from support import (
     dh_geometry,
@@ -135,6 +135,28 @@ def test_a_spectrum_past_the_float_range_is_a_numerical_failure(route):
         warnings.simplefilter("error")
         with pytest.raises(sc.NumericsError, match=f"^eigenvalue 0 of {geo.n_sites} is -inf: the spectrum overflows$"):
             sc.eigendecompose(hamiltonian)
+
+
+@pytest.mark.parametrize(
+    ("span", "entry"),
+    # on 70 sites H[33, 34] + H[33, 35] = C + C/8; on 71 the middle column sqrt(2) H[34, 35] = sqrt(2) C
+    [(70, "(33, 34)"), (71, "(34, 35)")],
+)
+@pytest.mark.parametrize("route", ["split", "blocks"])
+def test_a_mirror_fold_past_the_float_range_is_a_numerical_failure(route, span, entry):
+    geo = sc.build_chain_geometry(span)
+    model = sc.CouplingModel.power_law(strength_c=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"^the mirror fold of H overflows: even block entry {re.escape(entry)} is inf$"
+        with pytest.raises(sc.NumericsError, match=message):
+            if route == "blocks":
+                sc.model._chain_sector(geo, model, False)
+            else:
+                sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model), False))
+        # with the S^z S^z diagonal the row sums overflow first, a rejected input on both routes
+        with pytest.raises(ValueError, match="^the couplings' row sums overflow: "):
+            sc.model._chain_sector(geo, model, True)
 
 
 @pytest.fixture
@@ -504,20 +526,6 @@ def test_progression_grid_matches_direct_phases(scan_chains, chain):
             assert np.max(np.abs(grid[rows] - direct)) <= 1e-12, (count, to)
 
 
-@pytest.mark.parametrize("span", [12, 202, 1000], ids=["dh12", "dh202", "dh1000"])
-def test_common_phase_is_bit_for_bit_exp_of_its_argument(span):
-    # on the chain's default scan window, which starts at t = 0, and at -0, so that
-    # the sign of a zero angle shows in the bytes whatever the sign of Ebar
-    geo = dh_geometry(span - 2)
-    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, sc.CouplingModel.power_law())))
-    overlaps = sc.spectral_overlaps(decomp, geo.sender_index, geo.receiver_index)
-    delta, _pair, _mass = sc.two_qubit_effective(decomp, overlaps)
-    window = np.linspace(0.0, experiments._WINDOW_PERIODS * math.pi / delta, experiments.DEFAULT_GRID_POINTS)
-    for times in (window, np.array([0.0, -0.0]), np.array(-0.0)):
-        expected = np.exp(-1j * decomp._midpoint * times)
-        assert dynamics._common_phase(decomp, times).tobytes() == expected.tobytes()
-
-
 def test_progression_grid_never_builds_the_phase_block():
     # 400 spins on 20000 points: the grid-by-spectrum phase block alone would take 128 MB
     geo = dh_geometry(400)
@@ -585,6 +593,48 @@ def test_propagate_rejects_a_time_that_is_not_finite(times, value):
     for to in (None, [0, 7]):
         with pytest.raises(ValueError, match=f"^t must be finite \\(got {value}\\)$"):
             sc.propagate(decomp, 0, times(value), to=to)
+
+
+@pytest.mark.parametrize("value", ["1", True, np.True_, None, 1 + 0j, np.complex128(1.0)], ids=repr)
+@pytest.mark.parametrize(
+    "times",
+    [lambda value: value, lambda value: [0.5, value], lambda value: np.array([[0.5, value]], dtype=object)],
+    ids=["alone", "list", "object_array"],
+)
+def test_propagate_takes_only_real_numbers_as_times(times, value):
+    # np.asarray would read "1" and True as 1.0, None as NaN, and a complex value with a warning or a TypeError
+    decomp = _dipolar_decomp(6)
+    with pytest.raises(ValueError, match=f"^t must be a real number \\(got {re.escape(repr(value))}\\)$"):
+        sc.propagate(decomp, 0, times(value), to=5)
+
+
+@pytest.mark.parametrize(
+    ("times", "entry"),
+    [
+        (np.array([True, False]), "True"),
+        (np.array([1 + 0j, 2.0]), "(1+0j)"),
+        (np.array(["1"]), "'1'"),
+        (np.array(1j), "1j"),
+    ],
+)
+def test_propagate_rejects_arrays_of_times_that_are_not_real(times, entry):
+    decomp = _dipolar_decomp(6)
+    with pytest.raises(ValueError, match=f"^t must be a real number \\(got {re.escape(entry)}\\)$"):
+        sc.propagate(decomp, 0, times, to=5)
+
+
+def test_propagate_reads_int_and_float_times_bit_for_bit():
+    decomp = _dipolar_decomp(6)
+    grid = np.linspace(0.0, 3.0, 7)
+    expected = sc.propagate(decomp, 0, grid, to=5)
+    for times in (grid.tolist(), [np.float64(t) for t in grid], grid.astype(object)):
+        assert sc.propagate(decomp, 0, times, to=5).tobytes() == expected.tobytes()
+    whole = np.arange(4.0)
+    for times in ([0, 1, 2, 3], np.arange(4), [np.int32(t) for t in range(4)]):
+        assert sc.propagate(decomp, 0, times, to=5).tobytes() == sc.propagate(decomp, 0, whole, to=5).tobytes()
+    assert sc.propagate(decomp, 0, 3, to=5) == sc.propagate(decomp, 0, 3.0, to=5)
+    # a float64 array is read in place
+    assert dynamics._times(grid) is grid
 
 
 def test_propagate_reads_site_indices_as_operator_index_does():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import spinchannel as sc
+from oracles import full_space_concurrence
+from spinchannel import experiments
 from support import dh_geometry, two_site_model
 
 
@@ -100,7 +102,18 @@ def test_initial_state_params_validation():
 
 
 @pytest.mark.parametrize(
-    ("name", "value"), [("theta", "1"), ("theta", None), ("theta", np.array([1.0])), ("phi", "0"), ("phi", 1j)]
+    ("name", "value"),
+    [
+        ("theta", "1"),
+        ("theta", None),
+        ("theta", np.array([1.0])),
+        ("theta", True),
+        ("phi", "0"),
+        ("phi", 1j),
+        # NumPy compares these with floats, yet they are not real numbers
+        ("phi", np.complex128(0.5)),
+        ("phi", np.False_),
+    ],
 )
 def test_initial_state_params_reject_angles_that_are_not_real(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a real number \\(got {re.escape(repr(value))}\\)"):
@@ -190,6 +203,43 @@ def test_wootters_oracle_agrees_with_closed_form():
         closed = sc.concurrence_closed_form(params, amps[s], amps[r])
         oracle = sc.wootters_concurrence_oracle(params, amps, s, r)
         assert oracle == pytest.approx(closed, abs=1e-10)
+
+
+def test_wootters_oracle_matches_the_full_space_partial_trace():
+    # random states, not only those of a chain; the 2^n reference runs up to 12 sites
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        n = int(rng.integers(2, 13))
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps /= np.linalg.norm(amps)
+        s, r = (int(i) for i in rng.choice(n, size=2, replace=False))
+        params = sc.InitialStateParams(
+            theta=float(rng.uniform(0.0, math.pi)),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        oracle = sc.wootters_concurrence_oracle(params, amps, s, r)
+        assert abs(oracle - full_space_concurrence(params, amps, s, r)) <= 1e-14, (n, s, r)
+
+
+def test_wootters_oracle_agrees_with_closed_form_at_1000_positions():
+    # the concurrence does not depend on the chain's size; a 2^998 state vector could not be built
+    geo = dh_geometry(998)
+    decomp = _decomp_for(geo, sc.CouplingModel.power_law())
+    s, r = geo.sender_index, geo.receiver_index
+    delta, _pair, _mass = sc.two_qubit_effective(decomp, sc.spectral_overlaps(decomp, s, r))
+    t_max = experiments._WINDOW_PERIODS * math.pi / delta
+    rng = np.random.default_rng(47)
+    # the entangling time, where C peaks, and random times in the default scan window
+    times = [math.pi / (2.0 * delta)] + list(rng.uniform(0.0, t_max, size=23))
+    for t in times:
+        params = sc.InitialStateParams(
+            theta=float(rng.uniform(0.0, math.pi)),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        amps = sc.propagate(decomp, s, t)
+        closed = sc.concurrence_closed_form(params, amps[s], amps[r])
+        oracle = sc.wootters_concurrence_oracle(params, amps, s, r)
+        assert abs(oracle - closed) <= 1e-10, t
 
 
 # ---------------------------------------------------------------- dispersion

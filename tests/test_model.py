@@ -206,7 +206,9 @@ def test_coupling_model_checks_parameters_its_kind_does_not_use(kind, name):
         sc.CouplingModel(kind=kind, custom_matrix=matrix, **{name: -1.0})
 
 
-@pytest.mark.parametrize("value", ["3", 1 + 0j, None, [2.0], np.array([3.0]), np.array([3.0, 4.0])])
+@pytest.mark.parametrize(
+    "value", ["3", 1 + 0j, None, [2.0], np.array([3.0]), np.array([3.0, 4.0]), True, np.complex128(2.0)]
+)
 @pytest.mark.parametrize("name", ["nu", "strength_c", "lam"])
 def test_coupling_model_rejects_parameters_that_are_not_real(name, value):
     # a ValueError naming the parameter, as for theta, phi and t_max, not a TypeError from the comparison
@@ -275,9 +277,12 @@ def test_every_accepted_power_law_gives_a_finite_table_and_long_mirror_chains_th
     assert np.isfinite(sc.model._power_law_table(np.array([1, span]), model)).all()
     geo = sc.build_chain_geometry(mirror_span, sender, mirror_span + 1 - sender, double_hole=dh)
     # without the S^z S^z diagonal no row sum is judged; two couplings near the float maximum may still sum
-    # past it in the fold, and eigendecompose reports that spectrum
-    with np.errstate(over="ignore"):
+    # past it in the fold, which the blocks report, with no warning
+    try:
         sector = sc.model._chain_sector(geo, model, False)
+    except sc.NumericsError as exc:
+        assert str(exc).startswith("the mirror fold of H overflows: ")
+        return
     assert isinstance(sector, sc.dynamics._ParityBlocks)
 
 
