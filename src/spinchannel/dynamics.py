@@ -283,20 +283,30 @@ def propagate(decomp: SpectralDecomposition, from_index: int, t, to=None):
     about 3e-16 (``_exp_phases``).
     """
     times = _times(t)
-    source = decomp._rows(_site_index("from_index", from_index, decomp.n))
-    if to is None:
-        targets = decomp.eigenvectors
-    else:
+    source = _site_index("from_index", from_index, decomp.n)
+    if to is not None:
         index = np.asarray(to)
         sites = [_site_index("to", site, decomp.n) for site in index.ravel().tolist()]
-        targets = decomp._rows(np.array(sites, dtype=np.intp).reshape(index.shape))
+        to = np.array(sites, dtype=np.intp).reshape(index.shape)
+    sums = _phase_free_sums(decomp, source, times, to)
+    # in place, but for a scalar time and target, whose sum is a NumPy scalar
+    return _common_phase(decomp._midpoint, times, sums, out=sums if sums.ndim else None)
+
+
+def _phase_free_sums(decomp: SpectralDecomposition, source: int, times: np.ndarray, to: np.ndarray | None):
+    """``propagate``'s sums before ``_common_phase``, g(t) = exp(i Ebar t) f(t), for the sites and times it checked."""
+    weights = decomp._rows(source)
+    targets = decomp.eigenvectors if to is None else decomp._rows(to)
     progression = _progression(times)
     if progression is None:
-        amplitudes = _phase_block(decomp, source, times) @ targets.T
-    else:
-        amplitudes = _progression_amplitudes(decomp, source, targets, *progression)
-    amplitudes *= np.expand_dims(np.exp(-1j * decomp._midpoint * times), tuple(range(times.ndim, amplitudes.ndim)))
-    return amplitudes
+        return _phase_block(decomp, weights, times) @ targets.T
+    return _progression_amplitudes(decomp, weights, targets, *progression)
+
+
+def _common_phase(midpoint: float, times: np.ndarray, sums: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f = exp(-i Ebar t) g for the sums g of ``_phase_free_sums`` at ``times``, Ebar = ``midpoint``; into ``out``."""
+    phase = np.exp(-1j * midpoint * times)
+    return np.multiply(sums, np.expand_dims(phase, tuple(range(times.ndim, sums.ndim))), out=out)
 
 
 def _site_index(label: str, value, n: int) -> int:

@@ -10,14 +10,14 @@ in the complete and double-hole layouts, the data that separates the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, _derivative_terms, eigendecompose
-from .dynamics import _real, propagate
+from .dynamics import NumericsError, SpectralDecomposition, _amplitude_derivatives, _common_phase, _derivative_terms
+from .dynamics import _phase_free_sums, _real, eigendecompose
 from .metrics import InitialStateParams, _averaged_fidelity, _checked, _concurrence, _fidelity, _leak, leakage_bound
 from .metrics import spectral_overlaps, two_qubit_effective
 from .model import ChainGeometry, CouplingModel, _chain_sector, _integer, build_chain_geometry
@@ -52,9 +52,13 @@ class TimeScanResult:
     """Scored time grid plus refined peaks and channel diagnostics.
 
     The grid is held as read-only columns, one entry per instant: times, the
-    amplitudes f_ss and f_sr, the fidelity, averaged fidelity, concurrence
-    and dispersion (the leaked weight 1 - |f_ss|^2 - |f_sr|^2), which never
-    exceeds dispersion_bound = n_sites * gamma_m.
+    fidelity, averaged fidelity, concurrence and dispersion (the leaked
+    weight 1 - |f_ss|^2 - |f_sr|^2), which never exceeds dispersion_bound =
+    n_sites * gamma_m.  They are the public metrics of the held phase-free
+    sums g = exp(i Ebar t) f bit for bit, and within 4 eps of those of f.
+    The amplitudes f_ss and f_sr, read-only columns too, are formed from g
+    on first read, as ``propagate`` forms them; from then on the result
+    holds both g and f, 16 * 2G bytes each for G instants.
 
     delta_eff, dominant_pair and dominant_pair_mass are None when the
     dominant spectral pair is degenerate (possible only when the scan window
@@ -62,8 +66,6 @@ class TimeScanResult:
     """
 
     times: np.ndarray
-    f_ss: np.ndarray
-    f_sr: np.ndarray
     fidelity: np.ndarray
     averaged_fidelity: np.ndarray
     concurrence: np.ndarray
@@ -79,6 +81,18 @@ class TimeScanResult:
     gamma_m: float
     dispersion_bound: float
     include_zz_diagonal: bool
+    # g at (sender, sender) and (sender, receiver), shape (G, 2), and Ebar
+    _sums: np.ndarray = field(repr=False)
+    _midpoint: float = field(repr=False)
+
+    f_ss = property(lambda self: self._amplitudes[:, 0])
+    f_sr = property(lambda self: self._amplitudes[:, 1])
+
+    @cached_property
+    def _amplitudes(self) -> np.ndarray:
+        amplitudes = _common_phase(self._midpoint, self.times, self._sums)
+        amplitudes.setflags(write=False)
+        return amplitudes
 
 
 @dataclass(frozen=True)
@@ -177,16 +191,16 @@ def _score_grid(
     params: InitialStateParams,
     times: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """The TimeScanResult columns for one grid, as read-only arrays."""
-    f_ss, f_sr = propagate(decomp, sender_index, times, to=(sender_index, receiver_index)).T
-    mod_ss, mod_sr = np.abs(f_ss), np.abs(f_sr)
+    """The TimeScanResult columns for one grid, the phase-free sums among them, as read-only arrays."""
+    sums = _phase_free_sums(decomp, sender_index, times, np.array((sender_index, receiver_index)))
+    g_ss, g_sr = sums.T
+    mod_ss, mod_sr = np.abs(g_ss), np.abs(g_sr)
     # conservation first, a NumericsError for a broken decomposition: it
     # bounds each modulus by sqrt(1 + 1e-10), so the moduli need no other check
     leak = _leak(mod_ss, mod_sr)
     columns = {
         "times": times,
-        "f_ss": f_ss,
-        "f_sr": f_sr,
+        "_sums": sums,
         "fidelity": _fidelity(mod_sr),
         "averaged_fidelity": _averaged_fidelity(mod_sr),
         "concurrence": _concurrence(params, mod_ss, mod_sr),
@@ -295,6 +309,7 @@ def time_scan(
 
     return TimeScanResult(
         **columns,
+        _midpoint=decomp._midpoint,
         peak_fidelity=peak_f,
         peak_concurrence=peak_c,
         t_max=float(t_max),
@@ -323,12 +338,16 @@ def size_scan(
     One row per size and layout, by size, then in CONFIGURATIONS order.  n
     counts occupied spins; the double-hole layout places them on a span of
     n + 2 positions, sender and receiver at the ends.  The model must be
-    generative and the sizes a non-empty list of integers (``operator.index``)
-    of at least 2, all checked before any scan; time_scan checks theta, phi
-    and grid_points at the first scan.
+    generative, the configurations a sequence of CONFIGURATIONS names (not
+    a bare string) and the sizes a non-empty list of integers
+    (``operator.index``) of at least 2, all checked before any scan;
+    time_scan checks theta, phi and grid_points at the first scan.
     """
     if model.kind == "custom":
         raise ValueError("size_scan cannot use a custom coupling matrix")
+    if isinstance(configurations, str):
+        # set() would read a bare name letter by letter
+        raise ValueError(f"configurations must be a sequence such as ('double_hole',) (got {configurations!r})")
     chosen = set(configurations)
     unknown = chosen - set(CONFIGURATIONS)
     if unknown:

@@ -99,7 +99,8 @@ def build_chain_geometry(
     (sender_pos + 1 and receiver_pos - 1) are removed, which suppresses the
     dominant nearest-neighbour leakage channels at both ends.  When sender
     and receiver sit 2 apart the two holes coincide and a single site is
-    removed.  Span, sender and receiver must be integers (``operator.index``).
+    removed.  Span, sender and receiver must be integers (``operator.index``),
+    ``double_hole`` a boolean (``_flag``).
     """
     span = _integer(span, "span must be an integer")
     sender_pos = _integer(sender_pos, "sender_pos must be an integer")
@@ -110,7 +111,7 @@ def build_chain_geometry(
             f"(got sender={sender_pos}, receiver={receiver_pos}, span={span})"
         )
     holes: set[int] = set()
-    if double_hole:
+    if _flag("double_hole", double_hole):
         if receiver_pos - sender_pos < 2:
             raise ValueError(
                 "double-hole layout needs receiver - sender >= 2 "
@@ -365,7 +366,7 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     the sector matrix is the bare hopping matrix of an XY chain.
     Couplings whose sums overflow the diagonal are a ValueError.
     """
-    _zz_flag(include_zz_diagonal)
+    _flag("include_zz_diagonal", include_zz_diagonal)
     J = couplings.entries
     # a write since J's check: eigendecompose sees it unless it is on the diagonal, so that is checked here
     _check_diagonal(J)
@@ -378,9 +379,11 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
     return SectorHamiltonian(matrix)
 
 
-def _zz_flag(include_zz_diagonal) -> None:
-    if not isinstance(include_zz_diagonal, (bool, np.bool_)):
-        raise ValueError(f"include_zz_diagonal must be True or False (got {include_zz_diagonal!r})")
+def _flag(name: str, value) -> bool:
+    """``value`` if it is True or False (a NumPy boolean too), else a ValueError naming ``name``, whatever its truth."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False (got {value!r})")
+    return value
 
 
 def _zz_diagonal(row_sums: np.ndarray) -> np.ndarray:
@@ -408,7 +411,7 @@ def _chain_sector(
     n, m = pos.size, pos.size // 2
     if not (model.kind == "power_law" and n >= MIRROR_SPLIT_MIN_SITES and (pos + pos[::-1] == pos[0] + pos[-1]).all()):
         return sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)
-    _zz_flag(include_zz_diagonal)
+    _flag("include_zz_diagonal", include_zz_diagonal)
     table, blocks, row_sums = _power_law_table(pos, model), _ParityBlocks(n), np.empty(n)
     for lo in range(0, n - m, _PANEL_ROWS):
         panel = table[np.abs(pos[lo : min(lo + _PANEL_ROWS, n - m), None] - pos)]

@@ -115,6 +115,17 @@ def test_build_chain_geometry_rejects_values_that_are_not_integers(args, message
         sc.build_chain_geometry(*args)
 
 
+def test_build_chain_geometry_takes_the_double_hole_flag_only_as_a_boolean():
+    # read by truth value, "no" built the double hole, positions (1, 3, 4, 5, 6, 8)
+    for flag, positions in ((False, tuple(range(1, 9))), (True, (1, 3, 4, 5, 6, 8))):
+        assert sc.build_chain_geometry(8, double_hole=flag).positions == positions
+        assert sc.build_chain_geometry(8, double_hole=np.bool_(flag)).positions == positions
+    for bad in ("no", "False", 0, 1, None, np.array([True])):
+        message = f"double_hole must be True or False \\(got {re.escape(repr(bad))}\\)"
+        with pytest.raises(ValueError, match=message):
+            sc.build_chain_geometry(8, double_hole=bad)
+
+
 def test_geometry_holds_numpy_integers_as_ints():
     geo = sc.ChainGeometry(np.array([1, 3, 4]), np.int64(1), np.int32(4))
     assert geo.positions == (1, 3, 4) and geo == sc.ChainGeometry((1, 3, 4), 1, 4)

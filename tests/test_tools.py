@@ -1,6 +1,7 @@
 """The repository's tools: the line counter of tools/src_lines.py, the summary of tools/ab_pairs.py and the
 encoding of tools/output_digest.py."""
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -144,3 +145,11 @@ def test_output_digest_built_in_configs_run_and_set_every_key_the_benchmark_leav
         items = dict(digest._cli_lines(cli, tmp_path / f"{label}.conf", label, tmp_path / label))
         assert items[f"{label}/exit"] == b"0", label
         assert f"{label}/{cli.parse_config(text).out}.csv" in items, label
+
+
+def test_output_digest_hashes_every_public_field_and_both_amplitudes(monkeypatch):
+    import spinchannel as sc
+
+    items = _output_digest(monkeypatch).SCAN_ITEMS
+    public = {field.name for field in dataclasses.fields(sc.TimeScanResult) if not field.name.startswith("_")}
+    assert len(set(items)) == len(items) and set(items) == public | {"f_ss", "f_sr"}

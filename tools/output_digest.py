@@ -4,7 +4,8 @@ Usage: python tools/output_digest.py [--src DIR] [--seed N ...] [--dh-seed N ...
                                      [--cli-seed N ...] [--config FILE ...]
 
 Items:
-- every ``TimeScanResult`` field (columns, peaks, ``t_max``, ``extended``,
+- every public ``TimeScanResult`` value (``SCAN_ITEMS``: columns, the
+  amplitudes ``f_ss`` and ``f_sr``, peaks, ``t_max``, ``extended``,
   ``delta_eff``, ``gamma_m`` and the rest) of the 36 ``sweep_small`` chains
   at each ``--seed`` (default 3 5 101);
 - the same fields of the 1000-position double-hole ``dh_large`` chain at each
@@ -27,7 +28,6 @@ on large matrices depend on the thread count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import os
 import sys
@@ -67,6 +67,14 @@ BUILT_IN = {
 }
 
 
+# named, not read from dataclasses.fields: the amplitudes are properties formed on first read, and one fixed
+# list keeps the lines of library versions that hold them either way comparable
+SCAN_ITEMS = tuple(
+    "times f_ss f_sr fidelity averaged_fidelity concurrence dispersion peak_fidelity peak_concurrence t_max "
+    "extended n_sites delta_eff dominant_pair dominant_pair_mass gamma_m dispersion_bound include_zz_diagonal".split()
+)
+
+
 def _encode(value) -> bytes:
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
@@ -84,8 +92,8 @@ def _digest(data: bytes) -> str:
 def _scan_lines(workloads, sc, name: str, seed: int, workdir: Path):
     for op in workloads.build(name, seed, sc, workdir).ops:
         result = op.call()
-        for item in dataclasses.fields(result):
-            yield f"{name}/seed={seed}/{op.label}/{item.name}", _encode(getattr(result, item.name))
+        for item in SCAN_ITEMS:
+            yield f"{name}/seed={seed}/{op.label}/{item}", _encode(getattr(result, item))
 
 
 def _cli_lines(cli, config: Path, label: str, out: Path):
