@@ -215,9 +215,16 @@ class _ParityBlocks(list):
             # the panel ends at an odd chain's middle row, which the reversal leaves in place
             even[m, m] = panel[k, m]
 
-    def checked(self) -> _ParityBlocks:
-        """The blocks, once ``fold`` has written every row; a NumericsError if an entry overflowed."""
+    def checked(self, diagonal: np.ndarray | None = None) -> _ParityBlocks:
+        """The blocks, once ``fold`` has written every row; a NumericsError if an entry overflowed.
+
+        Blocks folded from J take H's ``diagonal`` here: the fold of J left
+        +-J[i, n-1-i] on their diagonals, and the fold of H adds H_ii to both.
+        """
         for name, block in zip(("even", "odd"), self):
+            if diagonal is not None:
+                with np.errstate(over="ignore"):
+                    np.fill_diagonal(block, np.diagonal(block) + diagonal[: len(block)])
             if not np.isfinite(block).all():
                 i, k = np.argwhere(~np.isfinite(block))[0]
                 raise NumericsError(f"the mirror fold of H overflows: {name} block entry ({i}, {k}) is {block[i, k]}")

@@ -53,9 +53,10 @@ class TimeScanResult:
 
     The grid is held as read-only columns, one entry per instant: times, the
     fidelity, averaged fidelity, concurrence and dispersion (the leaked
-    weight 1 - |f_ss|^2 - |f_sr|^2), which never exceeds dispersion_bound =
-    n_sites * gamma_m.  They are the public metrics of the held phase-free
-    sums g = exp(i Ebar t) f bit for bit, and within 4 eps of those of f.
+    weight 1 - |f_ss|^2 - |f_sr|^2), which never exceeds dispersion_bound,
+    the bound ``leakage_bound`` gives for all t.  They are the public
+    metrics of the held phase-free sums g = exp(i Ebar t) f bit for bit,
+    and within 4 eps of those of f.
     The amplitudes f_ss and f_sr, read-only columns too, are formed from g
     on first read, as ``propagate`` forms them; from then on the result
     holds both g and f, 16 * 2G bytes each for G instants.

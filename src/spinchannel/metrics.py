@@ -4,8 +4,8 @@ State transfer is scored by the fidelity |f_sr|^2 and its average over input
 states, entanglement generation by the sender-receiver concurrence (closed
 form, cross-checked by a Wootters computation on the reduced 4x4 density
 matrix), and the effective two-qubit picture by per-eigenvector overlaps
-sigma_j, rho_j and gamma_sq_j, which bound the dispersion Gamma^2(t) by
-N * Gamma_M, Gamma_M = sum_j sigma_j^2 gamma_sq_j.
+sigma_j, rho_j and gamma_sq_j, which bound the dispersion Gamma^2(t) at
+every time (``leakage_bound``).
 """
 
 from __future__ import annotations
@@ -224,25 +224,38 @@ def spectral_overlaps(
 
 
 def leakage_bound(overlaps: SpectralOverlaps) -> tuple[float, float]:
-    """gamma_M = sum_j sigma_j^2 gamma_sq_j and the dispersion bound N * gamma_M.
+    """gamma_M = sum_j sigma_j^2 gamma_sq_j, and a bound on the dispersion Gamma^2(t) that holds for all t.
 
-    Gamma^2(t) <= N * gamma_M holds for all t, so a small gamma_M certifies
-    that the channel keeps the excitation on the sender/receiver pair.
+    For any set S of eigenvectors, the triangle inequality and then
+    orthonormality give
+
+        Gamma(t) <= sum_{j in S} |sigma_j| gamma_j + (sum_{j not in S} sigma_j^2)^{1/2},
+
+    gamma_j = sqrt(gamma_sq_j).  The bound is the square of the least right
+    side over the prefixes S of the eigenvectors by decreasing sigma_j^2,
+    empty and full included, so it never exceeds sum_j sigma_j^2 = 1 (S
+    empty) nor N * gamma_M (S full, then Cauchy-Schwarz).  A small bound
+    certifies that the channel keeps the excitation on the sender/receiver
+    pair.
     """
-    gamma_m = float(np.sum(overlaps.sigma**2 * overlaps.gamma_sq))
-    return gamma_m, overlaps.n * gamma_m
+    sig_sq = overlaps.sigma**2
+    weights = sig_sq * overlaps.gamma_sq
+    ascending = np.argsort(sig_sq, kind="stable")
+    # column i takes S as all but the i vectors of least sigma_j^2: row 0 sums their sigma_j^2, from the
+    # smallest so that short tails keep their digits, and row 1 the |sigma_j| gamma_j of S
+    sums = np.zeros((2, sig_sq.size + 1))
+    np.cumsum(sig_sq[ascending], out=sums[0, 1:])
+    np.cumsum(np.sqrt(weights[ascending[::-1]]), out=sums[1, -2::-1])
+    return float(np.sum(weights)), float(np.min(np.sqrt(sums[0]) + sums[1])) ** 2
 
 
 def structure_residuals(overlaps: SpectralOverlaps) -> np.ndarray:
-    """Per-eigenvector deviation from the ideal two-level structure.
+    """Per-eigenvector mirror imbalance |sigma_j^2 - rho_j^2|, which vanishes exactly for a true two-qubit system.
 
-    residuals[j] = | sigma_j^2 - rho_j^2 | + | sigma_j^2 + rho_j^2 -
-    (1 - gamma_sq_j) |, which vanishes exactly for a true two-qubit system
-    where each eigenvector splits evenly between sender and receiver.
+    There each eigenvector splits evenly between sender and receiver; that
+    the pair holds 1 - gamma_sq_j of it is SpectralOverlaps' sum rule.
     """
-    sig_sq = overlaps.sigma**2
-    rho_sq = overlaps.rho**2
-    return np.abs(sig_sq - rho_sq) + np.abs(sig_sq + rho_sq - (1.0 - overlaps.gamma_sq))
+    return np.abs(overlaps.sigma**2 - overlaps.rho**2)
 
 
 def two_qubit_effective(

@@ -46,14 +46,7 @@ class ChainGeometry:
     receiver_pos: int
 
     def __post_init__(self) -> None:
-        # read once, so the fallback loop sees the same values
-        positions = tuple(self.positions)
-        try:
-            positions = tuple(map(operator.index, positions))
-        except TypeError:
-            # the slow loop only to name the value at fault
-            positions = tuple(_integer(p, "positions must be integers") for p in positions)
-        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "positions", tuple(_integer(p, "positions must be integers") for p in self.positions))
         for name in ("sender_pos", "receiver_pos"):
             object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
         if len(self.positions) < 2:
@@ -258,12 +251,13 @@ def load_coupling_matrix(path: str | Path) -> CouplingMatrix:
     Entries may deviate from exact symmetry by at most 1e-12 (they are
     symmetrized); the diagonal must be zero to the same tolerance.
 
-    The file is read once, and ``np.loadtxt`` reads the rows, so an entry
-    is a real as NumPy reads it.  A wrong row count is reported before a
-    bad row, and a bad row names its line.  Memory grows with the rows
-    read, not with the N a header claims: about one N x N array.
+    The file is read once, as UTF-8 with any leading byte-order mark
+    skipped, and ``np.loadtxt`` reads the rows, so an entry is a real as
+    NumPy reads it.  A wrong row count is reported before a bad row, and a
+    bad row names its line.  Memory grows with the rows read, not with the
+    N a header claims: about one N x N array.
     """
-    with open(path) as file:
+    with open(path, encoding="utf-8-sig") as file:
         # str.splitlines per line, so the lines and their numbers are those of the whole text's splitlines
         lines = enumerate(chain.from_iterable(map(str.splitlines, file)), start=1)
         rows = (numbered for numbered in lines if _HOLDS_A_TOKEN(numbered[1]))
@@ -422,11 +416,4 @@ def _chain_sector(
                 row_sums[lo : lo + len(panel)] = panel.sum(axis=1)
                 row_sums[n - lo - k : n - lo] = panel[:k, ::-1].copy().sum(axis=1)[::-1]
         blocks.fold(panel, lo)
-    if include_zz_diagonal:
-        # the fold of J left J[i, n-1-i] where the fold of H adds it to H_ii (even) or subtracts it (odd)
-        even, odd = blocks
-        cross = np.diagonal(even).copy()
-        diagonal = _zz_diagonal(row_sums)
-        np.fill_diagonal(even, diagonal[: n - m] + cross)
-        np.fill_diagonal(odd, diagonal[:m] - cross[:m])
-    return blocks.checked()
+    return blocks.checked(_zz_diagonal(row_sums) if include_zz_diagonal else None)

@@ -77,8 +77,9 @@ def test_parse_size_scan_keys():
         parse_config("mode = size_scan\nn_max = 8\n")
     with pytest.raises(ConfigError, match="n_max"):
         parse_config("mode = size_scan\nn_min = 9\nn_max = 8\n")
-    with pytest.raises(ConfigError, match="configurations"):
-        parse_config("mode = size_scan\nn_min = 4\nn_max = 6\nconfigurations = ring\n")
+    # the CLI splits the names and strips them; size_scan judges them
+    config = parse_config("mode = size_scan\nn_min = 4\nn_max = 6\nconfigurations = ring , ,complete,\n")
+    assert config.scan == {"configurations": ("ring", "complete")}
 
 
 def test_parse_custom_coupling_constraints():
@@ -401,6 +402,40 @@ def test_run_keeps_earlier_outputs_when_a_later_write_fails(tmp_path, monkeypatc
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv"]
 
 
+def test_run_rolls_back_past_an_unlink_that_fails(tmp_path, monkeypatch):
+    config = parse_config("mode = time_scan\npositions = 4\ngrid_points = 50\nout = out\n")
+    (tmp_path / "out.csv").write_text("an earlier run\n")
+    replaced = []
+    replace = os.replace
+
+    def failing_replace(source, target):
+        # the first output moves into place, the second cannot
+        if replaced:
+            raise OSError(13, "Permission denied", str(target))
+        replace(source, target)
+        replaced.append(target)
+
+    unlink = Path.unlink
+    stuck = []
+
+    def failing_unlink(self, missing_ok=False):
+        # the rollback cannot remove the temporary still staged
+        if self.exists() and self.name.startswith(".out_summary.txt."):
+            stuck.append(self)
+            raise OSError(16, "Device or resource busy", str(self))
+        unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(Path, "unlink", failing_unlink)
+    with pytest.raises(OSError, match="Permission denied") as raised:
+        run(config, out_dir=tmp_path, quiet=True)
+    monkeypatch.undo()
+    assert raised.value.errno == 13
+    assert replaced == [tmp_path / "out.csv"] and len(stuck) == 1
+    # the replaced target and the moved temporary are gone; only the file the unlink failed on is left
+    assert list(tmp_path.iterdir()) == stuck
+
+
 def test_run_replaces_earlier_outputs_and_leaves_no_temporaries(tmp_path):
     config = parse_config("mode = time_scan\npositions = 4\ngrid_points = 50\nout = out\n")
     (tmp_path / "out.csv").write_text("an earlier run\n")
@@ -509,12 +544,12 @@ _SIZE = "mode = size_scan\nn_min = 4\nn_max = 6\n"
         ("mode = time_scan\npositions = \u0662\u0660\n", ("line 2", "positions", "integer")),
         (_TIME + "theta = 1_0e-1\n", ("line 3", "theta", "real number")),
         (_TIME + "t_max = \u0661\u0660\n", ("line 3", "t_max", "real number")),
-        (_TIME + "nu = inf\n", ("line 3", "nu", "finite")),
+        (_TIME + "nu = inf\n", ("nu must be > 0 and finite (got inf)",)),
         (_TIME + "coupling = ring\n", ("line 3", "coupling", "one of")),
         (_TIME + "coupling = mirror_periodic\nlambda = 0\n", ("lam", "must be > 0")),
         (_TIME + "phi = 7\n", ("phi must lie in",)),
         (_TIME + "t_max = 0\n", ("t_max must be > 0",)),
-        ("mode = size_scan\nn_min = 1\nn_max = 4\n", ("n_min must be >= 2",)),
+        ("mode = size_scan\nn_min = 1\nn_max = 4\n", ("every scanned size must be >= 2 (got 1)",)),
         ("mode = size_scan\nn_min = 5\nn_max = 4\n", ("n_max must be >= n_min",)),
         (_TIME + "out = a\\b\n", ("out must be a bare file stem",)),
         (_SIZE + "coupling = custom\ncoupling_file = j.txt\n", ("size_scan", "custom")),
@@ -551,6 +586,50 @@ def test_main_rejects_config_with_exit_2(tmp_path, capsys, text, fragments):
     for fragment in fragments:
         assert fragment in captured.err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (_TIME + "nu = inf\n", "nu must be > 0 and finite (got inf)"),
+        (_TIME + "c = nan\n", "strength_c must be > 0 and finite (got nan)"),
+        (_TIME + "lambda = inf\n", "lam must be > 0 and finite (got inf)"),
+        (_TIME + "theta = inf\n", "theta must lie in [0, pi] (got inf)"),
+        (_TIME + "t_max = nan\n", "t_max must be > 0 and finite (got nan)"),
+        (_SIZE + "configurations = ring\n", "unknown configurations: ['ring']; expected ('complete', 'double_hole')"),
+        (_SIZE + "configurations = ,\n", "configurations must not be empty"),
+        ("mode = size_scan\nn_min = 1\nn_max = 4\n", "every scanned size must be >= 2 (got 1)"),
+    ],
+)
+def test_main_leaves_each_value_rule_to_the_library(tmp_path, capsys, monkeypatch, text, message):
+    # the CLI parses these values, and the library rejects them before any eigh
+    parse_config(text)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran on a rejected input")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(text)
+    assert main([str(config_path), "--out", str(tmp_path / "results"), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]
+
+
+def test_main_reads_a_config_and_a_coupling_file_that_start_with_a_byte_order_mark(tmp_path):
+    matrix = "3\n0.0 1.0 0.5\n1.0 0.0 1.0\n0.5 1.0 0.0\n"
+    text = "mode = time_scan\npositions = 3\ncoupling = custom\ncoupling_file = j.txt\ngrid_points = 50\n"
+    outputs = []
+    for mark in ("", "\ufeff"):
+        folder = tmp_path / f"run{len(outputs)}"
+        folder.mkdir()
+        # as a Windows editor writes UTF-8 with a byte-order mark
+        (folder / "j.txt").write_text(mark + matrix, encoding="utf-8")
+        (folder / "run.conf").write_text(mark + text, encoding="utf-8")
+        assert main([str(folder / "run.conf"), "--out", str(folder / "results"), "--quiet"]) == 0
+        outputs.append({path.name: path.read_bytes() for path in (folder / "results").iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["time_scan.csv", "time_scan_summary.txt"]
 
 
 def test_main_rejects_undecodable_config_with_exit_2(tmp_path, capsys):

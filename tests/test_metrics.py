@@ -9,6 +9,7 @@ import pytest
 import spinchannel as sc
 from oracles import full_space_concurrence
 from spinchannel import experiments
+from spinchannel.model import _chain_sector
 from support import dh_geometry, two_site_model
 
 
@@ -409,14 +410,15 @@ def test_leakage_bound_two_sites():
 
 def test_leakage_bound_flat_channel_weights():
     # sigma_j^2 = rho_j^2 = 1/N with gamma_sq_j = (N-2)/N gives
-    # gamma_M = (N-2)/N, the extremal flat configuration
+    # gamma_M = (N-2)/N, the extremal flat configuration: the full prefix
+    # reads (sum_j |sigma_j| gamma_j)^2 = N - 2 = N gamma_M, the empty one 1
     n = 8
     sigma = np.full(n, 1.0 / math.sqrt(n))
     gamma_sq = np.full(n, (n - 2) / n)
     overlaps = sc.SpectralOverlaps(sigma, sigma.copy(), gamma_sq)
     gamma_m, bound = sc.leakage_bound(overlaps)
     assert gamma_m == pytest.approx((n - 2) / n, rel=1e-14)
-    assert bound == pytest.approx(n - 2, rel=1e-14)
+    assert bound == pytest.approx(1.0, rel=1e-14)
 
 
 def test_leakage_bound_dh_below_complete():
@@ -424,6 +426,55 @@ def test_leakage_bound_dh_below_complete():
     dh = sc.spectral_overlaps(_decomp_for(dh_geometry(10), dipolar), 0, 9)
     complete = sc.spectral_overlaps(_decomp_for(sc.build_chain_geometry(10), dipolar), 0, 9)
     assert sc.leakage_bound(dh)[0] < sc.leakage_bound(complete)[0]
+
+
+def _channel_dispersion_max(decomp, s, r, times):
+    """The largest Gamma^2(t) over ``times``, summed over every site but s and r."""
+    weights = np.abs(sc.propagate(decomp, s, times)) ** 2
+    return float(np.max(weights.sum(axis=1) - weights[:, s] - weights[:, r]))
+
+
+def test_leakage_bound_holds_on_a_dense_grid_and_never_exceeds_n_gamma_m():
+    rng = np.random.default_rng(15)
+    times = np.linspace(0.0, 60.0, 4001)
+    worst = 0.0
+    for trial in range(200):
+        n = int(rng.integers(4, 15))
+        if trial % 2:
+            # any real symmetric H: the bound rests on orthonormality alone
+            a = rng.normal(size=(n, n))
+            decomp = sc.eigendecompose(a + a.T)
+        else:
+            positions = np.sort(rng.choice(np.arange(1, 2 * n), size=n, replace=False))
+            model = sc.CouplingModel.power_law(nu=float(rng.uniform(1.0, 4.0)))
+            geo = sc.ChainGeometry(tuple(positions.tolist()), int(positions[0]), int(positions[-1]))
+            decomp = _decomp_for(geo, model, include_zz=bool(rng.integers(2)))
+        s, r = (int(i) for i in rng.choice(n, size=2, replace=False))
+        overlaps = sc.spectral_overlaps(decomp, s, r)
+        gamma_m, bound = sc.leakage_bound(overlaps)
+        largest = _channel_dispersion_max(decomp, s, r, times)
+        assert largest <= bound + 1e-12
+        assert bound <= min(1.0, n * gamma_m) * (1.0 + 1e-12)
+        worst = max(worst, largest / bound)
+    # the grid comes close to the bound on some chain, so the check has teeth
+    assert worst > 0.99
+
+
+def test_leakage_bound_stays_below_0_02_on_double_hole_chains_of_every_size():
+    dipolar = sc.CouplingModel.power_law()
+    for span in (12, 52, 202, 1000, 2000):
+        geo = sc.build_chain_geometry(span, double_hole=True)
+        s, r = geo.sender_index, geo.receiver_index
+        decomp = sc.eigendecompose(_chain_sector(geo, dipolar))
+        overlaps = sc.spectral_overlaps(decomp, s, r)
+        gamma_m, bound = sc.leakage_bound(overlaps)
+        # N * gamma_M grows with the chain (0.068 at 12 positions, 13.4 at 2000); the prefix bound does not
+        assert 0.0196 < bound < 0.02
+        assert bound < geo.n_sites * gamma_m
+        if span <= 202:
+            # over three transfer times of the dominant pair
+            times = np.linspace(0.0, 3.0 * math.pi / sc.two_qubit_effective(decomp, overlaps)[0], 2001)
+            assert _channel_dispersion_max(decomp, s, r, times) <= bound
 
 
 # ---------------------------------------------------------------- two-qubit picture
@@ -482,3 +533,12 @@ def test_structure_residual_consistency_check():
         gamma_m, _ = sc.leakage_bound(overlaps)
         recomputed = float(np.sum((1.0 - overlaps.gamma_sq) / 2.0 * overlaps.gamma_sq))
         assert recomputed == pytest.approx(gamma_m, abs=1e-8)
+
+
+def test_structure_residuals_are_the_mirror_imbalance():
+    # sender and receiver off the mirror pair of a 10-site chain, so the imbalance is far from zero
+    geo = sc.build_chain_geometry(10, 2, 8)
+    overlaps = sc.spectral_overlaps(_decomp_for(geo, sc.CouplingModel.power_law()), 1, 7)
+    residuals = sc.structure_residuals(overlaps)
+    assert np.array_equal(residuals, np.abs(overlaps.sigma**2 - overlaps.rho**2))
+    assert np.max(residuals) > 0.01
