@@ -36,7 +36,6 @@ from .model import (
     ChainGeometry,
     CouplingMatrix,
     CouplingModel,
-    SectorHamiltonian,
     build_chain_geometry,
     build_couplings,
     load_coupling_matrix,

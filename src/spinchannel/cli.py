@@ -3,9 +3,9 @@
 Usage: spinchannel <config-path> [--out <dir>] [--quiet]
 
 The configuration is a flat key=value text file in UTF-8 ('#' starts a
-comment; a leading byte-order mark is skipped).  Depending on ``mode`` the
-run writes a time-scan CSV plus a summary block, a size-scan CSV, or a
-per-eigenvector diagnostics table.  Exit codes:
+comment; a leading byte-order mark is skipped).  Every run writes
+``<out>.csv``, a time scan, a size scan or a per-eigenvector diagnostics
+table as ``mode`` asks, and ``<out>_summary.txt``.  Exit codes:
 0 success, 2 configuration error (any input the CLI or the library
 rejects), 3 numerical failure or out of memory.
 """
@@ -216,7 +216,7 @@ def _summary(fields) -> str:
     return "".join(f"{key} = {_text(value)}\n" for key, value in fields)
 
 
-def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
+def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[str, str]:
     result = time_scan(geometry, model, **config.scan)
     columns = {
         "t": result.times,
@@ -251,21 +251,18 @@ def _time_scan_payload(config: RunConfig, model: CouplingModel, geometry) -> tup
     fields.append(("dispersion_bound", result.dispersion_bound))
     fields.append(("t_max", result.t_max))
     fields.append(("window_extended", result.extended))
-    summary_text = _summary(fields)
-
-    files = [(f"{config.out}.csv", csv_text), (f"{config.out}_summary.txt", summary_text)]
-    return files, summary_text
+    return csv_text, _summary(fields)
 
 
-def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[list[tuple[str, str]], str]:
+def _size_scan_payload(config: RunConfig, model: CouplingModel) -> tuple[str, str]:
     rows = size_scan(range(config.n_min, config.n_max + 1), model, **config.scan)
     names = [field.name for field in dataclasses.fields(SizeScanRow)]
     csv_text = _csv({name: [getattr(row, name) for row in rows] for name in names})
     fields = [("mode", "size_scan"), ("rows", len(rows)), ("n_range", f"{config.n_min}..{config.n_max}")]
-    return [(f"{config.out}.csv", csv_text)], _summary(fields)
+    return csv_text, _summary(fields)
 
 
-def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[list[tuple[str, str]], str]:
+def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> tuple[str, str]:
     # a temporary, so what eigh does not need is freed before it runs
     decomp = eigendecompose(_chain_sector(geometry, model, **config.scan))
     overlaps = spectral_overlaps(decomp, geometry.sender_index, geometry.receiver_index)
@@ -284,13 +281,14 @@ def _diagnostics_payload(config: RunConfig, model: CouplingModel, geometry) -> t
     )
     fields = [("mode", "diagnostics"), ("n_sites", geometry.n_sites), ("gamma_m", gamma_m)]
     fields.append(("dispersion_bound", bound))
-    return [(f"{config.out}.csv", csv_text)], _summary(fields)
+    return csv_text, _summary(fields)
 
 
 def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> list[Path]:
-    """Execute a parsed configuration and write its output files.
+    """Execute a parsed configuration and write its two output files, ``<out>.csv`` and ``<out>_summary.txt``.
 
-    The library checks each value as this builds the geometry, the model
+    The summary is also what a run prints unless ``quiet``.  The library
+    checks each value as this builds the geometry, the model
     and the scan; its ValueError, or an OSError reading a coupling file, is
     re-raised as ConfigError.  Everything is computed before anything is
     written, so a rejected input or a numerical failure leaves no files
@@ -305,14 +303,15 @@ def run(config: RunConfig, out_dir: str | Path = ".", quiet: bool = False) -> li
         matrix = None if config.coupling_file is None else load_coupling_matrix(config.coupling_file)
         model = CouplingModel(**config.model, custom_matrix=matrix)
         if config.mode == "time_scan":
-            files, report = _time_scan_payload(config, model, geometry)
+            csv_text, report = _time_scan_payload(config, model, geometry)
         elif config.mode == "size_scan":
-            files, report = _size_scan_payload(config, model)
+            csv_text, report = _size_scan_payload(config, model)
         else:
-            files, report = _diagnostics_payload(config, model, geometry)
+            csv_text, report = _diagnostics_payload(config, model, geometry)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
+    files = [(f"{config.out}.csv", csv_text), (f"{config.out}_summary.txt", report)]
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     staged: list[Path] = []

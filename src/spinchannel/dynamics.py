@@ -16,18 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-# Mirror-symmetric matrices with at least this many rows are diagonalized as
-# two half-size blocks; below it a dense eigh takes well under a millisecond,
-# and small chains keep the outputs of the single call bit for bit.
-MIRROR_SPLIT_MIN_SITES = 64
-
-# mirror test tolerance in units of eps * max|H|; the row-sum rounding of
-# sector_hamiltonian leaves at most ~0.86 of them on mirror-symmetric chains
-_MIRROR_TOLERANCE_EPS = 16.0
-
-# rows per panel of the passes over whole matrices (the entry checks and the
-# mirror walk here, the power-law coupling and parity-block builds in model),
-# so each pass makes panel-sized temporaries, not n x n ones
+# rows per panel of the passes over whole matrices (the entry checks here, the
+# power-law coupling build and the parity-block fold in model), so each pass
+# makes panel-sized temporaries, not n x n ones
 _PANEL_ROWS = 64
 
 # a 1-D time array within this many eps * max|t| of t0 + k dt is a progression;
@@ -55,7 +46,7 @@ class SpectralDecomposition:
 
     ``SpectralDecomposition(eigenvalues, eigenvectors)`` takes a 1-D array
     of n >= 1 eigenvalues and an n x n V, else raises ValueError, and holds
-    all r = n rows.  A mirror split (``eigendecompose``) holds r = ceil(n/2)
+    all r = n rows.  A mirror split (``_mirror_eigh``) holds r = ceil(n/2)
     rows and ``_signs``, each column's parity: row n-1-i is row i times
     ``_signs``.  Held arrays are read-only; a float64 array passed in is held
     itself, so the caller's array is frozen too (others are copied).
@@ -129,40 +120,29 @@ class SpectralDecomposition:
 
 
 def eigendecompose(hamiltonian) -> SpectralDecomposition:
-    """Diagonalize a real symmetric Hamiltonian: an ndarray or an object with a ``matrix``.
+    """Diagonalize a real symmetric Hamiltonian: an ndarray, or the ``_ParityBlocks`` of a mirror chain.
 
     Eigenvalues come out ascending; column signs are those ``eigh``
-    returns, and no output depends on them.  The matrix must be non-empty,
-    square, finite and symmetric to 1e-12 (else ValueError), checked on
-    every call: an array the caller holds may have been written since.
-    A spectrum or parity block that overflows the float range is a NumericsError.
-
-    A matrix of at least MIRROR_SPLIT_MIN_SITES rows that is unchanged by
-    reversing the site order is diagonalized as its even and odd blocks,
-    about a quarter of the work, and every eigenvector comes out exactly
-    even or odd.  The result holds ceil(n/2) rows of V.  References to H
-    are dropped before the blocks go to ``eigh``, so on CPython 3.11 and
-    later a temporary passed straight in is freed by then.  A
-    ``_ParityBlocks``, which ``model`` builds for a long power-law mirror
-    chain in place of H, goes to ``eigh`` as it is.
+    returns, and no output depends on them.  An array goes to one dense
+    ``eigh`` as it is given; it must be non-empty, square, finite and
+    symmetric to 1e-12 (else ValueError), checked on every call: an array
+    the caller holds may have been written since.  ``_ParityBlocks``, which
+    ``model._chain_sector`` folds for a long mirror chain in place of H,
+    go to ``eigh`` block by block (``_mirror_eigh``); the result holds
+    ceil(n/2) rows of V.  A spectrum that overflows the float range is a
+    NumericsError.
     """
-    if isinstance(hamiltonian, _ParityBlocks):
-        blocks, matrix = hamiltonian, None
-    else:
-        matrix = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=np.float64)
+    blocks = hamiltonian if isinstance(hamiltonian, _ParityBlocks) else None
+    if blocks is None:
+        matrix = np.asarray(hamiltonian, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
             raise ValueError(f"expected a non-empty square matrix (got shape {matrix.shape})")
         if not _asymmetry(matrix) <= 1e-12:
             if not np.isfinite(matrix).all():
                 raise ValueError("matrix has non-finite entries")
             raise ValueError("matrix is not symmetric")
-        blocks = _mirror_blocks(matrix) if matrix.shape[0] >= MIRROR_SPLIT_MIN_SITES else None
     try:
-        if blocks is None:
-            decomp = SpectralDecomposition(*np.linalg.eigh(matrix))
-        else:
-            del matrix, hamiltonian
-            decomp = _mirror_eigh(blocks)
+        decomp = SpectralDecomposition(*np.linalg.eigh(matrix)) if blocks is None else _mirror_eigh(blocks)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from None
     finite = np.isfinite(decomp.eigenvalues)
@@ -229,25 +209,6 @@ class _ParityBlocks(list):
                 i, k = np.argwhere(~np.isfinite(block))[0]
                 raise NumericsError(f"the mirror fold of H overflows: {name} block entry ({i}, {k}) is {block[i, k]}")
         return self
-
-
-def _mirror_blocks(matrix: np.ndarray) -> _ParityBlocks | None:
-    """The parity blocks of H under the site reversal P; None unless max|H - P H P| is in tolerance.
-
-    The tolerance is _MIRROR_TOLERANCE_EPS * eps * max|H|.  Row n-1-i of
-    H - P H P is row i reversed and negated, so one walk over the first
-    ceil(n/2) rows tests a panel of them, then folds it into the blocks.
-    """
-    n = matrix.shape[0]
-    scale = max(float(matrix.max()), -float(matrix.min()))
-    tolerance = _MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
-    blocks = _ParityBlocks(n)
-    for lo in range(0, n - n // 2, _PANEL_ROWS):
-        panel = matrix[lo : min(lo + _PANEL_ROWS, n - n // 2)]
-        if not np.abs(panel - matrix[::-1, ::-1][lo : lo + len(panel)]).max() <= tolerance:
-            return None
-        blocks.fold(panel, lo)
-    return blocks.checked()
 
 
 def _mirror_eigh(blocks: _ParityBlocks) -> SpectralDecomposition:

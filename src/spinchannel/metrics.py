@@ -182,15 +182,19 @@ class SpectralOverlaps:
         n = sigma.shape[0]
         if rho.shape != (n,) or gamma_sq.shape != (n,):
             raise ValueError("sigma, rho, gamma_sq must have equal length")
+        if (gamma_sq < 0.0).any():
+            j = int(np.argmax(gamma_sq < 0.0))
+            raise ValueError(f"gamma_sq weights must be >= 0 (got {float(gamma_sq[j])!r} at j = {j})")
+        # written "not <=", so a NaN fails each check
         per_j = sigma**2 + rho**2 + gamma_sq
-        if np.max(np.abs(per_j - 1.0)) > 1e-10:
+        if not np.max(np.abs(per_j - 1.0)) <= 1e-10:
             raise ValueError("per-eigenvector weights do not sum to 1 within 1e-10")
         for label, total, target in (
             ("sigma", np.sum(sigma**2), 1.0),
             ("rho", np.sum(rho**2), 1.0),
             ("gamma_sq", np.sum(gamma_sq), float(n - 2)),
         ):
-            if abs(total - target) > 1e-10:
+            if not abs(total - target) <= 1e-10:
                 raise ValueError(
                     f"sum of {label} weights = {float(total)!r}, expected {target} within 1e-10"
                 )

@@ -24,9 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _PANEL_ROWS, MIRROR_SPLIT_MIN_SITES, _asymmetry, _ParityBlocks, _real
+from .dynamics import _PANEL_ROWS, _asymmetry, _ParityBlocks, _real
 
 COUPLING_KINDS = ("power_law", "mirror_periodic", "custom")
+
+# Generated mirror chains with at least this many sites are diagonalized as two
+# half-size parity blocks (``_chain_sector``); below it a dense eigh takes well
+# under a millisecond, and small chains keep the outputs of the single call.
+MIRROR_SPLIT_MIN_SITES = 64
 
 # whether a coupling-file line holds a token before any "#", as str.split() finds tokens
 _HOLDS_A_TOKEN = re.compile(r"\s*[^\s#]").match
@@ -333,20 +338,8 @@ def _tokens(line: str) -> list[str]:
     return line.split("#", 1)[0].split()
 
 
-@dataclass(frozen=True, eq=False)
-class SectorHamiltonian:
-    """Single-excitation block of the interaction: a real symmetric matrix, held read-only as CouplingMatrix holds J."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-
-def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> SectorHamiltonian:
-    """Restrict the interaction to states with exactly one excitation.
+def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = True) -> np.ndarray:
+    """Restrict the interaction to states with exactly one excitation: a new read-only N x N array.
 
     Off-diagonal elements are the hopping amplitudes J_nm.  With the S^z S^z
     part kept, site n acquires the diagonal energy
@@ -370,7 +363,8 @@ def sector_hamiltonian(couplings: CouplingMatrix, include_zz_diagonal: bool = Tr
         with np.errstate(over="ignore"):
             row_sums = J.sum(axis=1)
         np.fill_diagonal(matrix, _zz_diagonal(row_sums))
-    return SectorHamiltonian(matrix)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _flag(name: str, value) -> bool:
@@ -391,29 +385,38 @@ def _zz_diagonal(row_sums: np.ndarray) -> np.ndarray:
 
 def _chain_sector(
     geometry: ChainGeometry, model: CouplingModel, include_zz_diagonal: bool = True
-) -> SectorHamiltonian | _ParityBlocks:
+) -> np.ndarray | _ParityBlocks:
     """``sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)``, for ``eigendecompose``.
 
-    A power-law chain of at least MIRROR_SPLIT_MIN_SITES sites on
-    mirror-symmetric positions (p_i + p_{n-1-i} the same for every i) comes
-    instead as the parity blocks ``eigendecompose`` would split that matrix
-    into, bit for bit, folded from panels of J's first ceil(n/2) rows with no
-    n x n J or H.  Row n-1-i of J is row i reversed, so its sum is taken on a
-    reversed copy, as ``J.sum(axis=1)`` takes it.
+    The one place that decides whether a chain is split.  A generated chain
+    of at least MIRROR_SPLIT_MIN_SITES sites whose J equals its own site
+    reversal exactly comes instead as the parity blocks of that matrix, bit
+    for bit, folded from panels of J's first ceil(n/2) rows: every
+    mirror-periodic chain, its panels rows of its J, and every power-law
+    chain on mirror-symmetric positions (p_i + p_{n-1-i} the same for every
+    i), its panels gathered from the distance table with no n x n J or H.
+    Row n-1-i of J is row i reversed, so its sum is taken on a reversed
+    copy, as ``J.sum(axis=1)`` takes it.  Custom couplings are never split.
     """
     pos = np.asarray(geometry.positions)
     n, m = pos.size, pos.size // 2
-    if not (model.kind == "power_law" and n >= MIRROR_SPLIT_MIN_SITES and (pos + pos[::-1] == pos[0] + pos[-1]).all()):
+    mirror = model.kind == "mirror_periodic" or (
+        model.kind == "power_law" and (pos + pos[::-1] == pos[0] + pos[-1]).all()
+    )
+    if not (mirror and n >= MIRROR_SPLIT_MIN_SITES):
         return sector_hamiltonian(build_couplings(geometry, model), include_zz_diagonal)
+    J = build_couplings(geometry, model).entries if model.kind == "mirror_periodic" else None
+    table = _power_law_table(pos, model) if J is None else None
     _flag("include_zz_diagonal", include_zz_diagonal)
-    table, blocks, row_sums = _power_law_table(pos, model), _ParityBlocks(n), np.empty(n)
+    blocks, row_sums = _ParityBlocks(n), np.empty(n)
     for lo in range(0, n - m, _PANEL_ROWS):
-        panel = table[np.abs(pos[lo : min(lo + _PANEL_ROWS, n - m), None] - pos)]
+        hi = min(lo + _PANEL_ROWS, n - m)
+        panel = J[lo:hi] if table is None else table[np.abs(pos[lo:hi, None] - pos)]
         if include_zz_diagonal:
             k = min(len(panel), m - lo)
             # finite couplings can still sum past the float range; _zz_diagonal judges that
             with np.errstate(over="ignore"):
-                row_sums[lo : lo + len(panel)] = panel.sum(axis=1)
+                row_sums[lo:hi] = panel.sum(axis=1)
                 row_sums[n - lo - k : n - lo] = panel[:k, ::-1].copy().sum(axis=1)[::-1]
         blocks.fold(panel, lo)
     return blocks.checked(_zz_diagonal(row_sums) if include_zz_diagonal else None)

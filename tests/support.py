@@ -104,17 +104,11 @@ def reference_amplitudes(decomp: sc.SpectralDecomposition, from_index: int, time
     return np.array(rows)
 
 
-def transposed_mirror_test(matrix: np.ndarray) -> bool:
-    """The mirror test ``eigendecompose`` used before its row-pair form.
-
-    For symmetric H, H - P H P has the entries of A - A^T with A = H P, H
-    with its columns reversed; the test bounds their magnitudes by the same
-    tolerance, _MIRROR_TOLERANCE_EPS * eps * max|H|.
-    """
-    reversed_columns = matrix[:, ::-1]
-    scale = max(float(matrix.max()), -float(matrix.min()))
-    tolerance = sc.dynamics._MIRROR_TOLERANCE_EPS * np.finfo(np.float64).eps * scale
-    return bool(np.abs(reversed_columns - reversed_columns.T).max() <= tolerance)
+def parity_blocks(H: np.ndarray) -> sc.dynamics._ParityBlocks:
+    """The parity blocks of a mirror-symmetric H, folded from its first ceil(n/2) rows with no mirror test."""
+    blocks = sc.dynamics._ParityBlocks(len(H))
+    blocks.fold(H[: len(H) - len(H) // 2], 0)
+    return blocks.checked()
 
 
 def array_probe_scores(decomp, terms, params, t, which) -> np.ndarray:

@@ -201,7 +201,7 @@ def test_criterion_7_property_suite():
         s, r = geometry.sender_index, geometry.receiver_index
         n = geometry.n_sites
         for zz in (True, False):
-            H = sc.sector_hamiltonian(couplings, zz).matrix
+            H = sc.sector_hamiltonian(couplings, zz)
             decomp = sc.eigendecompose(H)
             flipped = sc.eigendecompose(-H)
             shifted = sc.eigendecompose(H + 0.7 * np.eye(n))

@@ -519,6 +519,31 @@ def test_main_reports_summary(tmp_path, capsys):
     assert "peak_fidelity" in captured.out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = time_scan\npositions = 6\ndh = true\ngrid_points = 64\n",
+        "mode = size_scan\nn_min = 3\nn_max = 4\ngrid_points = 64\n",
+        "mode = diagnostics\npositions = 6\n",
+    ],
+    ids=MODES,
+)
+def test_every_mode_keeps_its_summary_in_a_file(tmp_path, capsys, text):
+    # a quiet run loses nothing: its summary file holds what a run without --quiet prints after its file list
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(text)
+    mode = parse_config(text).mode
+    assert main([str(config_path), "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    names = [f"{mode}.csv", f"{mode}_summary.txt"]
+    assert sorted(path.name for path in (tmp_path / "quiet").iterdir()) == names
+    summary = (tmp_path / "quiet" / names[1]).read_bytes()
+    assert summary.startswith(f"mode = {mode}\n".encode())
+    assert main([str(config_path), "--out", str(tmp_path / "loud")]) == 0
+    listed = "".join(f"wrote {tmp_path / 'loud' / name}\n" for name in names)
+    assert capsys.readouterr().out.encode() == listed.encode() + summary
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     assert main([str(tmp_path / "absent.conf")]) == 2
     assert "config error" in capsys.readouterr().err

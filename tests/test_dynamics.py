@@ -15,11 +15,11 @@ from spinchannel import cli, dynamics
 from oracles import full_hamiltonian, full_space_amplitude
 from support import (
     dh_geometry,
+    parity_blocks,
     random_couplings,
     random_symmetric,
     reference_amplitudes,
     traced_peak,
-    transposed_mirror_test,
 )
 
 # the dense reference, bound before any test replaces np.linalg.eigh
@@ -65,12 +65,13 @@ def test_eigendecompose_reconstruction():
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-12
 
 
-def test_eigendecompose_accepts_wrapper_and_ndarray():
+def test_eigendecompose_accepts_a_read_only_array_and_a_writable_one():
     geo = sc.build_chain_geometry(4)
     J = sc.build_couplings(geo, sc.CouplingModel.power_law())
     ham = sc.sector_hamiltonian(J)
+    assert not ham.flags.writeable
     a = sc.eigendecompose(ham)
-    b = sc.eigendecompose(ham.matrix)
+    b = sc.eigendecompose(ham.copy())
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -89,26 +90,27 @@ def test_eigendecompose_rejects_bad_input():
 _NON_FINITE = [(value, site) for value in (np.inf, -np.inf, np.nan) for site in ("upper", "lower", "diagonal")]
 
 
-@pytest.mark.parametrize("wrap", [False, True], ids=["array", "hand_built"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["array", "read_only"])
 @pytest.mark.parametrize("n", [5, 130])
 @pytest.mark.parametrize(
     ("defect", "site", "message"),
     [(value, site, "non-finite entries") for value, site in _NON_FINITE]
     + [(2e-12, "upper", "not symmetric"), (2e-12, "lower", "not symmetric")],
 )
-def test_eigendecompose_rejects_one_bad_entry_without_a_warning(wrap, n, defect, site, message):
+def test_eigendecompose_rejects_one_bad_entry_without_a_warning(frozen, n, defect, site, message):
     # 130 rows span three panels of the entry check, and the entry sits in the last one;
-    # a SectorHamiltonian built by hand is checked as a bare array is
+    # a read-only array, as sector_hamiltonian returns, is checked as a writable one is
     H = random_symmetric(n, np.random.default_rng(n))
     i, k = {"upper": (n - 3, n - 1), "lower": (n - 1, n - 3), "diagonal": (n - 1, n - 1)}[site]
     if message == "not symmetric":
         H[i, k] += defect
     else:
         H[i, k] = defect
+    H.setflags(write=not frozen)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            sc.eigendecompose(sc.SectorHamiltonian(H) if wrap else H)
+            sc.eigendecompose(H)
 
 
 def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
@@ -123,7 +125,7 @@ def test_eigendecompose_rejects_an_overflowing_asymmetry_without_a_warning():
 @pytest.mark.parametrize("route", ["dense", "split", "blocks"])
 def test_a_spectrum_past_the_float_range_is_a_numerical_failure(route):
     # every entry is finite, yet LAPACK's eigenvalues overflow: 40 sites go to one dense eigh,
-    # 70 to the mirror split of H, or straight to the parity blocks model builds
+    # 70 to the parity blocks folded from H, or to those model builds
     geo = sc.build_chain_geometry(40 if route == "dense" else 70)
     model = sc.CouplingModel.power_law(strength_c=1.5e308)
     if route == "blocks":
@@ -131,6 +133,8 @@ def test_a_spectrum_past_the_float_range_is_a_numerical_failure(route):
         assert isinstance(hamiltonian, dynamics._ParityBlocks)
     else:
         hamiltonian = sc.sector_hamiltonian(sc.build_couplings(geo, model), False)
+        if route == "split":
+            hamiltonian = parity_blocks(hamiltonian)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(sc.NumericsError, match=f"^eigenvalue 0 of {geo.n_sites} is -inf: the spectrum overflows$"):
@@ -153,7 +157,7 @@ def test_a_mirror_fold_past_the_float_range_is_a_numerical_failure(route, span, 
             if route == "blocks":
                 sc.model._chain_sector(geo, model, False)
             else:
-                sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model), False))
+                parity_blocks(sc.sector_hamiltonian(sc.build_couplings(geo, model), False))
         # with the S^z S^z diagonal the row sums overflow first, a rejected input on both routes
         with pytest.raises(ValueError, match="^the couplings' row sums overflow: "):
             sc.model._chain_sector(geo, model, True)
@@ -173,21 +177,21 @@ def entry_checks(monkeypatch):
     return checked
 
 
-@pytest.mark.parametrize("span", [12, 1000])
+@pytest.mark.parametrize("span", [12, 132])
 def test_every_matrix_is_checked_once_whatever_built_it(entry_checks, span):
     ham = sc.sector_hamiltonian(sc.build_couplings(dh_geometry(span - 2), sc.CouplingModel.power_law()))
     decomps = []
-    # a built SectorHamiltonian, a hand-built one and a bare array of the same entries
-    for given in (ham, sc.SectorHamiltonian(ham.matrix), ham.matrix):
+    # the read-only array sector_hamiltonian built and a writable copy of it
+    for given in (ham, ham.copy()):
         entry_checks.clear()
         decomps.append(sc.eigendecompose(given))
-        assert len(entry_checks) == 1 and entry_checks[0] is ham.matrix
+        assert len(entry_checks) == 1 and entry_checks[0] is given
     for decomp in decomps[1:]:
         assert np.array_equal(decomp.eigenvalues, decomps[0].eigenvalues)
         assert np.array_equal(decomp.eigenvectors, decomps[0].eigenvectors)
     # a pickled copy comes back writable, and what is written to it is checked too
     copied = pickle.loads(pickle.dumps(ham))
-    copied.matrix[1, 0] = np.nan
+    copied[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite entries"):
         sc.eigendecompose(copied)
 
@@ -201,24 +205,6 @@ def test_couplings_written_after_their_check_are_rejected():
     big[0, 5] += 1.0
     with pytest.raises(ValueError, match="not symmetric"):
         sc.time_scan(dh_geometry(6), model)
-
-
-@pytest.mark.parametrize("n", [130, 131])
-@pytest.mark.parametrize("size", [15.0, 17.0])
-@pytest.mark.parametrize("where", ["upper", "lower", "middle", "across"])
-def test_mirror_decision_matches_the_transposed_test(n, size, where):
-    # a symmetric perturbation of size * eps * max|H| against the tolerance of 16 of them
-    H = sc.sector_hamiltonian(sc.build_couplings(dh_geometry(n), sc.CouplingModel.power_law())).matrix.copy()
-    i, k = {"upper": (3, 40), "lower": (n - 4, n - 41), "middle": (n // 2, 7), "across": (10, n - 30)}[where]
-    H[i, k] += size * np.finfo(np.float64).eps * np.abs(H).max()
-    H[k, i] = H[i, k]
-    assert (dynamics._mirror_blocks(H) is not None) == transposed_mirror_test(H) == (size < 16.0)
-    # both rows of an even chain's middle pair, and the diagonal middle entry of an odd one,
-    # which the site reversal leaves in place
-    for row in ((n - 1) // 2, n // 2):
-        M = H.copy()
-        M[row, row] += 100.0 * np.finfo(np.float64).eps * np.abs(H).max()
-        assert (dynamics._mirror_blocks(M) is not None) == transposed_mirror_test(M) == (n % 2 == 1 and size < 16.0)
 
 
 # ------------------------------------------------- mirror-symmetric split
@@ -240,7 +226,12 @@ def eigh_shapes(monkeypatch):
 def _dh_sector(span):
     geo = sc.build_chain_geometry(span, 1, span, double_hole=True)
     J = sc.build_couplings(geo, sc.CouplingModel.power_law())
-    return geo, sc.sector_hamiltonian(J).matrix
+    return geo, sc.sector_hamiltonian(J)
+
+
+def _dh_blocks(span):
+    """What ``time_scan`` diagonalizes for the double-hole chain of ``span`` positions: its parity blocks from 66 on."""
+    return sc.model._chain_sector(dh_geometry(span - 2), sc.CouplingModel.power_law())
 
 
 def _assert_same_decomposition_as_dense(H, decomp):
@@ -255,7 +246,7 @@ def _assert_same_decomposition_as_dense(H, decomp):
 @pytest.mark.parametrize("span, blocks", [(66, [(32, 32), (32, 32)]), (67, [(33, 33), (32, 32)])])
 def test_mirror_split_matches_dense_eigh(eigh_shapes, span, blocks):
     _geo, H = _dh_sector(span)
-    decomp = sc.eigendecompose(H)
+    decomp = sc.eigendecompose(_dh_blocks(span))
     assert eigh_shapes == blocks
     _assert_same_decomposition_as_dense(H, decomp)
 
@@ -264,7 +255,7 @@ def test_mirror_split_full_space_matches_sector(eigh_shapes):
     # global spin flip maps basis index b to 2^7 - 1 - b, the index reversal
     J = sc.build_couplings(sc.build_chain_geometry(7), sc.CouplingModel.power_law())
     H = full_hamiltonian(J, True)
-    full = sc.eigendecompose(H)
+    full = sc.eigendecompose(parity_blocks(H))
     assert eigh_shapes == [(64, 64), (64, 64)]
     _assert_same_decomposition_as_dense(H, full)
     sector = sc.eigendecompose(sc.sector_hamiltonian(J, True))
@@ -283,10 +274,18 @@ def test_nearly_mirror_symmetric_matrix_is_diagonalized_as_given(eigh_shapes):
     assert np.max(np.abs(decomp.eigenvalues - np.linalg.eigvalsh(H))) <= 1e-12
 
 
+def test_a_mirror_symmetric_array_is_diagonalized_as_given(eigh_shapes):
+    # only model._chain_sector splits a chain; an array, mirror-symmetric or not, takes one dense eigh
+    _geo, H = _dh_sector(132)
+    decomp = sc.eigendecompose(H)
+    assert eigh_shapes == [(130, 130)]
+    assert decomp._signs is None and decomp._held.shape == (130, 130)
+
+
 def test_mirror_split_keeps_dominant_pair_mirror_symmetric():
     # the pair's gap is ~1e-9 against |E| ~ 740; a dense eigh mixes it by ~2e-4
-    geo, H = _dh_sector(1000)
-    decomp = sc.eigendecompose(H)
+    geo = dh_geometry(998)
+    decomp = sc.eigendecompose(_dh_blocks(1000))
     overlaps = sc.spectral_overlaps(decomp, geo.sender_index, geo.receiver_index)
     _delta, pair, _mass = sc.two_qubit_effective(decomp, overlaps)
     for j in pair:
@@ -308,13 +307,13 @@ _SPLIT_CHAINS = {
 
 @pytest.fixture(scope="module")
 def split_chains():
-    """(geometry, sector matrix, decomposition) of each chain in _SPLIT_CHAINS."""
+    """(geometry, sector matrix, decomposition of the chain's parity blocks) of each chain in _SPLIT_CHAINS."""
     chains = {}
     for label, (span, layout) in _SPLIT_CHAINS.items():
         geo = sc.build_chain_geometry(span, 1, span, double_hole=layout == "dh")
         model = sc.CouplingModel.mirror_periodic() if layout == "mirror" else sc.CouplingModel.power_law()
-        H = sc.sector_hamiltonian(sc.build_couplings(geo, model), layout != "mirror").matrix
-        chains[label] = (geo, H, sc.eigendecompose(H))
+        H = sc.sector_hamiltonian(sc.build_couplings(geo, model), layout != "mirror")
+        chains[label] = (geo, H, sc.eigendecompose(sc.model._chain_sector(geo, model, layout != "mirror")))
     return chains
 
 
@@ -337,7 +336,7 @@ def test_split_eigenvectors_are_even_or_odd(split_chains, label):
 @pytest.mark.parametrize("label", list(_SPLIT_CHAINS))
 def test_split_rows_equal_the_assembled_eigenvectors(split_chains, label):
     geo, H, _decomp = split_chains[label]
-    decomp = sc.eigendecompose(H)
+    decomp = sc.eigendecompose(parity_blocks(H))
     n = decomp.n
     s, r = geo.sender_index, geo.receiver_index
     indices = [0, 1, n // 2, (n - 1) // 2, n - 2, n - 1, -1, -n, np.array([s, r]), np.array([[r, 3], [n // 2, s]])]
@@ -377,9 +376,8 @@ def test_split_overlaps_match_the_assembled_eigenvectors(split_chains, label):
 
 def test_split_decomposition_holds_half_an_eigenvector_matrix():
     # the 1000-position double-hole chain: V alone would take 8 n^2 bytes
-    _geo, H = _dh_sector(1000)
-    n = H.shape[0]
-    decomp, _peak, held = traced_peak(lambda: sc.eigendecompose(H))
+    n = 998
+    decomp, _peak, held = traced_peak(lambda: sc.eigendecompose(_dh_blocks(1000)))
     # half of V's bytes, plus a few length-n vectors (eigenvalues, rates, signs)
     assert held <= 8 * n * n / 2 + 64 * n
     assert decomp.eigenvectors.shape == (n, n)
@@ -387,8 +385,7 @@ def test_split_decomposition_holds_half_an_eigenvector_matrix():
 
 def test_split_eigenvectors_are_built_in_one_array():
     # the first read of V on the 1000-position double-hole chain makes V and nothing of its size besides
-    _geo, H = _dh_sector(1000)
-    decomp = sc.eigendecompose(H)
+    decomp = sc.eigendecompose(_dh_blocks(1000))
     n = decomp.n
     V, peak, _held = traced_peak(lambda: decomp.eigenvectors)
     assert peak <= 1.1 * 8 * n * n
@@ -398,7 +395,7 @@ def test_split_eigenvectors_are_built_in_one_array():
 
 def test_eigh_calls_per_chain(eigh_shapes):
     # long mirror chains take the split path; disordered and short ones do not
-    sc.eigendecompose(_dh_sector(200)[1])
+    sc.eigendecompose(_dh_blocks(200))
     assert eigh_shapes == [(99, 99), (99, 99)]
 
     eigh_shapes.clear()
@@ -411,7 +408,7 @@ def test_eigh_calls_per_chain(eigh_shapes):
     assert eigh_shapes == [(100, 100)]
 
     eigh_shapes.clear()
-    sc.eigendecompose(_dh_sector(12)[1])
+    sc.eigendecompose(_dh_blocks(12))
     assert eigh_shapes == [(10, 10)]
 
 
@@ -428,7 +425,7 @@ def test_eigh_failure_is_a_numerical_failure(monkeypatch, tmp_path, span, calls)
 
     monkeypatch.setattr(dynamics.np.linalg, "eigh", failing_eigh)
     with pytest.raises(sc.NumericsError, match="^eigendecomposition failed to converge: Eigenvalues did not converge$"):
-        sc.eigendecompose(_dh_sector(span)[1])
+        sc.eigendecompose(_dh_blocks(span))
     assert seen == calls
     seen.clear()
     config = tmp_path / "chain.conf"
@@ -499,8 +496,8 @@ def scan_chains():
         ("dh10", dh_geometry(10)),
         ("dh202", dh_geometry(200)),
     ):
-        J = sc.build_couplings(geo, sc.CouplingModel.power_law())
-        chains[label] = (sc.eigendecompose(sc.sector_hamiltonian(J)), geo.sender_index, geo.receiver_index)
+        decomp = sc.eigendecompose(sc.model._chain_sector(geo, sc.CouplingModel.power_law()))
+        chains[label] = (decomp, geo.sender_index, geo.receiver_index)
     return chains
 
 
@@ -529,8 +526,7 @@ def test_progression_grid_matches_direct_phases(scan_chains, chain):
 def test_progression_grid_never_builds_the_phase_block():
     # 400 spins on 20000 points: the grid-by-spectrum phase block alone would take 128 MB
     geo = dh_geometry(400)
-    J = sc.build_couplings(geo, sc.CouplingModel.power_law())
-    decomp = sc.eigendecompose(sc.sector_hamiltonian(J))
+    decomp = sc.eigendecompose(sc.model._chain_sector(geo, sc.CouplingModel.power_law()))
     s, r = geo.sender_index, geo.receiver_index
     times = np.linspace(0.0, 1e6, 20000)
     _, peak, _ = traced_peak(lambda: sc.propagate(decomp, s, times, to=(s, r)))
@@ -656,8 +652,7 @@ def test_amplitude_derivatives_match_differences_of_propagate(chain):
         s, r = 0, 7
     else:
         geo = dh_geometry(200)
-        J = sc.build_couplings(geo, sc.CouplingModel.power_law())
-        decomp = sc.eigendecompose(sc.sector_hamiltonian(J))
+        decomp = sc.eigendecompose(sc.model._chain_sector(geo, sc.CouplingModel.power_law()))
         s, r = geo.sender_index, geo.receiver_index
     t = np.concatenate(([0.0, 100.0], rng.uniform(0.0, 100.0, size=6)))
     g, slope, curvature = _derivatives(decomp, s, t, (s, r))
@@ -681,7 +676,7 @@ def test_amplitude_derivatives_match_differences_of_propagate(chain):
 def test_reduced_phases_agree_with_exact_phases_at_least_as_closely(monkeypatch):
     # the scan window of the 1000-position chain is ~2.7e9, so max|E - Ebar| t reaches ~9e9 rad
     geo = dh_geometry(998)
-    decomp = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, sc.CouplingModel.power_law())))
+    decomp = sc.eigendecompose(sc.model._chain_sector(geo, sc.CouplingModel.power_law()))
     s, r = geo.sender_index, geo.receiver_index
     t_max = 2.66e9
     assert dynamics._REDUCE_PHASES_ABOVE < decomp._half_width * t_max <= dynamics._REDUCE_PHASES_UP_TO
@@ -770,8 +765,8 @@ def test_mirror_chain_transfer_amplitude_matches_closed_form_at_1000_sites():
     # f_1N(t) = (-i sin(lam t / 2))^(N - 1) on the mirror-periodic chain
     # (Christandl et al., PRL 92, 187902, 2004); the grid is a progression
     n, lam = 1000, 2.0
-    J = sc.build_couplings(sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam=lam))
-    decomp = sc.eigendecompose(sc.sector_hamiltonian(J, False))
+    geo, model = sc.build_chain_geometry(n), sc.CouplingModel.mirror_periodic(lam=lam)
+    decomp = sc.eigendecompose(sc.model._chain_sector(geo, model, False))
     times = np.linspace(0.0, 2.0 * math.pi / lam, 2000)
 
     def closed_form(t):
@@ -794,7 +789,7 @@ def test_propagation_invariants_on_random_couplings(n, seed, t_max, shift):
     # grid are checked.  The two eigh calls round |E| <~ 60 apart by
     # ~eps |E|, which t turns into phase: t <= 5 keeps that below ~3e-13.
     rng = np.random.default_rng(seed)
-    H = sc.sector_hamiltonian(random_couplings(n, rng)).matrix
+    H = sc.sector_hamiltonian(random_couplings(n, rng))
     decomp = sc.eigendecompose(H)
     shifted = sc.eigendecompose(H + shift * np.eye(n))
     s, r = sorted(rng.choice(n, size=2, replace=False).tolist())

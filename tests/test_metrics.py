@@ -14,8 +14,7 @@ from support import dh_geometry, two_site_model
 
 
 def _decomp_for(geometry, model, include_zz=True):
-    J = sc.build_couplings(geometry, model)
-    return sc.eigendecompose(sc.sector_hamiltonian(J, include_zz))
+    return sc.eigendecompose(_chain_sector(geometry, model, include_zz))
 
 
 def _averaged_fidelity_quadrature(modulus: float) -> float:
@@ -353,6 +352,22 @@ def test_spectral_overlaps_type_rejects_inconsistent_weights():
     ],
 )
 def test_spectral_overlaps_type_rejects_mismatched_lengths_and_totals(sigma, rho, gamma_sq, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        sc.SpectralOverlaps(np.array(sigma), np.array(rho), np.array(gamma_sq))
+
+
+@pytest.mark.parametrize(
+    ("sigma", "gamma_sq", "pattern"),
+    [
+        # a NaN compares false with every bound, so no sum rule may read "> tolerance"
+        ([math.nan, 1.0, 0.0], [0.0, 0.0, 1.0], r"^per-eigenvector weights do not sum to 1 within 1e-10$"),
+        # every sum rule holds, but leakage_bound would take the square root of -0.5
+        ([1.0, 0.0, 0.0], [-0.5, 0.5, 1.0], r"^gamma_sq weights must be >= 0 \(got -0\.5 at j = 0\)$"),
+    ],
+    ids=["nan", "negative"],
+)
+def test_spectral_overlaps_type_rejects_nan_and_negative_weights(sigma, gamma_sq, pattern):
+    rho = [math.sqrt(0.5), math.sqrt(0.5), 0.0]
     with pytest.raises(ValueError, match=pattern):
         sc.SpectralOverlaps(np.array(sigma), np.array(rho), np.array(gamma_sq))
 

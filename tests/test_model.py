@@ -17,6 +17,7 @@ from support import (
     count_certifications,
     count_scan_decompositions,
     dh_geometry,
+    parity_blocks,
     random_couplings,
     random_symmetric,
     traced_peak,
@@ -271,7 +272,7 @@ def test_overflowing_coupling_parameters_fail_without_a_warning():
     nu=st.floats(),
     strength_c=st.floats(),
     span=st.integers(2, 2000),
-    mirror_span=st.integers(sc.dynamics.MIRROR_SPLIT_MIN_SITES + 2, 300),
+    mirror_span=st.integers(sc.model.MIRROR_SPLIT_MIN_SITES + 2, 300),
     sender=st.integers(1, 5),
     dh=st.booleans(),
 )
@@ -305,7 +306,6 @@ def test_array_holding_types_compare_by_identity():
     decomp = sc.eigendecompose(ham)
     pairs = [
         (sc.CouplingMatrix(couplings.entries), sc.CouplingMatrix(couplings.entries)),
-        (sc.SectorHamiltonian(ham.matrix), sc.SectorHamiltonian(ham.matrix)),
         (sc.spectral_overlaps(decomp, 0, 3), sc.spectral_overlaps(decomp, 0, 3)),
         (sc.time_scan(geo, sc.CouplingModel.power_law()), sc.time_scan(geo, sc.CouplingModel.power_law())),
     ]
@@ -393,9 +393,9 @@ def test_sector_two_site_matrix():
     J = 0.7
     coupl = sc.CouplingMatrix(np.array([[0.0, J], [J, 0.0]]))
     with_zz = sc.sector_hamiltonian(coupl, include_zz_diagonal=True)
-    assert np.allclose(with_zz.matrix, [[J, J], [J, J]], atol=1e-15)
+    assert np.allclose(with_zz, [[J, J], [J, J]], atol=1e-15)
     bare = sc.sector_hamiltonian(coupl, include_zz_diagonal=False)
-    assert np.array_equal(bare.matrix, coupl.entries)
+    assert np.array_equal(bare, coupl.entries)
 
 
 def test_sector_diagonal_formula():
@@ -406,8 +406,8 @@ def test_sector_diagonal_formula():
     total = sum(J[i, j] for i in range(5) for j in range(i + 1, 5))
     for n in range(5):
         row = sum(J[n, j] for j in range(5) if j != n)
-        assert ham.matrix[n, n] == pytest.approx(2.0 * row - total, rel=1e-12)
-    off = ham.matrix - np.diag(np.diagonal(ham.matrix))
+        assert ham[n, n] == pytest.approx(2.0 * row - total, rel=1e-12)
+    off = ham - np.diag(np.diagonal(ham))
     assert np.array_equal(off, J)
 
 
@@ -421,7 +421,7 @@ def test_sector_rejects_overflowing_row_sums_without_a_warning():
         with pytest.raises(ValueError, match="row sums overflow"):
             sc.sector_hamiltonian(coupl)
         # the bare hopping matrix needs no sums
-        assert np.array_equal(sc.sector_hamiltonian(coupl, include_zz_diagonal=False).matrix, entries)
+        assert np.array_equal(sc.sector_hamiltonian(coupl, include_zz_diagonal=False), entries)
 
 
 @pytest.mark.parametrize("include_zz", [False, True])
@@ -439,8 +439,8 @@ def test_sector_hamiltonian_rejects_a_diagonal_written_after_the_check(include_z
 def test_sector_hamiltonian_takes_the_zz_flag_only_as_a_boolean():
     couplings = sc.build_couplings(sc.build_chain_geometry(4), sc.CouplingModel.power_law())
     for flag in (False, True):
-        expected = sc.sector_hamiltonian(couplings, flag).matrix
-        assert np.array_equal(sc.sector_hamiltonian(couplings, np.bool_(flag)).matrix, expected)
+        expected = sc.sector_hamiltonian(couplings, flag)
+        assert np.array_equal(sc.sector_hamiltonian(couplings, np.bool_(flag)), expected)
     for bad in ("no", "False", 0, 1, None, np.array([True])):
         message = f"include_zz_diagonal must be True or False \\(got {re.escape(repr(bad))}\\)"
         with pytest.raises(ValueError, match=message):
@@ -453,7 +453,6 @@ def test_constructors_freeze_a_float64_array_and_copy_any_other():
     vectors = np.eye(3)
     for build, array in (
         (sc.CouplingMatrix, couplings),
-        (sc.SectorHamiltonian, couplings),
         (lambda V: sc.SpectralDecomposition(np.zeros(3), V), vectors),
     ):
         for given in (array.copy(), array.astype(np.float32)):
@@ -470,7 +469,7 @@ def test_sector_matrix_is_read_only():
     coupl = sc.CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     ham = sc.sector_hamiltonian(coupl)
     with pytest.raises(ValueError):
-        ham.matrix[0, 0] = 9.0
+        ham[0, 0] = 9.0
 
 
 # ---------------------------------------------------------------- parity blocks
@@ -496,9 +495,20 @@ _MIRROR_CHAINS = [
 
 
 def _general_and_chain_sector(geo, model, zz):
-    general = sc.eigendecompose(sc.sector_hamiltonian(sc.build_couplings(geo, model), zz))
-    sector = sc.model._chain_sector(geo, model, zz)
-    return general, sector
+    """What ``eigendecompose`` gets on the general path, H or above the split size the parity blocks folded
+    from H, and what ``_chain_sector`` gives it, for one chain."""
+    H = sc.sector_hamiltonian(sc.build_couplings(geo, model), zz)
+    general = parity_blocks(H) if len(H) >= sc.model.MIRROR_SPLIT_MIN_SITES else H
+    return general, sc.model._chain_sector(geo, model, zz)
+
+
+def _assert_same_bits(sector, general):
+    """The matrix or the two parity blocks ``sector`` equal those of ``general`` bit for bit."""
+    assert type(sector) is type(general)
+    pairs = zip(sector, general) if isinstance(general, sc.dynamics._ParityBlocks) else [(sector, general)]
+    for mine, theirs in pairs:
+        assert mine.shape == theirs.shape
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -511,13 +521,19 @@ def test_chain_sector_decomposes_as_the_general_path_bit_for_bit(layout, zz, nu,
     geo = sc.build_chain_geometry(span, sender, receiver, double_hole=dh)
     general, sector = _general_and_chain_sector(geo, sc.CouplingModel.power_law(nu, c), zz)
     # double-hole chains of 64 and 65 positions hold 62 and 63 sites, too few for the blocks
-    assert isinstance(sector, sc.dynamics._ParityBlocks) == (geo.n_sites >= sc.dynamics.MIRROR_SPLIT_MIN_SITES)
-    blocks = sc.eigendecompose(sector)
-    assert np.array_equal(blocks.eigenvalues, general.eigenvalues)
-    assert np.array_equal(blocks._held, general._held)
-    assert (blocks._signs is None) == (general._signs is None)
-    if general._signs is not None:
-        assert np.array_equal(blocks._signs, general._signs)
+    assert isinstance(sector, sc.dynamics._ParityBlocks) == (geo.n_sites >= sc.model.MIRROR_SPLIT_MIN_SITES)
+    # the same bits in, so the same decomposition out
+    _assert_same_bits(sector, general)
+
+
+@pytest.mark.parametrize("zz", [True, False])
+@pytest.mark.parametrize("n", [64, 65, 100, 101])
+def test_chain_sector_folds_every_long_mirror_periodic_chain(n, zz):
+    # J_{i,i+1} = (lam / 2) sqrt(i (N - i)) equals its own site reversal bit for bit, whatever the positions
+    for geo in (sc.build_chain_geometry(n), sc.build_chain_geometry(n + 2, double_hole=True)):
+        general, sector = _general_and_chain_sector(geo, sc.CouplingModel.mirror_periodic(lam=3.0), zz)
+        assert isinstance(sector, sc.dynamics._ParityBlocks)
+        _assert_same_bits(sector, general)
 
 
 @pytest.mark.parametrize(
@@ -525,16 +541,21 @@ def test_chain_sector_decomposes_as_the_general_path_bit_for_bit(layout, zz, nu,
     [
         (sc.build_chain_geometry(100, 1, 90, double_hole=True), sc.CouplingModel.power_law()),
         (sc.build_chain_geometry(63), sc.CouplingModel.power_law()),
-        (sc.build_chain_geometry(100), sc.CouplingModel.mirror_periodic()),
+        (sc.build_chain_geometry(63), sc.CouplingModel.mirror_periodic()),
+        (
+            sc.build_chain_geometry(100),
+            sc.CouplingModel.custom(
+                sc.build_couplings(sc.build_chain_geometry(100), sc.CouplingModel.power_law())
+            ),
+        ),
     ],
-    ids=["off_mirror", "short", "mirror_periodic"],
+    ids=["off_mirror", "short", "short_mirror_periodic", "custom_mirror"],
 )
 def test_other_chains_take_the_general_path(geo, model):
-    general, sector = _general_and_chain_sector(geo, model, True)
-    assert isinstance(sector, sc.SectorHamiltonian)
-    decomp = sc.eigendecompose(sector)
-    assert np.array_equal(decomp.eigenvalues, general.eigenvalues)
-    assert np.array_equal(decomp._held, general._held)
+    # custom couplings are never split, even when they equal their own reversal
+    sector = sc.model._chain_sector(geo, model, True)
+    assert not isinstance(sector, sc.dynamics._ParityBlocks)
+    _assert_same_bits(sector, sc.sector_hamiltonian(sc.build_couplings(geo, model), True))
 
 
 @pytest.mark.parametrize(
@@ -607,7 +628,7 @@ def test_full_one_excitation_block_matches_sector(include_zz):
     full = full_hamiltonian(coupl, include_zz)
     idx = [1 << k for k in range(6)]
     block = full[np.ix_(idx, idx)]
-    assert np.allclose(block, sector.matrix, rtol=0.0, atol=1e-13)
+    assert np.allclose(block, sector, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------- coupling files

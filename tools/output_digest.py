@@ -13,8 +13,8 @@ Items:
 - every file the CLI writes for the ``cli_mix`` configs (the README example
   ``bench`` among them) at each ``--cli-seed`` (default 3), for the
   ``BUILT_IN`` configs (among them an odd chain that takes the mirror
-  split, and one chain on each side of the parity-block choice), and for
-  each ``--config`` file.
+  split, one chain on each side of the parity-block choice, and a long
+  mirror-periodic chain), and for each ``--config`` file.
 
 The chains and configs are those of ``perfbench/workloads.py`` in this
 checkout; ``spinchannel`` is imported from ``--src`` (default: this
@@ -47,7 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # split chains are all even; the last two take each side of the choice between parity blocks built from the
 # distance table and the general path, on chains the benchmark does not run: a complete power-law chain with
 # zz = false and nu and c off their defaults (blocks), and a double-hole chain whose receiver is not at the
-# end, so its positions are not mirror-symmetric (general path)
+# end, so its positions are not mirror-symmetric (general path); the last is a mirror-periodic chain long
+# enough for the parity blocks folded from the rows of its J
 BUILT_IN = {
     "power_law_time_scan": (
         "mode = time_scan\npositions = 11\nnu = 2.5\nc = 0.75\nsender = 2\nreceiver = 10\n"
@@ -64,6 +65,7 @@ BUILT_IN = {
         "mode = diagnostics\npositions = 100\nnu = 2.5\nc = 0.75\nzz = false\nout = blocks\n"
     ),
     "off_mirror_time_scan": "mode = time_scan\npositions = 100\ndh = true\nreceiver = 90\nout = off_mirror\n",
+    "mirror_periodic_diagnostics": "mode = diagnostics\npositions = 101\ncoupling = mirror_periodic\nout = mirror101\n",
 }
 
 
